@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Generate the built-in worked-example specs, run them all, and print a
-one-line summary per case.  Reports land in ./out/worked-examples/."""
+one-line summary per case.  Reports land in ./out/worked-examples/.  Exits
+1 if any case failed (its report then holds only the error)."""
 
 import json
 import os
@@ -16,6 +17,7 @@ OUT = os.path.join("out", "worked-examples")
 
 def main():
     os.makedirs(OUT, exist_ok=True)
+    failed = 0
     for name, spec in example_specs().items():
         t0 = time.perf_counter()
         try:
@@ -24,6 +26,7 @@ def main():
         except Exception as exc:  # surface, keep sweeping
             report = {"error": str(exc)}
             status = f"FAILED ({type(exc).__name__})"
+            failed += 1
         elapsed = time.perf_counter() - t0
         path = os.path.join(OUT, f"{name}.json")
         with open(path, "w") as fh:
@@ -43,7 +46,8 @@ def main():
                 t = report["diagnostics"]["oracle_triangle"][0]
                 summary = f"triangle max = {max(v for k, v in t.items() if k != 'x'):.2e}"
         print(f"{name:24s} {status:8s} {elapsed:6.1f}s  {summary}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -31,22 +31,26 @@ from .dyson import (
     closed_form_jump,
     cocycle_identity_residual,
     cocycle_jump,
+    default_loop_radius,
     deformation_delta,
     dyson_expand,
     evaluate_dyson,
     matrix_to_json,
+    windings_json,
 )
 from .errors import MonodeformError, SchemaError
 from .hypergeom import ConnectedBasis, hypergeometric_system, weight_omega
 from .odecore import (
     MeromorphicSystem,
     PerturbationSpec,
+    _c2j,
+    _j2c,
     companion,
     perturbation_from_json,
     scalar_ode_from_json,
     system_from_json,
 )
-from .paths import line_path, loop_around, path_from_json
+from .paths import line_path, loop_around, path_from_json, path_hash
 from .schema import schema_json, semantic_diagnostics, validate_schema
 from .spectral import (
     QuadratureSpec,
@@ -59,19 +63,9 @@ from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monod
 from .varpar import hypergeometric_deformed_series, series_to_csv
 
 
-def as_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
-
-
-def c2j(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _jsonable(obj):
     if isinstance(obj, complex):
-        return c2j(obj)
+        return _c2j(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -95,7 +89,7 @@ def build_equation(spec) -> tuple[MeromorphicSystem, Optional[tuple[float, float
     eq = spec["equation"]
     if "hypergeometric" in eq:
         h = eq["hypergeometric"]
-        a, b, c = (as_complex(h[k]) for k in ("a", "b", "c"))
+        a, b, c = (_j2c(h[k]) for k in ("a", "b", "c"))
         params = (a.real, b.real, c.real) if max(abs(a.imag), abs(b.imag), abs(c.imag)) < 1e-14 else None
         return hypergeometric_system(a, b, c), params
     if "scalar" in eq:
@@ -106,17 +100,17 @@ def build_equation(spec) -> tuple[MeromorphicSystem, Optional[tuple[float, float
 def build_basis(spec, sys: MeromorphicSystem) -> FundamentalMatrix:
     b = spec.get("basis", {"type": "frobenius0"} if "hypergeometric" in spec["equation"]
                  else {"type": "identity"})
-    basepoint = as_complex(b.get("basepoint", 0.5))
+    basepoint = _j2c(b.get("basepoint", 0.5))
     kind = b["type"]
     if kind in ("frobenius0", "frobenius1"):
         h = spec["equation"].get("hypergeometric")
         if h is None:
             raise SchemaError("Frobenius bases need a hypergeometric equation", "$.basis")
-        a, bb, c = (as_complex(h[k]) for k in ("a", "b", "c"))
+        a, bb, c = (_j2c(h[k]) for k in ("a", "b", "c"))
         return frobenius_basis(a, bb, c, 0 if kind == "frobenius0" else 1, basepoint)
     if kind == "identity":
         return identity_basis(basepoint, sys.dim)
-    m = np.array([[complex(p[0], p[1]) for p in row] for row in b["matrix"]])
+    m = np.array([[_j2c(p) for p in row] for row in b["matrix"]])
     return FundamentalMatrix(basepoint, m, "explicit")
 
 
@@ -125,7 +119,7 @@ def build_perturbation(spec) -> tuple[Optional[PerturbationSpec], complex]:
     if p is None:
         return None, 0j
     pert = perturbation_from_json({k: v for k, v in p.items() if k != "rho"})
-    rho = as_complex(p.get("rho", 1e-3))
+    rho = _j2c(p.get("rho", 1e-3))
     return pert, rho
 
 
@@ -146,9 +140,7 @@ def _loops_for_centers(spec, sys, basis, centers):
             loops.append(path_from_json(pj))
         return loops
     for ctr in centers:
-        others = [s for s in sys.singularities if abs(s - ctr) > 1e-9 * (1 + abs(s))]
-        d_other = min((abs(s - ctr) for s in others), default=2 * abs(basis.basepoint - ctr))
-        r = min(0.5 * d_other, 0.75 * abs(basis.basepoint - ctr))
+        r = default_loop_radius(ctr, sys, basis.basepoint)
         loops.append(loop_around(ctr, r, basis.basepoint, avoid=sys.singularities))
     return loops
 
@@ -161,7 +153,7 @@ def _task_monodromy(spec, args) -> dict:
     basis = build_basis(spec, sys)
     pert, rho = build_perturbation(spec)
     num = _numerics(spec, args)
-    centers = [as_complex(c) for c in spec.get("centers", [])] or list(sys.singularities)
+    centers = [_j2c(c) for c in spec.get("centers", [])] or list(sys.singularities)
     loops = _loops_for_centers(spec, sys, basis, centers)
     results, diags = [], []
     for ctr, loop in zip(centers, loops):
@@ -169,12 +161,12 @@ def _task_monodromy(spec, args) -> dict:
         entry = {
             "center": ctr,
             "matrix": matrix_to_json(datum.matrix),
-            "eigenvalues": [c2j(e) for e in datum.eigenvalues],
+            "eigenvalues": [_c2j(e) for e in datum.eigenvalues],
         }
         if pert is not None:
             pdatum = monodromy(sys, basis, loop, num["tol"], pert=pert, rho=rho)
             entry["perturbed_matrix"] = matrix_to_json(pdatum.matrix)
-            entry["perturbed_eigenvalues"] = [c2j(e) for e in pdatum.eigenvalues]
+            entry["perturbed_eigenvalues"] = [_c2j(e) for e in pdatum.eigenvalues]
         results.append(entry)
     diags.append({"basis_condition": basis.cond})
     return {"results": {"monodromies": _jsonable(results)},
@@ -195,16 +187,10 @@ def _task_dyson(spec, args) -> dict:
     approx = evaluate_dyson(w_end.w.value, exp, rho)
     direct = transport(sys, pert, rho, path, basis, num["tol"])
     delta = float(np.max(np.abs(approx - direct.w.value)))
-    from .paths import BranchState, path_hash
-
-    pts = [p for p, _ in direct.branch.args]
-    start = BranchState.principal(path.start, pts)
-    windings = {f"{p.real:g}{p.imag:+g}j":
-                (direct.branch.arg(p) - start.arg(p)) / (2 * math.pi) for p in pts}
     return {
         "results": {
             "terms": [matrix_to_json(t) for t in exp.terms],
-            "endpoint": c2j(exp.endpoint),
+            "endpoint": _c2j(exp.endpoint),
             "w_rho_truncated": matrix_to_json(approx),
         },
         "diagnostics": _jsonable({
@@ -213,7 +199,7 @@ def _task_dyson(spec, args) -> dict:
             "tol": num["tol"],
             "path_hash": path_hash(path),
             "transport_steps": direct.steps,
-            "windings": windings,
+            "windings": windings_json(direct.branch, path.start),
         }),
     }
 
@@ -223,7 +209,7 @@ def _task_cocycle(spec, args) -> dict:
     basis = build_basis(spec, sys)
     pert, rho = build_perturbation(spec)
     num = _numerics(spec, args)
-    centers = [as_complex(c) for c in spec.get("centers", [])] or list(sys.singularities)
+    centers = [_j2c(c) for c in spec.get("centers", [])] or list(sys.singularities)
     results = {"jumps": []}
     diags: dict[str, Any] = {}
     route = "auto" if basis.evaluator is not None else "ode"
@@ -277,7 +263,7 @@ def _f_profile(spec, params):
     fspec = spec.get("f", {"name": "one"})
     if "name" in fspec:
         return builtin_profile(fspec["name"], params), fspec["name"]
-    coeffs = [as_complex(p) for p in fspec["poly"]]
+    coeffs = [_j2c(p) for p in fspec["poly"]]
 
     def poly(x: float) -> complex:
         acc = 0j
@@ -345,18 +331,15 @@ def _task_series(spec, args, csv_dir=None) -> dict:
                                             tol=max(num["tol"], 1e-12))
     nsamp = int(spec.get("samples", 13))
     xs = list(np.linspace(0.2, 0.8, nsamp))
-    samples = [{"x": x, "terms": [c2j(series.term(k)(x)[0]) for k in range(num["K"] + 1)],
-                "value": c2j(series.evaluate(x, rho))} for x in xs]
+    samples = [{"x": x, "terms": [_c2j(series.term(k)(x)[0]) for k in range(num["K"] + 1)],
+                "value": _c2j(series.evaluate(x, rho))} for x in xs]
     basis = frobenius_basis(a, b, c, 0, 0.5)
     triangle = []
     for x in (0.3, 0.7):
         path = line_path(0.5, x)
         exp = dyson_expand(sys, pert, num["K"], path, basis, num["tol"], route="ode")
         wx = transport(sys, None, 0, path, basis, num["tol"]).w.value
-        acc = np.eye(2, dtype=complex)
-        for k, t in enumerate(exp.terms, start=1):
-            acc = acc + t * rho**k
-        dyson_val = (wx @ acc @ np.array([1.0, 0.0]))[0]
+        dyson_val = evaluate_dyson(wx, exp, rho)[0, 0]
         psi0 = np.asarray(basis.value) @ np.array([1.0, 0.0])
         col = np.column_stack([psi0, [0.0, 1.0]])
         direct = transport(sys, pert, rho, path, FundamentalMatrix(0.5, col, "column"),
@@ -442,7 +425,7 @@ def run_spec(spec, args=None, csv_dir=None) -> dict:
 
 
 def _ratfn_json(num, den=(1.0,)):
-    return {"num": [c2j(complex(v)) for v in num], "den": [c2j(complex(v)) for v in den]}
+    return {"num": [_c2j(complex(v)) for v in num], "den": [_c2j(complex(v)) for v in den]}
 
 
 _ZERO = {"num": [], "den": [[1.0, 0.0]]}
@@ -476,7 +459,7 @@ def example_specs() -> dict[str, dict]:
                                    [_ZERO, _ratfn_json([1.0], [0.0, 1.0])]],
                              "rho": 1e-3},
             "basis": {"type": "explicit", "basepoint": x0,
-                      "matrix": [[c2j(v) for v in row] for row in w0]},
+                      "matrix": [[_c2j(v) for v in row] for row in w0]},
             "centers": [0.0],
         },
         "branch-cut-jump": {

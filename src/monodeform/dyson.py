@@ -18,7 +18,8 @@ composite g h traverses h first (function-style composition, making loop ->
 monodromy a homomorphism).
 
 Two integration routes are implemented and cross-checked: an augmented
-adaptive ODE transport (any basis), and piecewise-Chebyshev quadrature with
+adaptive ODE transport (any basis; the blocks are integrated by
+`transport`), and piecewise-Chebyshev quadrature with
 the fundamental matrix evaluated directly from its Frobenius series (needed
 for integrals anchored at the singular point 0 itself).
 """
@@ -31,20 +32,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     InconsistentBasepoint,
-    NonFiniteValue,
     NonIntegrableEndpoint,
     ShapeMismatch,
-    StepSizeUnderflow,
     UnsupportedKind,
 )
 from .odecore import KIND_LOG, KIND_MEROMORPHIC, KIND_POWER, MeromorphicSystem, PerturbationSpec
-from .paths import ArgTracker, Arc, BranchState, PathSpec, line_path, loop_around, path_hash
+from .paths import ArgTracker, Arc, BranchState, PathSpec, line_path, loop_around
 from .quadrature import cheb_cumulative, cheb_nodes, estimate_endpoint_exponent
-from .transport import FundamentalMatrix, tracked_points
+from .transport import FundamentalMatrix, _gauge_matrix, _integrate, tracked_points
 
 HEAD_RATIO = 0.25
 HEAD_LEVELS = 44
@@ -94,16 +92,6 @@ class CocycleJump:
 
 
 # --- small linear algebra helpers -------------------------------------------
-
-
-def _gauge_matrix(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """W^{-1} @ rhs via the adjugate for 2x2 (avoids cond-limited solves on
-    the wildly scaled columns near a singular point)."""
-    if w.shape == (2, 2):
-        det = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-        adj = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=complex)
-        return (adj @ rhs) / det
-    return np.linalg.solve(w, rhs)
 
 
 def _maxabs(m: np.ndarray) -> float:
@@ -246,11 +234,7 @@ def _series_route_markers(
         raise _ZoneError("series route needs a basis with a series evaluator")
     if basis.provenance not in ("frobenius-at-0", "frobenius-at-1"):
         raise _ZoneError(f"series route undefined for provenance {basis.provenance!r}")
-    pts = tracked_points(sys, pert)
-    for p in paths:
-        for c in p.arc_centers():
-            if not any(abs(c - q) <= 1e-9 * (1 + abs(c)) for q in pts):
-                pts.append(c)
+    pts = tracked_points(sys, pert, paths)
     groups: list[list[_Panel]] = []
     if from_zero:
         start_z = paths[0].start if paths else basis.basepoint
@@ -308,62 +292,8 @@ def _ode_route_markers(
     tol: float,
 ):
     """Chain of transports carrying (W, C_1..C_K, plain) across the paths."""
-    pts = tracked_points(sys, pert)
-    for p in paths:
-        for c in p.arc_centers():
-            if not any(abs(c - q) <= 1e-9 * (1 + abs(c)) for q in pts):
-                pts.append(c)
-    dim = basis.dim
-    n2 = dim * dim
-    nblocks = 1 + K + (1 if want_plain else 0)
-    y = np.zeros(nblocks * n2, dtype=complex)
-    y[:n2] = np.asarray(basis.value).ravel()
-    state = BranchState.principal(paths[0].start, pts)
-    multivalued = pert.multivalued
     rtol = max(tol, 1e-13)
-    markers = []
-    for path in paths:
-        tracker = ArgTracker(path, pts, state)
-        for i, seg in enumerate(path.segments):
-
-            def rhs(t, yy, seg=seg, i=i):
-                z = seg.point(t)
-                v = seg.velocity(t)
-                w = yy[:n2].reshape(dim, dim)
-                out = np.empty_like(yy)
-                out[:n2] = (sys.evaluate(z) @ w).ravel() * v
-                plain = _gauge_matrix(w, pert.h_matrix(z) @ w) * v
-                if multivalued:
-                    theta = tracker.arg(i, t, 0j)
-                    logz = cmath.log(abs(z)) + 1j * theta
-                    wt = logz if pert.kind == KIND_LOG else cmath.exp(pert.lam * logz)
-                else:
-                    wt = 1.0
-                g = wt * plain
-                prev = None
-                for k in range(1, K + 1):
-                    blk = slice(k * n2, (k + 1) * n2)
-                    if k == 1:
-                        out[blk] = g.ravel()
-                    else:
-                        out[blk] = (g @ prev).ravel()
-                    prev = yy[blk].reshape(dim, dim)
-                if want_plain:
-                    out[(K + 1) * n2:] = plain.ravel()
-                return out
-
-            sol = solve_ivp(rhs, (0.0, 1.0), y, method="RK45",
-                            rtol=rtol, atol=rtol * 1e-2)
-            if not sol.success:
-                raise StepSizeUnderflow(f"augmented transport failed: {sol.message}")
-            y = sol.y[:, -1]
-            if not np.all(np.isfinite(y.view(float))):
-                raise NonFiniteValue("non-finite augmented state")
-        state = tracker.end_state
-        w_end = y[:n2].reshape(dim, dim).copy()
-        c_list = [y[k * n2:(k + 1) * n2].reshape(dim, dim).copy() for k in range(1, K + 1)]
-        d_val = y[(K + 1) * n2:].reshape(dim, dim).copy() if want_plain else None
-        markers.append((w_end, c_list, d_val, state))
+    markers, _ = _integrate(sys, pert, 0, paths, basis.value, K, want_plain, rtol, rtol * 1e-2)
     return markers
 
 
@@ -598,31 +528,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(d) -> np.ndarray:
-    n = int(d["dim"])
-    flat = [complex(p[0], p[1]) for p in d["data"]]
-    return np.array(flat, dtype=complex).reshape(n, n)
-
-
-def _windings_json(branch: Optional[BranchState], start: Optional[BranchState]) -> dict:
-    if branch is None or start is None:
-        return {}
-    out = {}
-    for p, _ in branch.args:
-        key = f"{p.real:g}{p.imag:+g}j"
-        out[key] = (branch.arg(p) - start.arg(p)) / (2 * math.pi)
-    return out
-
-
-def correction_to_json(corr: CorrectionC, tol: float) -> dict:
-    start = None
-    if corr.branch is not None:
-        pts = [p for p, _ in corr.branch.args]
-        start = BranchState.principal(corr.path.start if corr.path else corr.basepoint, pts)
-    return {
-        "matrix": matrix_to_json(corr.value),
-        "tol": tol,
-        "path_hash": path_hash(corr.path) if corr.path is not None else None,
-        "windings": _windings_json(corr.branch, start),
-        "from_zero": corr.from_zero,
-    }
+def windings_json(branch: BranchState, start: complex) -> dict:
+    """Turns of each tracked argument from the principal branch at `start`
+    to `branch`, keyed by branch point."""
+    ref = BranchState.principal(start, [p for p, _ in branch.args])
+    return {f"{p.real:g}{p.imag:+g}j": branch.winding(p, ref) for p, _ in branch.args}

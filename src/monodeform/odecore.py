@@ -1,4 +1,4 @@
-"""Rational-coefficient linear ODE systems and perturbed right-hand sides.
+"""Rational-coefficient linear ODE systems and their perturbations.
 
 A scalar equation y^(n) + A_{n-1} y^(n-1) + ... + A_0 y = 0 with rational
 coefficients reduces to the first-order system psi' = A(x) psi in the
@@ -90,9 +90,6 @@ class MeromorphicSystem:
                     raise SingularPoint(f"x={x} within exclusion radius of pole {s}")
         return np.array([[e(x) for e in row] for row in self.entries], dtype=complex)
 
-    def trace_at(self, x: complex) -> complex:
-        return sum(self.entries[i][i](x) for i in range(self.dim))
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -128,7 +125,8 @@ class PerturbationSpec:
         return np.array([[e(x) for e in row] for row in self.H], dtype=complex)
 
     def weight(self, x: complex, branch=None) -> complex:
-        """The scalar multivalued factor at x on the tracked branch."""
+        """The scalar factor at x: x^lam or log x on the tracked branch, 1 for
+        meromorphic kinds."""
         if self.kind == KIND_MEROMORPHIC:
             return 1.0 + 0j
         if branch is None:
@@ -138,14 +136,6 @@ class PerturbationSpec:
         if self.kind == KIND_LOG:
             return logx
         return cmath.exp(self.lam * logx)
-
-    def matrix(self, x: complex, branch=None, guard: bool = True) -> np.ndarray:
-        if guard:
-            r = exclusion_radius(x)
-            for s in self.poles:
-                if abs(x - s) < r:
-                    raise SingularPoint(f"x={x} within exclusion radius of pole {s}")
-        return self.weight(x, branch) * self.h_matrix(x)
 
 
 def companion(ode: ScalarODE) -> MeromorphicSystem:
@@ -157,25 +147,6 @@ def companion(ode: ScalarODE) -> MeromorphicSystem:
         rows.append(tuple(one if j == i + 1 else zero for j in range(n)))
     rows.append(tuple(a.scale(-1.0) for a in ode.coeffs))
     return MeromorphicSystem(n, tuple(rows))
-
-
-def system_singularities(sys: MeromorphicSystem) -> list[complex]:
-    """Deduplicated denominator roots of all entries."""
-    return list(sys.singularities)
-
-
-def perturbed_rhs(
-    sys: MeromorphicSystem,
-    pert: Optional[PerturbationSpec],
-    rho: complex,
-    x: complex,
-    branch=None,
-) -> np.ndarray:
-    """A(x) + rho * B(x), with multivalued weights on the tracked branch."""
-    a = sys.evaluate(x)
-    if pert is None or rho == 0:
-        return a
-    return a + rho * pert.matrix(x, branch)
 
 
 # --- JSON encoding -------------------------------------------------------

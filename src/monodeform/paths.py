@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import PathThroughSingularity
-from .odecore import exclusion_radius
+from .odecore import _c2j, _j2c, exclusion_radius
 
 ENDPOINT_TOL = 1e-12
 POINT_MATCH_TOL = 1e-9
@@ -310,10 +310,6 @@ class ArgTracker:
 # --- JSON ------------------------------------------------------------------
 
 
-def _c2j(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def path_to_json(path: PathSpec) -> dict:
     segs = []
     for s in path.segments:
@@ -330,10 +326,10 @@ def path_from_json(data) -> PathSpec:
     for s in data["segments"]:
         if "line" in s:
             (a, b) = s["line"]
-            segs.append(Line(complex(a[0], a[1]), complex(b[0], b[1])))
+            segs.append(Line(_j2c(a), _j2c(b)))
         elif "arc" in s:
             d = s["arc"]
-            segs.append(Arc(complex(d["center"][0], d["center"][1]),
+            segs.append(Arc(_j2c(d["center"]),
                             float(d["r"]), float(d["th0"]), float(d["th1"])))
         else:
             raise ValueError(f"unknown segment {s}")

@@ -9,7 +9,7 @@ import jsonschema
 
 from .errors import SchemaError
 from .hypergeom import is_near_integer
-from .odecore import exclusion_radius, system_from_json
+from .odecore import _j2c, exclusion_radius, system_from_json
 from .paths import path_from_json
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
@@ -194,11 +194,9 @@ def semantic_diagnostics(spec: Any) -> list[dict]:
     eq = spec["equation"]
     singularities: list[complex] = []
     if "hypergeometric" in eq:
-        from .cli import as_complex  # local import to avoid a cycle
-
-        a = as_complex(eq["hypergeometric"]["a"])
-        b = as_complex(eq["hypergeometric"]["b"])
-        c = as_complex(eq["hypergeometric"]["c"])
+        a = _j2c(eq["hypergeometric"]["a"])
+        b = _j2c(eq["hypergeometric"]["b"])
+        c = _j2c(eq["hypergeometric"]["c"])
         singularities = [0j, 1 + 0j]
         if is_near_integer(c):
             out.append({

@@ -2,25 +2,27 @@
 
 Transport integrates W' = (A + rho B)(z) W along each path segment with an
 embedded adaptive Runge-Kutta 5(4) pair (constant-speed segment parameters,
-so the control is arclength-equivalent).  Branch arguments of multivalued
-perturbation weights come from the exact per-segment argument tables, not
-from the integrator state.  The monodromy of a closed loop is read off in
-the convention W(loop . x) = W(x) M.
+so the control is arclength-equivalent).  The same integrator carries the
+augmented blocks of the Dyson expansion for the ODE route in `dyson`: the
+corrections C_k' = G C_{k-1} with G = W^{-1} B W, and the log-free integral
+of W^{-1} H W.  Branch arguments of multivalued perturbation weights come
+from the exact per-segment argument tables, not from the integrator state.
+The monodromy of a closed loop is read off in the convention
+W(loop . x) = W(x) M.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IllConditioned, NonFiniteValue, StepSizeUnderflow
 from .hypergeom import local_basis_0, local_basis_1
-from .odecore import MeromorphicSystem, PerturbationSpec
+from .odecore import MeromorphicSystem, PerturbationSpec, _dedup
 from .paths import ArgTracker, BranchState, PathSpec
 
 COND_LIMIT = 1e12
@@ -107,39 +109,87 @@ def frobenius_basis(a: complex, b: complex, c: complex, point: int,
 
 
 def tracked_points(sys: MeromorphicSystem, pert: Optional[PerturbationSpec],
-                   path: Optional[PathSpec] = None) -> list[complex]:
+                   paths: Sequence[PathSpec] = ()) -> list[complex]:
+    """Branch points whose arguments are tracked along the paths: the system
+    singularities, the perturbation poles (and 0 for multivalued weights),
+    and every arc centre."""
     pts = list(sys.singularities)
     if pert is not None:
         pts.extend(pert.poles)
         if pert.multivalued:
             pts.append(0j)
-    if path is not None:
+    for path in paths:
         pts.extend(path.arc_centers())
-    out: list[complex] = []
-    for p in pts:
-        if not any(abs(p - q) <= 1e-9 * (1 + abs(p)) for q in out):
-            out.append(p)
-    return out
+    return _dedup(pts)
 
 
-def _segment_rhs(sys, pert, rho, seg, tracker, seg_index, dim):
-    multivalued = pert is not None and pert.multivalued
+def _gauge_matrix(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """W^{-1} @ rhs via the adjugate for 2x2 (avoids cond-limited solves on
+    the wildly scaled columns near a singular point)."""
+    if w.shape == (2, 2):
+        det = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+        adj = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=complex)
+        return (adj @ rhs) / det
+    return np.linalg.solve(w, rhs)
 
-    def rhs(t, y):
-        z = seg.point(t)
-        v = seg.velocity(t)
-        a = sys.evaluate(z)
-        if pert is not None and rho != 0:
-            if multivalued:
-                theta = tracker.arg(seg_index, t, 0j)
-                logz = cmath.log(abs(z)) + 1j * theta
-                w = logz if pert.kind == "log" else cmath.exp(pert.lam * logz)
-            else:
-                w = 1.0
-            a = a + rho * w * pert.h_matrix(z)
-        return (a @ y.reshape(dim, dim)).ravel() * v
 
-    return rhs
+def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
+    """Continue W' = (A + rho B) W from w0 along the chained paths.
+
+    With K > 0 the state also carries C_k' = G C_{k-1} (C_0 = I,
+    G = W^{-1} B W) for k = 1..K, and with want_plain the log-free integral
+    of W^{-1} H W.  Returns one marker (W, [C_1..C_K], plain, branch) per
+    path, and the accepted step count."""
+    pts = tracked_points(sys, pert, paths)
+    dim = w0.shape[0]
+    n2 = dim * dim
+    augmented = K > 0 or want_plain
+    perturbed = pert is not None and rho != 0
+    weighted = augmented or perturbed
+    y = np.zeros((1 + K + int(want_plain)) * n2, dtype=complex)
+    y[:n2] = np.asarray(w0).ravel()
+    state = BranchState.principal(paths[0].start, pts)
+    markers, steps = [], 0
+    for path in paths:
+        tracker = ArgTracker(path, pts, state)
+        for i, seg in enumerate(path.segments):
+
+            def rhs(t, yy, seg=seg, i=i):
+                z = seg.point(t)
+                v = seg.velocity(t)
+                a = sys.evaluate(z)
+                if weighted:
+                    branch = (BranchState(z, ((0j, tracker.arg(i, t, 0j)),))
+                              if pert.multivalued else None)
+                    wt = pert.weight(z, branch)
+                if perturbed:
+                    a = a + rho * wt * pert.h_matrix(z)
+                if not augmented:
+                    return (a @ yy.reshape(dim, dim)).ravel() * v
+                w = yy[:n2].reshape(dim, dim)
+                out = np.empty_like(yy)
+                out[:n2] = (a @ w).ravel() * v
+                plain = _gauge_matrix(w, pert.h_matrix(z) @ w) * v
+                g = wt * plain
+                for k in range(1, K + 1):
+                    dc = g if k == 1 else g @ yy[(k - 1) * n2:k * n2].reshape(dim, dim)
+                    out[k * n2:(k + 1) * n2] = dc.ravel()
+                if want_plain:
+                    out[(K + 1) * n2:] = plain.ravel()
+                return out
+
+            sol = solve_ivp(rhs, (0.0, 1.0), y, method="RK45", rtol=rtol, atol=atol)
+            if not sol.success:
+                raise StepSizeUnderflow(f"integrator failed on segment {i}: {sol.message}")
+            y = sol.y[:, -1]
+            steps += sol.t.size - 1
+            if not np.all(np.isfinite(y.view(float))):
+                raise NonFiniteValue(f"non-finite transport state on segment {i}")
+        state = tracker.end_state
+        blocks = [y[k * n2:(k + 1) * n2].reshape(dim, dim).copy() for k in range(1 + K)]
+        plain = y[(K + 1) * n2:].reshape(dim, dim).copy() if want_plain else None
+        markers.append((blocks[0], blocks[1:], plain, state))
+    return markers, steps
 
 
 def transport(
@@ -149,31 +199,17 @@ def transport(
     path: PathSpec,
     w0: FundamentalMatrix,
     tol: float = DEFAULT_TOL,
-    start_branch: Optional[BranchState] = None,
 ) -> TransportResult:
     """Continue w0 along the path; returns the end value, the branch state,
     and the accepted step count."""
     if abs(path.start - w0.basepoint) > 1e-9:
         raise ValueError("w0 is not based at the path start")
-    pts = tracked_points(sys, pert, path)
-    tracker = ArgTracker(path, pts, start_branch)
-    dim = w0.dim
-    y = np.array(w0.value, dtype=complex).ravel()
-    steps = 0
     rtol = max(tol, 1e-13)
-    scale = max(1.0, float(np.max(np.abs(y))))
-    for i, seg in enumerate(path.segments):
-        rhs = _segment_rhs(sys, pert, rho, seg, tracker, i, dim)
-        sol = solve_ivp(rhs, (0.0, 1.0), y, method="RK45",
-                        rtol=rtol, atol=rtol * 1e-2 * scale, dense_output=False)
-        if not sol.success:
-            raise StepSizeUnderflow(f"integrator failed on segment {i}: {sol.message}")
-        y = sol.y[:, -1]
-        steps += sol.t.size - 1
-        if not np.all(np.isfinite(y.view(float))):
-            raise NonFiniteValue(f"non-finite transport state on segment {i}")
-    w_end = FundamentalMatrix(path.end, y.reshape(dim, dim), w0.provenance, w0.evaluator)
-    return TransportResult(w_end, tracker.end_state, steps)
+    scale = max(1.0, float(np.max(np.abs(w0.value))))
+    [(w_end, _, _, branch)], steps = _integrate(sys, pert, rho, [path], w0.value, 0, False,
+                                                rtol, rtol * 1e-2 * scale)
+    return TransportResult(FundamentalMatrix(path.end, w_end, w0.provenance, w0.evaluator),
+                           branch, steps)
 
 
 def monodromy(
@@ -195,22 +231,3 @@ def monodromy(
                         key=lambda z: (round(z.real, 12), round(z.imag, 12))))
     centers = loop.arc_centers()
     return MonodromyDatum(centers[0] if centers else None, loop, m, eigs)
-
-
-def branch_factor(state: Optional[BranchState], kind: str, lam: Optional[complex],
-                  x: complex) -> complex:
-    """x^lam or log x on the branch recorded in `state` (1 for meromorphic)."""
-    if kind == "meromorphic":
-        return 1.0 + 0j
-    from .errors import BranchRequired
-
-    if state is None:
-        raise BranchRequired(f"kind {kind!r} needs a branch state at x={x}")
-    logx = cmath.log(abs(x)) + 1j * state.arg(0j)
-    if kind == "log":
-        return logx
-    if kind == "power":
-        return cmath.exp(lam * logx)
-    from .errors import UnsupportedKind
-
-    raise UnsupportedKind(kind)

@@ -8,6 +8,7 @@ import pytest
 
 from monodeform.cli import example_specs, main, run_spec
 from monodeform.errors import SchemaError
+from monodeform.paths import loop_around, path_to_json
 from monodeform.schema import semantic_diagnostics, validate_schema
 
 
@@ -182,3 +183,9 @@ def test_dyson_task_oracle_delta(tmp_path):
     assert rep["diagnostics"]["oracle_delta_vs_direct"] < 1e-8
     assert len(rep["results"]["terms"]) == 2
     assert len(rep["diagnostics"]["path_hash"]) == 16
+    # a loop around 0 from 0.5 winds once around 0; its oracle delta sits
+    # too close to 1e-8 to hold it to that bound
+    spec["paths"] = [path_to_json(loop_around(0, 0.25, 0.5, avoid=(0, 1)))]
+    diags = run_spec(spec)["diagnostics"]
+    assert diags["windings"]["0+0j"] == 1
+    assert isinstance(diags["path_hash"], str) and len(diags["path_hash"]) == 16

@@ -12,11 +12,9 @@ from monodeform.odecore import (
     companion,
     perturbation_from_json,
     perturbation_to_json,
-    perturbed_rhs,
     scalar_ode_from_json,
     scalar_ode_to_json,
     system_from_json,
-    system_singularities,
     system_to_json,
 )
 from monodeform.paths import BranchState
@@ -52,7 +50,7 @@ def test_companion_third_order_constant():
 
 def test_singularities_hypergeometric():
     sys = hypergeometric_system(A, B, C)
-    sing = system_singularities(sys)
+    sing = sys.singularities
     assert len(sing) == 2
     assert min(abs(s - 0) for s in sing) < 1e-9
     assert min(abs(s - 1) for s in sing) < 1e-9
@@ -61,14 +59,14 @@ def test_singularities_hypergeometric():
 def test_singularities_constant_matrix_empty():
     one = RationalFn.const(1.0)
     sys = MeromorphicSystem(2, ((one, one), (one, one)))
-    assert system_singularities(sys) == []
+    assert sys.singularities == ()
 
 
 def test_singularities_quadratic_denominator():
     r = RationalFn.from_coeffs([1.0], [-4.0, 0.0, 1.0])
     zero = RationalFn.zero()
     sys = MeromorphicSystem(2, ((r, zero), (zero, zero)))
-    sing = sorted(system_singularities(sys), key=lambda z: z.real)
+    sing = sorted(sys.singularities, key=lambda z: z.real)
     assert abs(sing[0] + 2) < 1e-9 and abs(sing[1] - 2) < 1e-9
 
 
@@ -90,39 +88,50 @@ def _trivial_perturbation():
     return PerturbationSpec("meromorphic", ((zero, zero), (h21, zero)))
 
 
-def test_perturbed_rhs_rho_zero_exact(hyp_system):
-    pert = _trivial_perturbation()
-    for x in (0.2 + 0.1j, 0.5, -0.3):
-        assert np.array_equal(perturbed_rhs(hyp_system, pert, 0.0, x), hyp_system.evaluate(x))
+def test_perturbed_rhs_rho_zero_exact(hyp_system, frob0):
+    # rho = 0 drops the perturbation from the transport right-hand side
+    # exactly, for every weight kind
+    from monodeform.paths import loop_around
+    from monodeform.transport import transport
+
+    loop = loop_around(0, 0.25, 0.5, avoid=hyp_system.singularities)
+    plain = transport(hyp_system, None, 0, loop, frob0, tol=1e-10)
+    one = RationalFn.const(1.0)
+    for pert in (_trivial_perturbation(),
+                 PerturbationSpec("power", ((one, one), (one, one)), lam=0.5),
+                 PerturbationSpec("log", ((one, one), (one, one)))):
+        res = transport(hyp_system, pert, 0, loop, frob0, tol=1e-10)
+        assert np.array_equal(res.w.value, plain.w.value)
+        assert res.steps == plain.steps
 
 
 def test_perturbed_rhs_trivial_at_half(hyp_system):
     pert = _trivial_perturbation()
     rho = 0.01
-    got = perturbed_rhs(hyp_system, pert, rho, 0.5)
+    got = hyp_system.evaluate(0.5) + rho * pert.weight(0.5) * pert.h_matrix(0.5)
     expect = hyp_system.evaluate(0.5) + rho * np.array([[0, 0], [4.0, 0]])
+    assert pert.weight(0.5) == 1.0
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
-def test_perturbed_rhs_log_branch_shift(hyp_system):
+def test_perturbed_rhs_log_branch_shift():
     one = RationalFn.const(1.0)
     zero = RationalFn.zero()
     pert = PerturbationSpec("log", ((one, zero), (zero, one)))
     x = 0.4
-    rho = 2.0
     principal = BranchState.principal(x, [0j])
     looped = BranchState(x, ((0j, principal.arg(0j) + 2 * math.pi),))
-    before = perturbed_rhs(hyp_system, pert, rho, x, principal)
-    after = perturbed_rhs(hyp_system, pert, rho, x, looped)
-    assert np.max(np.abs(after - before - rho * 2j * math.pi * np.eye(2))) < 1e-12
+    assert pert.weight(x, principal) == pytest.approx(math.log(x))
+    assert pert.weight(x, looped) - pert.weight(x, principal) == pytest.approx(2j * math.pi)
 
 
-def test_perturbed_rhs_branch_required(hyp_system):
+def test_perturbed_rhs_branch_required():
     one = RationalFn.const(1.0)
     zero = RationalFn.zero()
-    pert = PerturbationSpec("power", ((zero, zero), (one, zero)), lam=0.5)
-    with pytest.raises(BranchRequired):
-        perturbed_rhs(hyp_system, pert, 1.0, 0.4, None)
+    for kind, lam in (("power", 0.5), ("log", None)):
+        pert = PerturbationSpec(kind, ((zero, zero), (one, zero)), lam=lam)
+        with pytest.raises(BranchRequired):
+            pert.weight(0.4, None)
 
 
 def test_singular_point_guard(hyp_system):

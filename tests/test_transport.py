@@ -11,7 +11,6 @@ from monodeform.paths import BranchState, line_path, loop_around
 from monodeform.ratfun import RationalFn
 from monodeform.transport import (
     FundamentalMatrix,
-    branch_factor,
     frobenius_basis,
     identity_basis,
     monodromy,
@@ -146,15 +145,18 @@ def test_abel_det_along_loop(hyp_system, frob0):
 
 
 def test_branch_factor_values():
-    st0 = BranchState.principal(1.0, [0j])
-    assert branch_factor(st0, "power", 0.7, 1.0) == pytest.approx(1.0)
-    assert branch_factor(st0, "log", None, 1.0) == pytest.approx(0.0)
-    looped = BranchState(1.0, ((0j, st0.arg(0j) + 2 * math.pi),))
+    zero, one = RationalFn.zero(), RationalFn.const(1.0)
+    h = ((zero, zero), (one, zero))
     lam = 0.35
-    assert branch_factor(looped, "power", lam, 1.0) == pytest.approx(
-        cmath.exp(2j * math.pi * lam))
-    assert branch_factor(looped, "log", None, 1.0) == pytest.approx(2j * math.pi)
-    assert branch_factor(None, "meromorphic", None, 0.3) == 1.0
+    power = PerturbationSpec("power", h, lam=lam)
+    log = PerturbationSpec("log", h)
+    st0 = BranchState.principal(1.0, [0j])
+    assert power.weight(1.0, st0) == pytest.approx(1.0)
+    assert log.weight(1.0, st0) == pytest.approx(0.0)
+    looped = BranchState(1.0, ((0j, st0.arg(0j) + 2 * math.pi),))
+    assert power.weight(1.0, looped) == pytest.approx(cmath.exp(2j * math.pi * lam))
+    assert log.weight(1.0, looped) == pytest.approx(2j * math.pi)
+    assert PerturbationSpec("meromorphic", h).weight(0.3) == 1.0
 
 
 def test_ill_conditioned_basis_rejected(hyp_system):
