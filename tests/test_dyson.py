@@ -14,6 +14,7 @@ from monodeform.dyson import (
     evaluate_dyson,
     matrix_to_json,
     perturbed_monodromy_first_order,
+    windings_json,
 )
 from monodeform.errors import (
     InconsistentBasepoint,
@@ -22,7 +23,7 @@ from monodeform.errors import (
     UnsupportedKind,
 )
 from monodeform.odecore import MeromorphicSystem, PerturbationSpec
-from monodeform.paths import line_path, loop_around
+from monodeform.paths import line_path, loop_around, path_hash
 from monodeform.ratfun import ComplexPoly, RationalFn
 from monodeform.transport import FundamentalMatrix, identity_basis, transport
 
@@ -313,9 +314,23 @@ def test_delta_routes_agree_around_one(hyp_system):
     assert np.max(np.abs(m_ser - m_ode)) < 1e-9
 
 
-def test_matrix_json_layout():
+def test_matrix_json_roundtrip():
     m = np.array([[1 + 2j, 3.5], [0.0, -1j]], dtype=complex)
-    assert matrix_to_json(m) == {
+    blob = matrix_to_json(m)
+    assert blob == {
         "dim": 2,
         "data": [[1.0, 2.0], [3.5, 0.0], [0.0, 0.0], [0.0, -1.0]],
     }
+    back = np.array([complex(re, im) for re, im in blob["data"]]).reshape(blob["dim"], -1)
+    assert np.max(np.abs(back - m)) < 1e-15
+
+
+def test_correction_json_carries_metadata(hyp_system, frob0):
+    path = line_path(0.5, 0.7)
+    corr = correction_C(hyp_system, TRIVIAL, frob0, path, tol=1e-11, route="ode")
+    assert corr.path is path and corr.branch is not None
+    assert matrix_to_json(corr.value)["dim"] == 2
+    assert isinstance(path_hash(corr.path), str) and len(path_hash(corr.path)) == 16
+    windings = windings_json(corr.branch, path.start)
+    assert len(windings) >= 2
+    assert all(w == 0 for w in windings.values())
