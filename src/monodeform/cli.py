@@ -55,7 +55,6 @@ from .schema import schema_json, semantic_diagnostics, validate_schema
 from .spectral import (
     QuadratureSpec,
     builtin_profile,
-    eigenvalue_shift,
     hierarchy_shift_residual,
     orthonormality_report,
 )
@@ -283,9 +282,9 @@ def _task_eigenshift(spec, args) -> dict:
     # `nodes` controls the per-panel Gauss-Legendre order there
     quad = QuadratureSpec(rule="adaptive-subdivision", nodes=min(num["nodes"], 48))
     f, fname = _f_profile(spec, params)
-    shift = eigenvalue_shift(f, params, quad)
     ortho = orthonormality_report(params, quad)
     hier = hierarchy_shift_residual(f, params, quad)
+    shift = hier["shift"]
     return {
         "results": _jsonable({
             "f": fname,

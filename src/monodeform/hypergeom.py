@@ -55,15 +55,6 @@ class HypergeomParams:
     def f21(a: complex, b: complex, c: complex) -> "HypergeomParams":
         return HypergeomParams((complex(a), complex(b)), (complex(c),))
 
-    def generic_at0(self) -> bool:
-        c = self.lower[0]
-        return not is_near_integer(c)
-
-    def generic_at1(self) -> bool:
-        a, b = self.upper
-        c = self.lower[0]
-        return not is_near_integer(c - a - b)
-
 
 def pochhammer(a: complex, m: int) -> complex:
     """Rising factorial a (a+1) ... (a+m-1); empty product for m=0."""
@@ -212,12 +203,6 @@ def local_basis_1(a: complex, b: complex, c: complex, tol: float = SERIES_TOL) -
         return val, der
 
     return LocalBasis(1.0 + 0j, y1, y2, (0j, c - a - b))
-
-
-def hyp_second_derivative(a: complex, b: complex, c: complex, x: complex,
-                          y: complex, dy: complex) -> complex:
-    """y'' recovered from the order-2 equation itself."""
-    return (a * b * y - (c - (a + b + 1) * x) * dy) / (x * (1 - x))
 
 
 class ConnectedBasis:

@@ -293,10 +293,6 @@ class ArgTracker:
         return BranchState(z, tuple((p, self.arg(seg_index, t, p)) for p in self.points))
 
     @property
-    def start_state(self) -> BranchState:
-        return self._start
-
-    @property
     def end_state(self) -> BranchState:
         return self._final
 

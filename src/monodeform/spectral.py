@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NonIntegrableWeight
 from .hypergeom import ConnectedBasis, weight_omega
 from .quadrature import adaptive_subdivision_01, gauss_jacobi_01
-from .varpar import ParticularSolution, particular_solution_2nd
+from .varpar import particular_solution
 
 RULE_ENDPOINT = "gauss-jacobi-endpoint"
 RULE_ADAPTIVE = "adaptive-subdivision"
@@ -42,18 +42,12 @@ RULE_ADAPTIVE = "adaptive-subdivision"
 class QuadratureSpec:
     rule: str = RULE_ENDPOINT
     nodes: int = 64
-    endpoint_exponents: Optional[tuple[float, float]] = None  # (c-1, a+b-c)
 
     def __post_init__(self):
         if self.rule not in (RULE_ENDPOINT, RULE_ADAPTIVE):
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.nodes < 8:
             raise ValueError("need at least 8 quadrature nodes")
-        if self.endpoint_exponents is not None:
-            if min(self.endpoint_exponents) <= -1:
-                raise NonIntegrableWeight(
-                    f"endpoint exponents {self.endpoint_exponents} not integrable"
-                )
 
 
 @dataclass(frozen=True)
@@ -196,7 +190,8 @@ def hierarchy_shift_residual(
     with y11'' taken from Richardson finite differences of y11' (so the check
     is independent of the construction identities), and (ii) the omega-inner
     product of the right-hand side with y1, which vanishes exactly when
-    lambda1 carries the measured normalization.
+    lambda1 carries the measured normalization.  The ShiftResult it checks
+    is returned under "shift".
     """
     if quad is None:
         quad = SHIFT_QUAD
@@ -208,7 +203,7 @@ def hierarchy_shift_residual(
     def forcing(x: float) -> complex:
         return (lam - f(x)) * cb.y1(x)[0] / (x * (1 - x))
 
-    y11: ParticularSolution = particular_solution_2nd(a, b, c, forcing, basis=cb)
+    y11 = particular_solution(cb, forcing)
 
     def residual_at(x: float) -> complex:
         def d1(h):
@@ -229,8 +224,7 @@ def hierarchy_shift_residual(
     return {
         "residual_l2": math.sqrt(acc),
         "rhs_orthogonality": abs(rhs_orth),
-        "lambda1": lam,
-        "y11": y11,
+        "shift": shift,
     }
 
 

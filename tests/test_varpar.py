@@ -4,43 +4,40 @@ import numpy as np
 import pytest
 
 from monodeform.errors import WronskianVanishes
-from monodeform.hypergeom import hypergeometric_ode
-from monodeform.odecore import ScalarODE
-from monodeform.ratfun import RationalFn
+from monodeform.hypergeom import ConnectedBasis
 from monodeform.varpar import (
-    deformed_series,
-    hierarchy,
     hypergeometric_deformed_series,
-    particular_solution_2nd,
-    particular_solution_nth,
+    particular_solution,
     series_to_csv,
 )
 
 A, B, C = 0.3, 0.7, 0.4
 
 
-def test_hierarchy_structure():
-    ode = hypergeometric_ode(A, B, C)
-    levels = hierarchy(ode, lambda x: 1.0, 3)
-    assert [lv.k for lv in levels] == [1, 2, 3]
-    assert all(lv.source == lv.k - 1 for lv in levels)
-    assert all(lv.ode is ode for lv in levels)
+def test_hierarchy_structure(connected_basis):
+    """Terms run k = 0..K, the zeroth homogeneous, the rest particular."""
+    series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 3,
+                                            basis=connected_basis)
+    assert [t.k for t in series.terms] == [0, 1, 2, 3]
+    assert [t.provenance for t in series.terms] == ["homogeneous"] + ["particular"] * 3
+    with pytest.raises(ValueError):
+        hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 0, basis=connected_basis)
 
 
 def test_hierarchy_rhs_for_unit_coupling(connected_basis):
-    # deformation -(ab + rho f) y with f = 1: level-1 forcing is y0/(x(1-x))
-    ode = hypergeometric_ode(A, B, C)
-    g = lambda x: -1.0 / (x * (1 - x))
-    levels = hierarchy(ode, g, 2)
-    y0 = lambda x: connected_basis.y1(x)
-    rhs = levels[0].rhs(g, y0)
+    # deformation -(ab + rho f) y with f = 1: level-1 forcing is y0/(x(1-x)),
+    # which the Cramer step returns as sum u_i' y_i'
+    series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 2,
+                                            basis=connected_basis)
     for x in (0.3, 0.6):
+        up = series.term(1).fn.uprime(x)
+        forcing = up[0] * connected_basis.y1(x)[1] + up[1] * connected_basis.y2(x)[1]
         expect = connected_basis.y1(x)[0] / (x * (1 - x))
-        assert abs(rhs(x) - expect) < 1e-12
+        assert abs(forcing - expect) < 1e-12
 
 
 def test_particular_zero_forcing(connected_basis):
-    sol = particular_solution_2nd(A, B, C, lambda x: 0.0, basis=connected_basis)
+    sol = particular_solution(connected_basis, lambda x: 0.0)
     v, d = sol(0.7)
     assert abs(v) < 1e-12 and abs(d) < 1e-12
 
@@ -48,7 +45,7 @@ def test_particular_zero_forcing(connected_basis):
 def test_particular_substitute_back_residual(connected_basis):
     # independent check: y_p'' from Richardson finite differences of y_p'
     g = lambda x: math.sin(3 * x) / (x * (1 - x))
-    sol = particular_solution_2nd(A, B, C, g, basis=connected_basis, tol=1e-12)
+    sol = particular_solution(connected_basis, g, tol=1e-12)
     for x in np.linspace(0.15, 0.85, 20):
         v, d = sol(x)
         h = 1e-4
@@ -70,35 +67,30 @@ def test_abel_wronskian_scaling(connected_basis):
 
 
 def test_nth_reduces_to_2nd(connected_basis):
-    ode = hypergeometric_ode(A, B, C)
+    """The Abel-pinned u' solves W(x) u' = (0, G) with the measured W."""
     g = lambda x: 1.0 / (x * (1 - x))
-    basis = [lambda x: connected_basis.y1(x), lambda x: connected_basis.y2(x)]
-    sol_n = particular_solution_nth(ode, basis, g, basepoint=0.5, tol=1e-12)
-    sol_2 = particular_solution_2nd(A, B, C, g, basis=connected_basis, tol=1e-12)
-    for x in (0.3, 0.55, 0.8):
-        vn, dn = sol_n(x)
-        v2, d2 = sol_2(x)
-        assert abs(vn - v2) < 1e-9
-        assert abs(dn - d2) < 1e-9
+    sol = particular_solution(connected_basis, g, tol=1e-12)
+    for x in np.linspace(0.05, 0.95, 19):
+        want = np.linalg.solve(connected_basis.matrix(x), [0.0, g(x)])
+        assert np.max(np.abs(sol.uprime(x) - want)) < 1e-9 * np.max(np.abs(want))
 
 
-def test_nth_first_order_integrating_factor():
-    # y' + a y = g with constant a: y_p = (g0/a)(1 - e^{a(x0 - x)})
-    a, g0, x0 = 0.8, 1.7, 0.0
-    ode = ScalarODE(1, (RationalFn.const(a),))
-    basis = [lambda x: (math.exp(-a * x), -a * math.exp(-a * x))]
-    sol = particular_solution_nth(ode, basis, lambda x: g0, basepoint=x0, tol=1e-12)
-    for x in (0.4, 1.1):
-        v, _ = sol(x)
-        expect = (g0 / a) * (1 - math.exp(a * (x0 - x)))
-        assert abs(v - expect) < 1e-10
+def test_nth_first_order_integrating_factor(connected_basis):
+    """G = -ab/(x(1-x)) is L[1], so y_p = 1 - W(x)[0] W(x0)^-1 e_1 exactly."""
+    x0 = 0.5
+    g = lambda x: -A * B / (x * (1 - x))
+    sol = particular_solution(connected_basis, g, basepoint=x0, tol=1e-12)
+    coef = np.linalg.solve(connected_basis.matrix(x0), [1.0, 0.0])
+    for x in (0.2, 0.4, 0.7, 0.9):
+        v, d = sol(x)
+        hom = connected_basis.matrix(x) @ coef
+        assert abs(v - (1.0 - hom[0])) < 1e-10
+        assert abs(d + hom[1]) < 1e-10
 
 
 def test_cramer_constraint_identities(connected_basis):
-    ode = hypergeometric_ode(A, B, C)
     g = lambda x: math.cos(x)
-    basis = [lambda x: connected_basis.y1(x), lambda x: connected_basis.y2(x)]
-    sol = particular_solution_nth(ode, basis, g, basepoint=0.5, tol=1e-12)
+    sol = particular_solution(connected_basis, g, tol=1e-12)
     for x in (0.25, 0.5, 0.75):
         up = sol.uprime(x)
         y1v, y1d = connected_basis.y1(x)
@@ -108,17 +100,17 @@ def test_cramer_constraint_identities(connected_basis):
 
 
 def test_column_replacement_zero_forcing(connected_basis):
-    ode = hypergeometric_ode(A, B, C)
-    basis = [lambda x: connected_basis.y1(x), lambda x: connected_basis.y2(x)]
-    sol = particular_solution_nth(ode, basis, lambda x: 0.0, basepoint=0.5)
+    sol = particular_solution(connected_basis, lambda x: 0.0)
     assert np.max(np.abs(sol.uprime(0.33))) < 1e-15
 
 
 def test_wronskian_vanishes_guard():
-    ode = ScalarODE(2, (RationalFn.zero(), RationalFn.zero()))
-    dependent = [lambda x: (1.0, 0.0), lambda x: (2.0, 0.0)]
+    class Dependent(ConnectedBasis):
+        def matrix(self, x):
+            return np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
+
     with pytest.raises(WronskianVanishes):
-        particular_solution_nth(ode, dependent, lambda x: 1.0, basepoint=0.5)
+        particular_solution(Dependent(A, B, C), lambda x: 1.0)
 
 
 def test_wronskian_nonvanishing_on_interval(connected_basis):
@@ -179,15 +171,13 @@ def test_series_csv_export(tmp_path, connected_basis):
 
 
 def test_generic_deformed_series_matches_hypergeometric(connected_basis):
-    # the generic n-th order driver and the Abel-based order-2 driver agree
-    ode = hypergeometric_ode(A, B, C)
-    g = lambda x: -1.0 / (x * (1 - x))
-    basis = [lambda x: connected_basis.y1(x), lambda x: connected_basis.y2(x)]
-    s_gen = deformed_series(ode, g, 2, basis, (1.0, 0.0), basepoint=0.5, tol=1e-12)
-    s_hyp = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 2,
-                                           basis=connected_basis, tol=1e-12)
+    """Each term k >= 1 solves W u' = (0, y_{k-1}/(x(1-x))) with the measured W."""
+    series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 2,
+                                            basis=connected_basis, tol=1e-12)
     for x in (0.35, 0.65):
+        w = connected_basis.matrix(x)
         for k in (1, 2):
-            v1, _ = s_gen.term(k)(x)
-            v2, _ = s_hyp.term(k)(x)
-            assert abs(v1 - v2) < 1e-9
+            up = series.term(k).fn.uprime(x)
+            rhs = series.term(k - 1)(x)[0] / (x * (1 - x))
+            assert abs(w[0, 0] * up[0] + w[0, 1] * up[1]) < 1e-9
+            assert abs(w[1, 0] * up[0] + w[1, 1] * up[1] - rhs) < 1e-9
