@@ -38,8 +38,9 @@ def main():
                 summary = f"eigs[0] = {eigs}"
             elif "jumps" in report.get("results", {}):
                 j = report["results"]["jumps"][0]
-                summary = (f"anchor={j.get('anchor')} "
-                           f"constancy={j['constancy_residual']:.2e}")
+                summary = f"anchor={j.get('anchor')}"
+                if "constancy_residual" in j:
+                    summary += f" constancy={j['constancy_residual']:.2e}"
             elif "lambda1" in report.get("results", {}):
                 summary = f"lambda1 = {report['results']['lambda1']}"
             elif "oracle_triangle" in report.get("diagnostics", {}):

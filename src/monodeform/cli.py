@@ -234,10 +234,11 @@ def _task_cocycle(spec, args) -> dict:
             "center": ctr,
             "anchor": anchor,
             "delta": matrix_to_json(jump.delta),
-            "constancy_residual": jump.constancy_residual,
             "monodromy": matrix_to_json(jump.monodromy),
         }
-        if pert.multivalued:
+        if not pert.multivalued:
+            entry["constancy_residual"] = jump.constancy_residual
+        else:
             comparisons = []
             for p, d, ref in jump.probe_data:
                 pred = closed_form_jump(pert.kind, pert.lam, ref)

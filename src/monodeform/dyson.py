@@ -444,10 +444,11 @@ def cocycle_jump(
 ) -> CocycleJump:
     """Delta_a C at the probe plus a constancy residual over nearby probes.
 
-    For multivalued kinds the correction integrals are anchored at 0 itself
-    (the jump laws compare against the from-zero C); for meromorphic kinds
-    the anchor is the basis basepoint, which shifts delta only by a
-    coboundary."""
+    The residual checks meromorphic kinds only: power and log jumps vary
+    with x by law, and their probes feed the closed-form comparisons.  For
+    multivalued kinds the correction integrals are anchored at 0 itself (the
+    jump laws compare against the from-zero C); for meromorphic kinds the
+    anchor is the basis basepoint, which shifts delta only by a coboundary."""
     if from_zero is None:
         from_zero = pert.multivalued
     if constancy_probes is None:

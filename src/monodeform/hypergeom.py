@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,10 +89,14 @@ def elem_sym(vals: Sequence[complex], k: int) -> complex:
 
 
 @lru_cache(maxsize=1 << 18)
-def _pfq_series(upper: tuple, lower: tuple, x: complex, tol: float) -> complex:
+def _pfq_series(upper: tuple, lower: tuple, x: complex, tol: float) -> tuple[complex, complex]:
+    """(value, derivative) at x != 0 from one pass over the terms t_m: the
+    value sums t_m, the derivative (1/x) sum m t_m, and each sum stops once
+    its own term drops below tol * |sum| for three consecutive terms."""
     term = 1.0 + 0j
     acc = 1.0 + 0j
-    quiet = 0
+    dacc = 0j
+    quiet = dquiet = 0
     for m in range(MAX_TERMS):
         ratio = x / (m + 1)
         for a in upper:
@@ -100,31 +104,29 @@ def _pfq_series(upper: tuple, lower: tuple, x: complex, tol: float) -> complex:
         for b in lower:
             ratio /= b + m
         term = term * ratio
-        acc += term
+        dterm = (m + 1) * term
         try:
-            small = abs(term) < tol * max(abs(acc), 1e-300)
+            if quiet < 3:
+                acc += term
+                quiet = quiet + 1 if abs(term) < tol * max(abs(acc), 1e-300) else 0
+            if dquiet < 3:
+                dacc += dterm
+                dquiet = dquiet + 1 if abs(dterm) < tol * max(abs(dacc), 1e-300) else 0
         except OverflowError:
             raise NoConvergence(f"pFq series diverges at x={x}") from None
         if not (term.real == term.real and term.imag == term.imag):  # NaN guard
             raise NoConvergence(f"pFq series lost finiteness at x={x}")
-        if small:
-            quiet += 1
-            if quiet >= 3:
-                return acc
-        else:
-            quiet = 0
+        if quiet == dquiet == 3:
+            return acc, dacc / x
     raise NoConvergence(f"pFq series at x={x} exceeded {MAX_TERMS} terms")
 
 
 def pFq(params: HypergeomParams, x: complex, tol: float = SERIES_TOL) -> complex:
     """Partial sums of the hypergeometric series, stopping once the term
     drops below tol * |sum| for three consecutive terms."""
-    for b in params.lower:
-        if is_near_integer(b, 1e-12) and round(b.real) <= 0:
-            raise InvalidLower(f"lower parameter {b} hit a non-positive integer")
     if x == 0:
         return 1.0 + 0j
-    return _pfq_series(params.upper, params.lower, complex(x), tol)
+    return _pfq_series(params.upper, params.lower, complex(x), tol)[0]
 
 
 def hyp2f1(a: complex, b: complex, c: complex, x: complex, tol: float = SERIES_TOL) -> complex:
@@ -132,16 +134,11 @@ def hyp2f1(a: complex, b: complex, c: complex, x: complex, tol: float = SERIES_T
 
 
 def pFq_derivative(params: HypergeomParams, x: complex, tol: float = SERIES_TOL) -> complex:
-    """d/dx pFq = (prod a_j / prod b_k) * pFq(a+1; b+1; x) (contiguous shift)."""
-    fac = 1.0 + 0j
-    for a in params.upper:
-        fac *= a
-    for b in params.lower:
-        fac /= b
-    shifted = HypergeomParams(
-        tuple(a + 1 for a in params.upper), tuple(b + 1 for b in params.lower)
-    )
-    return fac * pFq(shifted, x, tol)
+    """d/dx pFq, read from the same cached term loop as the value; at x = 0
+    it is prod a_j / prod b_k."""
+    if x == 0:
+        return prod(params.upper) / prod(params.lower)
+    return _pfq_series(params.upper, params.lower, complex(x), tol)[1]
 
 
 def _power(base_abs: float, arg: float, mu: complex) -> complex:
@@ -224,6 +221,7 @@ class ConnectedBasis:
         w0 = self._columns(self.basis0, match_point)
         w1 = self._columns(self.basis1, match_point)
         self.connection = np.linalg.solve(w1, w0)
+        self._last = (None, None)  # (x, W(x)) of the latest matrix call
 
     @staticmethod
     def _columns(basis: LocalBasis, x: complex) -> np.ndarray:
@@ -232,18 +230,26 @@ class ConnectedBasis:
         return np.array([[v1, v2], [d1, d2]], dtype=complex)
 
     def matrix(self, x: complex) -> np.ndarray:
-        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair."""
+        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair; y1 and y2
+        reuse the matrix last built here when asked at the same x object."""
         if abs(x) <= 0.6 or abs(x) <= abs(1 - x):
-            return self._columns(self.basis0, x)
-        return self._columns(self.basis1, x) @ self.connection
+            w = self._columns(self.basis0, x)
+        else:
+            w = self._columns(self.basis1, x) @ self.connection
+        self._last = (x, w)
+        return w
+
+    def _column(self, x: complex, j: int) -> tuple[complex, complex]:
+        last_x, w = self._last
+        if last_x is not x:
+            w = self.matrix(x)
+        return complex(w[0, j]), complex(w[1, j])
 
     def y1(self, x: complex) -> tuple[complex, complex]:
-        w = self.matrix(x)
-        return complex(w[0, 0]), complex(w[1, 0])
+        return self._column(x, 0)
 
     def y2(self, x: complex) -> tuple[complex, complex]:
-        w = self.matrix(x)
-        return complex(w[0, 1]), complex(w[1, 1])
+        return self._column(x, 1)
 
 
 def ghe_coefficient_polys(upper: Sequence[complex], lower: Sequence[complex]) -> list[ComplexPoly]:

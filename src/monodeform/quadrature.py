@@ -151,6 +151,19 @@ def cheb_nodes(n: int) -> np.ndarray:
     return np.polynomial.chebyshev.chebpts2(n)
 
 
+@lru_cache(maxsize=64)
+def _cheb_integration_matrix(n: int) -> np.ndarray:
+    """Real n x n matrix taking samples at cheb_nodes(n) to the integral of
+    their interpolant from -1 to each node: the identity put through the
+    fit / integrate / evaluate route once."""
+    x = cheb_nodes(n)
+    integ = np.polynomial.chebyshev.chebint(np.polynomial.chebyshev.chebfit(x, np.eye(n), n - 1))
+    vals = np.polynomial.chebyshev.chebval(x, integ, tensor=True)
+    q = vals.T - np.polynomial.chebyshev.chebval(-1.0, integ, tensor=True)
+    q.flags.writeable = False
+    return q
+
+
 def cheb_cumulative(values: np.ndarray, half_length: complex) -> np.ndarray:
     """Cumulative integral at the Chebyshev nodes from the first node.
 
@@ -159,10 +172,4 @@ def cheb_cumulative(values: np.ndarray, half_length: complex) -> np.ndarray:
     `half_length` = velocity * (t-range)/2 to account for the change of
     variables.  Returns shape (n, m).
     """
-    n = values.shape[0]
-    x = cheb_nodes(n)
-    coeffs = np.polynomial.chebyshev.chebfit(x, values, n - 1)
-    integ = np.polynomial.chebyshev.chebint(coeffs, axis=0)
-    vals = np.polynomial.chebyshev.chebval(x, integ, tensor=True)
-    base = np.polynomial.chebyshev.chebval(-1.0, integ, tensor=True)
-    return (vals.T - base) * half_length
+    return (_cheb_integration_matrix(values.shape[0]) @ values) * half_length

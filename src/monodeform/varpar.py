@@ -118,8 +118,8 @@ def particular_solution(
     # differences near 1e-12, where a last-bit change shows in the reports
     def uprime(x: float) -> np.ndarray:
         inv_detw = cmath.exp(c * cmath.log(x) + (a + b + 1 - c) * cmath.log(1 - x)) / abel_const
-        g = forcing(x)
         w = cb.matrix(x)
+        g = forcing(x)  # a forcing reading cb.y1(x) reuses this w
         return np.array([-g * w[0, 1] * inv_detw, g * w[0, 0] * inv_detw], dtype=complex)
 
     return ParticularSolution(cb, uprime, _Cumulative(uprime, basepoint, tol))

@@ -24,6 +24,7 @@ from monodeform.errors import (
 )
 from monodeform.odecore import MeromorphicSystem, PerturbationSpec
 from monodeform.paths import line_path, loop_around, path_hash
+from monodeform.quadrature import cheb_cumulative, cheb_nodes
 from monodeform.ratfun import ComplexPoly, RationalFn
 from monodeform.transport import FundamentalMatrix, identity_basis, transport
 
@@ -323,6 +324,19 @@ def test_matrix_json_roundtrip():
     }
     back = np.array([complex(re, im) for re, im in blob["data"]]).reshape(blob["dim"], -1)
     assert np.max(np.abs(back - m)) < 1e-15
+
+
+def test_cheb_cumulative_exact_on_polynomials():
+    n, half = 32, 0.37 - 0.21j
+    rng = np.random.default_rng(7)
+    x = cheb_nodes(n)
+    polys = [np.polynomial.Chebyshev(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+             for d in (0, 5, 17, 30)]
+    values = np.stack([p(x) for p in polys], axis=1)
+    expect = np.stack([p.integ(lbnd=-1.0)(x) for p in polys], axis=1) * half
+    got = cheb_cumulative(values, half)
+    assert got.shape == (n, 4)
+    assert np.max(np.abs(got - expect)) < 1e-13
 
 
 def test_correction_json_carries_metadata(hyp_system, frob0):

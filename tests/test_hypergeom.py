@@ -165,10 +165,13 @@ def test_2f1_matches_mpmath(x, a, b):
 
 
 def test_derivative_contiguous_vs_mpmath():
+    # one test id over all points, so the suite keeps printing this name
     p = HypergeomParams.f21(A, B, C)
-    x = 0.31
-    ref = complex(mpmath.diff(lambda t: mpmath.hyp2f1(A, B, C, t), x))
-    assert abs(pFq_derivative(p, x) - ref) < 1e-9
+    assert pFq_derivative(p, 0.0) == A * B / C
+    for x in (0.0, 1e-20, 1e-3 + 1e-3j, 0.31, -0.5 + 0.4j, 0.88j):
+        with mpmath.workdps(30):
+            ref = complex(mpmath.diff(lambda t: mpmath.hyp2f1(A, B, C, t), x))
+        assert abs(pFq_derivative(p, x) - ref) <= 1e-12 * abs(ref), x
 
 
 # --- local bases ---------------------------------------------------------------
