@@ -211,7 +211,6 @@ def _task_cocycle(spec, args) -> dict:
     centers = [_j2c(c) for c in spec.get("centers", [])] or list(sys.singularities)
     results = {"jumps": []}
     diags: dict[str, Any] = {}
-    route = "auto" if basis.evaluator is not None else "ode"
     probe = basis.basepoint
     for ctr in centers:
         # meromorphic jumps around 0 anchor at 0 itself when the integral
@@ -225,10 +224,10 @@ def _task_cocycle(spec, args) -> dict:
                 jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"],
                                     from_zero=True)
                 anchor = "zero"
-            except (MonodeformError, ValueError):
+            except MonodeformError:
                 jump = None
         if jump is None:
-            jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"], route=route)
+            jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"])
             anchor = "zero" if pert.multivalued else "basepoint"
         entry = {
             "center": ctr,
@@ -250,9 +249,9 @@ def _task_cocycle(spec, args) -> dict:
         a_c, b_c = centers[0], centers[1]
         la = _loops_for_centers({}, sys, basis, [a_c])[0]
         lb = _loops_for_centers({}, sys, basis, [b_c])[0]
-        da, ma, _, _ = deformation_delta(sys, pert, basis, probe, [la], num["tol"], route=route)
-        db, mb, _, _ = deformation_delta(sys, pert, basis, probe, [lb], num["tol"], route=route)
-        dab, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb, la], num["tol"], route=route)
+        da, ma, _, _ = deformation_delta(sys, pert, basis, probe, [la], num["tol"])
+        db, mb, _, _ = deformation_delta(sys, pert, basis, probe, [lb], num["tol"])
+        dab, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb, la], num["tol"])
         resid = cocycle_identity_residual({"a": da, "b": db, ("a", "b"): dab}, {"a": ma}, ("a", "b"))
         diags["cocycle_identity_residual"] = resid
     diags["tol"] = num["tol"]

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     InconsistentBasepoint,
     NonIntegrableEndpoint,
+    SeriesRouteUnavailable,
     ShapeMismatch,
     UnsupportedKind,
 )
@@ -50,8 +51,8 @@ PANEL_NODES = 32
 CONSTANCY_FRACTIONS = (0.3, 0.5, 0.7)
 
 
-class _ZoneError(ValueError):
-    """Contour exceeds the series-evaluator convergence zone."""
+# the name the benchmark harness catches to count zone errors
+_ZoneError = SeriesRouteUnavailable
 
 
 # --- result types -----------------------------------------------------------
@@ -231,15 +232,15 @@ def _series_route_markers(
     nodes: int = PANEL_NODES,
 ):
     if basis.evaluator is None:
-        raise _ZoneError("series route needs a basis with a series evaluator")
+        raise SeriesRouteUnavailable("series route needs a basis with a series evaluator")
     if basis.provenance not in ("frobenius-at-0", "frobenius-at-1"):
-        raise _ZoneError(f"series route undefined for provenance {basis.provenance!r}")
+        raise SeriesRouteUnavailable(f"series route undefined for provenance {basis.provenance!r}")
     pts = tracked_points(sys, pert, paths)
     groups: list[list[_Panel]] = []
     if from_zero:
         start_z = paths[0].start if paths else basis.basepoint
         if not (abs(start_z.imag) < 1e-12 and start_z.real > 0):
-            raise ValueError("from-zero contours start on the positive real axis")
+            raise SeriesRouteUnavailable("from-zero contours start on the positive real axis")
         _check_endpoint_integrable(basis, pert, pts, start_z)
         groups.append(_panels_for_head(start_z, pts, nodes))
         state = BranchState.principal(start_z, pts)
@@ -255,7 +256,7 @@ def _series_route_markers(
         for g in groups for panel in g for j in range(len(panel.zs))
     )
     if reach > 0.88:
-        raise _ZoneError(
+        raise SeriesRouteUnavailable(
             f"contour leaves the series convergence zone (reach {reach:.3f})"
         )
     # with from_zero the first marker is the end of the head piece (at the
@@ -303,7 +304,7 @@ def _route_markers(sys, pert, basis, paths, K, want_plain, tol, from_zero, route
             try:
                 return _series_route_markers(sys, pert, basis, paths, K, want_plain,
                                              from_zero)
-            except _ZoneError:
+            except SeriesRouteUnavailable:
                 if from_zero:
                     raise
         return _ode_route_markers(sys, pert, basis, paths, K, want_plain, tol)

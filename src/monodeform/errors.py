@@ -41,6 +41,12 @@ class IllConditioned(MonodeformError):
     """A matrix exceeded the condition-number guard (1e12)."""
 
 
+class SeriesRouteUnavailable(MonodeformError):
+    """The Frobenius series route cannot integrate the contour: the basis has
+    no series evaluator, a from-zero contour leaves the positive real axis,
+    or the contour leaves the series convergence zone."""
+
+
 class NonIntegrableEndpoint(MonodeformError):
     """A correction integral diverges at its singular endpoint."""
 

@@ -29,11 +29,6 @@ INT_TOL = 1e-8  # distance-to-integer threshold for genericity checks
 SERIES_TOL = 1e-14
 MAX_TERMS = 10**6
 
-# Evaluators return (value, derivative); `arg` is the continuously tracked
-# argument of the local variable (x at the point 0, 1-x at the point 1),
-# None meaning the principal branch.
-Evaluator = Callable[..., tuple[complex, complex]]
-
 
 def is_near_integer(z: complex, tol: float = INT_TOL) -> bool:
     return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
@@ -121,12 +116,17 @@ def _pfq_series(upper: tuple, lower: tuple, x: complex, tol: float) -> tuple[com
     raise NoConvergence(f"pFq series at x={x} exceeded {MAX_TERMS} terms")
 
 
+def _pfq_pair(params: HypergeomParams, x: complex, tol: float) -> tuple[complex, complex]:
+    """(value, derivative) of pFq at x; at x = 0 they are 1 and prod a / prod b."""
+    if x == 0:
+        return 1.0 + 0j, prod(params.upper) / prod(params.lower)
+    return _pfq_series(params.upper, params.lower, complex(x), tol)
+
+
 def pFq(params: HypergeomParams, x: complex, tol: float = SERIES_TOL) -> complex:
     """Partial sums of the hypergeometric series, stopping once the term
     drops below tol * |sum| for three consecutive terms."""
-    if x == 0:
-        return 1.0 + 0j
-    return _pfq_series(params.upper, params.lower, complex(x), tol)[0]
+    return _pfq_pair(params, x, tol)[0]
 
 
 def hyp2f1(a: complex, b: complex, c: complex, x: complex, tol: float = SERIES_TOL) -> complex:
@@ -134,11 +134,8 @@ def hyp2f1(a: complex, b: complex, c: complex, x: complex, tol: float = SERIES_T
 
 
 def pFq_derivative(params: HypergeomParams, x: complex, tol: float = SERIES_TOL) -> complex:
-    """d/dx pFq, read from the same cached term loop as the value; at x = 0
-    it is prod a_j / prod b_k."""
-    if x == 0:
-        return prod(params.upper) / prod(params.lower)
-    return _pfq_series(params.upper, params.lower, complex(x), tol)[1]
+    """d/dx pFq, read from the same cached term loop as the value."""
+    return _pfq_pair(params, x, tol)[1]
 
 
 def _power(base_abs: float, arg: float, mu: complex) -> complex:
@@ -148,58 +145,52 @@ def _power(base_abs: float, arg: float, mu: complex) -> complex:
 
 @dataclass(frozen=True)
 class LocalBasis:
-    """Solution pair (y1, y2) of the order-2 equation at an expansion point."""
+    """Solution pair (y1, y2) of the order-2 equation at an expansion point:
+    `matrix(x, arg=None)` is W(x) = [[y1, y2], [y1', y2']], with `arg` the tracked
+    argument of the local variable (x at 0, 1-x at 1), None for the principal branch."""
 
     point: complex
-    y1: Evaluator
-    y2: Evaluator
+    matrix: Callable[..., np.ndarray]
     exponent_pair: tuple[complex, complex]
 
 
-def local_basis_0(a: complex, b: complex, c: complex, tol: float = SERIES_TOL) -> LocalBasis:
+def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
     """Basis at 0: y1 = 2F1(a,b;c;x), y2 = x^(1-c) 2F1(a-c+1,b-c+1;2-c;x)."""
     if is_near_integer(c):
         raise DegenerateParams(f"c={c} is (near-)integer; the basis at 0 degenerates")
     p1 = HypergeomParams.f21(a, b, c)
     p2 = HypergeomParams.f21(a - c + 1, b - c + 1, 2 - c)
 
-    def y1(x: complex, arg: float | None = None) -> tuple[complex, complex]:
-        return pFq(p1, x, tol), pFq_derivative(p1, x, tol)
-
-    def y2(x: complex, arg: float | None = None) -> tuple[complex, complex]:
+    def matrix(x: complex, arg: float | None = None) -> np.ndarray:
+        v1, d1 = _pfq_pair(p1, x, SERIES_TOL)
         theta = cmath.phase(x) if arg is None else arg
         front = _power(abs(x), theta, 1 - c)
-        f = pFq(p2, x, tol)
-        df = pFq_derivative(p2, x, tol)
-        val = front * f
-        der = front * ((1 - c) * f / x + df)
-        return val, der
+        f, df = _pfq_pair(p2, x, SERIES_TOL)
+        v2 = front * f
+        d2 = front * ((1 - c) * f / x + df)
+        return np.array([[v1, v2], [d1, d2]], dtype=complex)
 
-    return LocalBasis(0j, y1, y2, (0j, 1 - c))
+    return LocalBasis(0j, matrix, (0j, 1 - c))
 
 
-def local_basis_1(a: complex, b: complex, c: complex, tol: float = SERIES_TOL) -> LocalBasis:
+def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
     """Basis at 1 in w = 1-x: exponents 0 and c-a-b (needs c-a-b non-integer)."""
     if is_near_integer(c - a - b):
         raise DegenerateParams(f"c-a-b={c - a - b} is (near-)integer; the basis at 1 degenerates")
     p1 = HypergeomParams.f21(a, b, a + b - c + 1)
     p2 = HypergeomParams.f21(c - a, c - b, c - a - b + 1)
 
-    def y1(x: complex, arg: float | None = None) -> tuple[complex, complex]:
+    def matrix(x: complex, arg: float | None = None) -> np.ndarray:
         w = 1 - x
-        return pFq(p1, w, tol), -pFq_derivative(p1, w, tol)
-
-    def y2(x: complex, arg: float | None = None) -> tuple[complex, complex]:
-        w = 1 - x
+        v1, d1 = _pfq_pair(p1, w, SERIES_TOL)
         theta = cmath.phase(w) if arg is None else arg
         front = _power(abs(w), theta, c - a - b)
-        g = pFq(p2, w, tol)
-        dg = pFq_derivative(p2, w, tol)
-        val = front * g
-        der = -front * ((c - a - b) * g / w + dg)
-        return val, der
+        g, dg = _pfq_pair(p2, w, SERIES_TOL)
+        v2 = front * g
+        d2 = -front * ((c - a - b) * g / w + dg)
+        return np.array([[v1, v2], [-d1, d2]], dtype=complex)
 
-    return LocalBasis(1.0 + 0j, y1, y2, (0j, c - a - b))
+    return LocalBasis(1.0 + 0j, matrix, (0j, c - a - b))
 
 
 class ConnectedBasis:
@@ -207,49 +198,40 @@ class ConnectedBasis:
 
     Near 1 the series at 0 converges too slowly, so the pair is re-expressed
     in the basis at 1 through the constant matrix K with W0(x) = W1(x) K,
-    fixed by matching both frames at a midpoint where both series converge
-    quickly.  Evaluation is principal-branch; use the local bases directly
-    for branch-tracked continuation.
+    fixed by matching both frames at the midpoint 0.5, where both series
+    converge quickly.  Evaluation is principal-branch; use the local bases
+    directly for branch-tracked continuation.
     """
 
-    def __init__(self, a: complex, b: complex, c: complex,
-                 match_point: float = 0.5, tol: float = SERIES_TOL):
+    def __init__(self, a: complex, b: complex, c: complex):
         self.a, self.b, self.c = complex(a), complex(b), complex(c)
-        self.tol = tol
-        self.basis0 = local_basis_0(a, b, c, tol)
-        self.basis1 = local_basis_1(a, b, c, tol)
-        w0 = self._columns(self.basis0, match_point)
-        w1 = self._columns(self.basis1, match_point)
-        self.connection = np.linalg.solve(w1, w0)
-        self._last = (None, None)  # (x, W(x)) of the latest matrix call
-
-    @staticmethod
-    def _columns(basis: LocalBasis, x: complex) -> np.ndarray:
-        v1, d1 = basis.y1(x)
-        v2, d2 = basis.y2(x)
-        return np.array([[v1, v2], [d1, d2]], dtype=complex)
+        self.basis0 = local_basis_0(a, b, c)
+        self.basis1 = local_basis_1(a, b, c)
+        self.connection = np.linalg.solve(self.basis1.matrix(0.5), self.basis0.matrix(0.5))
+        # (x, W(x)) of the latest matrix call, matched by identity so that
+        # equal values with different signed zeros never share a matrix
+        self._last = (None, None)
 
     def matrix(self, x: complex) -> np.ndarray:
-        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair; y1 and y2
-        reuse the matrix last built here when asked at the same x object."""
+        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair; a call with
+        the same x object as the latest call returns that call's matrix."""
+        last_x, w = self._last
+        if last_x is x:
+            return w
         if abs(x) <= 0.6 or abs(x) <= abs(1 - x):
-            w = self._columns(self.basis0, x)
+            w = self.basis0.matrix(x)
         else:
-            w = self._columns(self.basis1, x) @ self.connection
+            w = self.basis1.matrix(x) @ self.connection
         self._last = (x, w)
         return w
 
-    def _column(self, x: complex, j: int) -> tuple[complex, complex]:
-        last_x, w = self._last
-        if last_x is not x:
-            w = self.matrix(x)
-        return complex(w[0, j]), complex(w[1, j])
-
     def y1(self, x: complex) -> tuple[complex, complex]:
-        return self._column(x, 0)
+        w = self.matrix(x)
+        return complex(w[0, 0]), complex(w[1, 0])
 
     def y2(self, x: complex) -> tuple[complex, complex]:
-        return self._column(x, 1)
+        w = self.matrix(x)
+        return complex(w[0, 1]), complex(w[1, 1])
 
 
 def ghe_coefficient_polys(upper: Sequence[complex], lower: Sequence[complex]) -> list[ComplexPoly]:

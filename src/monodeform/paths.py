@@ -131,9 +131,6 @@ class PathSpec:
             raise ValueError("paths do not chain: endpoint mismatch")
         return PathSpec(self.segments + other.segments)
 
-    def distance_to(self, p: complex) -> float:
-        return min(s.distance_to(p) for s in self.segments)
-
     def arc_centers(self) -> list[complex]:
         return [s.center for s in self.segments if isinstance(s, Arc)]
 

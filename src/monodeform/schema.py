@@ -9,8 +9,8 @@ import jsonschema
 
 from .errors import SchemaError
 from .hypergeom import is_near_integer
-from .odecore import _j2c, exclusion_radius, system_from_json
-from .paths import path_from_json
+from .odecore import _j2c, system_from_json
+from .paths import path_from_json, validate_clearance
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 _CNUM = {"oneOf": [{"type": "number"}, _PAIR]}
@@ -228,14 +228,6 @@ def semantic_diagnostics(spec: Any) -> list[dict]:
         except Exception as exc:
             out.append({"level": "error", "where": f"$.paths[{i}]", "message": str(exc)})
             continue
-        for s in singularities:
-            skip = any(abs(s - ctr) <= 1e-9 * (1 + abs(s)) for ctr in path.arc_centers())
-            if skip:
-                continue
-            d = path.distance_to(s)
-            if d < exclusion_radius(s):
-                out.append({
-                    "level": "error", "where": f"$.paths[{i}]",
-                    "message": f"path passes within {d:.3e} of the singularity {s}",
-                })
+        for msg in validate_clearance(path, singularities, skip=path.arc_centers()):
+            out.append({"level": "error", "where": f"$.paths[{i}]", "message": msg})
     return out

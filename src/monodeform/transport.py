@@ -74,37 +74,27 @@ def identity_basis(basepoint: complex, dim: int) -> FundamentalMatrix:
 
 
 def frobenius_basis(a: complex, b: complex, c: complex, point: int,
-                    x0: complex, tol: float = 1e-14) -> FundamentalMatrix:
+                    x0: complex) -> FundamentalMatrix:
     """Fundamental matrix with columns (y_i, y_i') of the local basis at 0 or 1.
 
     The attached evaluator recomputes W(z) from the series on any branch,
     which is what makes quadrature-based correction integrals possible near
     the expansion point.
     """
-    if point == 0:
-        basis = local_basis_0(a, b, c, tol)
-
-        def evaluator(z: complex, branch: Optional[BranchState] = None) -> np.ndarray:
-            arg = branch.arg(0j) if branch is not None else None
-            v1, d1 = basis.y1(z)
-            v2, d2 = basis.y2(z, arg)
-            return np.array([[v1, v2], [d1, d2]], dtype=complex)
-
-        tag = "frobenius-at-0"
-    elif point == 1:
-        basis = local_basis_1(a, b, c, tol)
-
-        def evaluator(z: complex, branch: Optional[BranchState] = None) -> np.ndarray:
-            # tracked arg of z-1 maps to the local variable w = 1-z by -pi,
-            # chosen so real z < 1 stays on the principal branch
-            arg = branch.arg(1.0 + 0j) - math.pi if branch is not None else None
-            v1, d1 = basis.y1(z)
-            v2, d2 = basis.y2(z, arg)
-            return np.array([[v1, v2], [d1, d2]], dtype=complex)
-
-        tag = "frobenius-at-1"
-    else:
+    if point not in (0, 1):
         raise ValueError("Frobenius bases are built at the points 0 or 1")
+    basis = local_basis_0(a, b, c) if point == 0 else local_basis_1(a, b, c)
+
+    def evaluator(z: complex, branch: Optional[BranchState] = None) -> np.ndarray:
+        if branch is None:
+            return basis.matrix(z)
+        # the tracked arg of z-1 maps to the local variable w = 1-z by -pi,
+        # chosen so real z < 1 stays on the principal branch; the arg of z
+        # passes untouched (adding 0.0 would turn -0.0 into +0.0)
+        arg = branch.arg(basis.point)
+        return basis.matrix(z, arg - math.pi if point == 1 else arg)
+
+    tag = "frobenius-at-0" if point == 0 else "frobenius-at-1"
     return FundamentalMatrix(complex(x0), evaluator(complex(x0)), tag, evaluator)
 
 

@@ -119,7 +119,7 @@ def particular_solution(
     def uprime(x: float) -> np.ndarray:
         inv_detw = cmath.exp(c * cmath.log(x) + (a + b + 1 - c) * cmath.log(1 - x)) / abel_const
         w = cb.matrix(x)
-        g = forcing(x)  # a forcing reading cb.y1(x) reuses this w
+        g = forcing(x)  # a forcing that builds W(x) at this x reuses this w
         return np.array([-g * w[0, 1] * inv_detw, g * w[0, 0] * inv_detw], dtype=complex)
 
     return ParticularSolution(cb, uprime, _Cumulative(uprime, basepoint, tol))

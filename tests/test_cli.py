@@ -113,6 +113,29 @@ def test_exit_code_3_on_numeric_failure(tmp_path):
     assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3
 
 
+def test_exit_code_3_on_cocycle_series_route_failures(tmp_path, capsys):
+    # power-weight jumps at 0 need the series route from 0; each basis below
+    # passes validation but cannot give it
+    zero = {"num": [], "den": [[1.0, 0.0]]}
+    one = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}
+    base = {"equation": HYP, "task": "cocycle", "centers": [0.0],
+            "perturbation": {"kind": "power", "lambda": 0.5, "rho": 1e-3,
+                             "H": [[zero, zero], [one, zero]]}}
+    bases = {
+        "identity": ({"type": "identity"}, "series evaluator"),
+        "off-axis": ({"type": "frobenius0", "basepoint": [0.5, 0.2]}, "positive real axis"),
+        "outside-zone": ({"type": "frobenius0", "basepoint": 0.9}, "convergence zone"),
+    }
+    for name, (basis, reason) in bases.items():
+        spec = dict(base, basis=basis)
+        assert semantic_diagnostics(spec) == [], name
+        spec_file = _write(tmp_path, f"{name}.json", spec)
+        assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: cli.run[cocycle]: SeriesRouteUnavailable: "), err
+        assert reason in err, err
+
+
 def test_exit_code_2_on_unreadable_file(tmp_path):
     assert main(["run", "--spec", str(tmp_path / "missing.json")]) == 2
 

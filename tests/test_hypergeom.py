@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from monodeform.errors import DegenerateParams, InvalidLower, NoConvergence
 from monodeform.hypergeom import (
+    ConnectedBasis,
     HypergeomParams,
     elem_sym,
     ghe_coefficient_polys,
@@ -200,14 +201,14 @@ def _series_second_derivative(params: HypergeomParams, x, front_mu=0.0):
 
 def test_local_basis_0_unit_value():
     basis = local_basis_0(A, B, C)
-    v, _ = basis.y1(1e-30)
+    v = basis.matrix(1e-30)[0, 0]
     assert abs(v - 1) < 1e-12
 
 
 def test_local_basis_0_second_member_residual():
     basis = local_basis_0(A, B, C)
     x = 0.3
-    v, d = basis.y2(x)
+    v, d = basis.matrix(x)[:, 1]
     p2 = HypergeomParams.f21(A - C + 1, B - C + 1, 2 - C)
     d2 = _series_second_derivative(p2, x, front_mu=1 - C)
     assert abs(_residual_y(A, B, C, x, v, d, d2)) < 1e-10
@@ -228,7 +229,7 @@ def test_local_basis_degenerate_params():
 def test_local_basis_1_exponents_and_value():
     basis = local_basis_1(A, B, C)
     assert basis.exponent_pair == (0j, C - A - B)
-    v, _ = basis.y1(1.0 - 1e-30)
+    v = basis.matrix(1.0 - 1e-15)[0, 0]
     assert abs(v - 1) < 1e-12
 
 
@@ -237,22 +238,37 @@ def test_local_basis_residuals_20_points(point):
     basis = local_basis_0(A, B, C) if point == 0 else local_basis_1(A, B, C)
     xs = np.linspace(0.05, 0.55, 20) if point == 0 else np.linspace(0.45, 0.95, 20)
     for x in xs:
-        for member in (basis.y1, basis.y2):
-            v, d = member(x)
+        for j in (0, 1):
+            v, d = basis.matrix(x)[:, j]
             # independent check: second derivative from first-derivative
             # finite differences (Richardson)
             h = 1e-5
             def d1(hh):
-                return (member(x + hh)[1] - member(x - hh)[1]) / (2 * hh)
+                return (basis.matrix(x + hh)[1, j] - basis.matrix(x - hh)[1, j]) / (2 * hh)
             d2_fd = (4 * d1(h / 2) - d1(h)) / 3
             assert abs(_residual_y(A, B, C, x, v, d, d2_fd)) < 1e-8
 
 
 def test_connected_basis_seam_continuity(connected_basis):
     # both evaluation routes agree where the zones overlap
-    direct = connected_basis._columns(connected_basis.basis0, 0.55)
-    connected = connected_basis._columns(connected_basis.basis1, 0.55) @ connected_basis.connection
+    direct = connected_basis.basis0.matrix(0.55)
+    connected = connected_basis.basis1.matrix(0.55) @ connected_basis.connection
     assert np.max(np.abs(direct - connected)) < 1e-11
+
+
+def test_connected_basis_reuses_matrix_by_identity():
+    cb = ConnectedBasis(A, B, C)
+    x = complex(0.3, 0.0)
+    w = cb.matrix(x)
+    assert cb.matrix(x) is w
+    assert cb.y1(x) == (w[0, 0], w[1, 0]) and cb.y2(x) == (w[0, 1], w[1, 1])
+    # an equal value with the other signed zero is another object, so it
+    # gets its own matrix
+    conj = complex(0.3, -0.0)
+    assert conj == x
+    w_conj = cb.matrix(conj)
+    assert w_conj is not w
+    assert cb.matrix(conj) is w_conj
 
 
 def test_connected_basis_near_one(connected_basis):

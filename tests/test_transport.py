@@ -67,7 +67,7 @@ def test_frobenius_columns_are_local_solutions(frob0):
     from monodeform.hypergeom import local_basis_0
 
     basis = local_basis_0(A, B, C)
-    v1, d1 = basis.y1(0.5)
+    v1, d1 = basis.matrix(0.5)[:, 0]
     assert abs(frob0.value[0, 0] - v1) < 1e-14
     assert abs(frob0.value[1, 0] - d1) < 1e-14
     assert abs(np.linalg.det(frob0.value)) > 1e-6
