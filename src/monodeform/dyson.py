@@ -106,7 +106,9 @@ def _maxabs(m: np.ndarray) -> float:
 class _Panel:
     zs: np.ndarray
     dzdtau: np.ndarray
-    branches: list
+    args: Optional[np.ndarray]  # (len(zs), len(points)) tracked arguments of zs - p
+    seg: int = -1  # path segment and node parameters, for the argument lookup
+    ts: Optional[np.ndarray] = None
 
 
 def _line_pieces(z0: complex, z1: complex, obstacles: Sequence[complex]) -> list[tuple[complex, complex]]:
@@ -126,9 +128,8 @@ def _line_pieces(z0: complex, z1: complex, obstacles: Sequence[complex]) -> list
     return out
 
 
-def _panels_for_path(path: PathSpec, points: Sequence[complex],
-                     start: Optional[BranchState], nodes: int) -> tuple[list[_Panel], BranchState]:
-    tracker = ArgTracker(path, points, start)
+def _panels_for_path(path: PathSpec, points: Sequence[complex], nodes: int) -> list[_Panel]:
+    """Chebyshev panels along the path; their arguments are left to `_track`."""
     taus = cheb_nodes(nodes)
     panels: list[_Panel] = []
     for i, seg in enumerate(path.segments):
@@ -152,9 +153,18 @@ def _panels_for_path(path: PathSpec, points: Sequence[complex],
             ts = t0 + 0.5 * (taus + 1.0) * (t1 - t0)
             zs = np.array([seg.point(t) for t in ts])
             dz = np.array([seg.velocity(t) * 0.5 * (t1 - t0) for t in ts])
-            brs = [tracker.state_at(i, t) for t in ts]
-            panels.append(_Panel(zs, dz, brs))
-    return panels, tracker.end_state
+            panels.append(_Panel(zs, dz, None, i, ts))
+    return panels
+
+
+def _track(path: PathSpec, panels: list[_Panel], points: Sequence[complex],
+           start: BranchState) -> BranchState:
+    """Fill the panels' tracked arguments from the path's argument tables;
+    returns the branch state at the path end."""
+    tracker = ArgTracker(path, points, start)
+    for panel in panels:
+        panel.args = tracker.args_at(panel.seg, panel.ts)
+    return tracker.end_state
 
 
 def _panels_for_head(end: complex, points: Sequence[complex], nodes: int,
@@ -170,8 +180,7 @@ def _panels_for_head(end: complex, points: Sequence[complex], nodes: int,
         ss = lo + 0.5 * (taus + 1.0) * (hi - lo)
         zs = np.array([s * u for s in ss])
         dz = np.full(nodes, u * 0.5 * (hi - lo), dtype=complex)
-        brs = [BranchState.principal(z, points) for z in zs]
-        panels.append(_Panel(zs, dz, brs))
+        panels.append(_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points))))
     return panels
 
 
@@ -179,45 +188,50 @@ def _series_sweep(
     evaluator: Callable,
     pert: PerturbationSpec,
     panel_groups: Sequence[list[_Panel]],
+    points: Sequence[complex],
     K: int,
     dim: int,
     want_plain: bool,
 ):
     """Run the nested cumulative sweeps; returns per-group markers
-    (W, [C_1..C_K], plain, branch) at each group boundary."""
+    (W, [C_1..C_K], plain, branch) at each group boundary.
+
+    The integrand is built once over every node of every group: one
+    evaluator call gives the stack of W, and H, the gauge product and the
+    weight follow as arrays; the sweeps then run panel by panel on slices."""
+    panels = [panel for group in panel_groups for panel in group]
+    zs = np.concatenate([panel.zs for panel in panels])
+    args = np.concatenate([panel.args for panel in panels])
+    dz = np.concatenate([panel.dzdtau for panel in panels])
+    branch = BranchState(zs, tuple(zip(points, args.T)))
+    w = evaluator(zs, branch)
+    pv = _gauge_matrix(w, pert.h_matrix(zs) @ w) * dz[:, None, None]
+    gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
     c_vals = [np.zeros((dim, dim), dtype=complex) for _ in range(K)]
     d_val = np.zeros((dim, dim), dtype=complex)
     markers = []
+    end = 0
     for group in panel_groups:
         for panel in group:
             n = len(panel.zs)
-            pv = np.empty((n, dim, dim), dtype=complex)
-            wt = np.empty(n, dtype=complex)
-            for j in range(n):
-                z = panel.zs[j]
-                br = panel.branches[j]
-                w = evaluator(z, br)
-                pv[j] = _gauge_matrix(w, pert.h_matrix(z) @ w) * panel.dzdtau[j]
-                wt[j] = pert.weight(z, br)
-            gv = wt[:, None, None] * pv
+            rows = slice(end, end + n)
+            end += n
             start = [c.copy() for c in c_vals]
             prev_nodes = None
             for k in range(1, K + 1):
                 if k == 1:
-                    integrand = gv
+                    integrand = gv[rows]
                 else:
-                    integrand = np.einsum("nij,njk->nik", gv, prev_nodes)
+                    integrand = np.einsum("nij,njk->nik", gv[rows], prev_nodes)
                 cum = cheb_cumulative(integrand.reshape(n, dim * dim), 1.0)
                 nodes_k = start[k - 1][None, :, :] + cum.reshape(n, dim, dim)
                 prev_nodes = nodes_k
                 c_vals[k - 1] = nodes_k[-1]
             if want_plain:
-                cum = cheb_cumulative(pv.reshape(n, dim * dim), 1.0)
+                cum = cheb_cumulative(pv[rows].reshape(n, dim * dim), 1.0)
                 d_val = d_val + cum.reshape(n, dim, dim)[-1]
-        last = group[-1]
-        z_end, br_end = last.zs[-1], last.branches[-1]
-        markers.append((evaluator(z_end, br_end), [c.copy() for c in c_vals],
-                        d_val.copy(), br_end))
+        br_end = BranchState(zs[end - 1], tuple(zip(points, args[end - 1].tolist())))
+        markers.append((w[end - 1], [c.copy() for c in c_vals], d_val.copy(), br_end))
     return markers
 
 
@@ -243,25 +257,22 @@ def _series_route_markers(
             raise SeriesRouteUnavailable("from-zero contours start on the positive real axis")
         _check_endpoint_integrable(basis, pert, pts, start_z)
         groups.append(_panels_for_head(start_z, pts, nodes))
-        state = BranchState.principal(start_z, pts)
     else:
         start_z = paths[0].start
-        state = BranchState.principal(start_z, pts)
-    for p in paths:
-        panels, state = _panels_for_path(p, pts, state, nodes)
-        groups.append(panels)
+    path_groups = [_panels_for_path(p, pts, nodes) for p in paths]
+    groups.extend(path_groups)
     zone_center = 0.0 if basis.provenance == "frobenius-at-0" else 1.0
-    reach = max(
-        abs(panel.zs[j] - zone_center)
-        for g in groups for panel in g for j in range(len(panel.zs))
-    )
+    reach = max(float(np.max(np.abs(panel.zs - zone_center))) for g in groups for panel in g)
     if reach > 0.88:
         raise SeriesRouteUnavailable(
             f"contour leaves the series convergence zone (reach {reach:.3f})"
         )
+    state = BranchState.principal(start_z, pts)
+    for p, panels in zip(paths, path_groups):
+        state = _track(p, panels, pts, state)
     # with from_zero the first marker is the end of the head piece (at the
     # contour start itself), followed by one marker per path
-    return _series_sweep(basis.evaluator, pert, groups, K, basis.dim, want_plain)
+    return _series_sweep(basis.evaluator, pert, groups, pts, K, basis.dim, want_plain)
 
 
 def _check_endpoint_integrable(basis, pert, pts, start_z):
@@ -311,7 +322,7 @@ def _route_markers(sys, pert, basis, paths, K, want_plain, tol, from_zero, route
     if route == "series":
         return _series_route_markers(sys, pert, basis, paths, K, want_plain, from_zero)
     if from_zero:
-        raise ValueError("from-zero contours require the series route")
+        raise SeriesRouteUnavailable("from-zero contours require the series route")
     return _ode_route_markers(sys, pert, basis, paths, K, want_plain, tol)
 
 

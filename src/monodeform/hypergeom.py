@@ -116,11 +116,60 @@ def _pfq_series(upper: tuple, lower: tuple, x: complex, tol: float) -> tuple[com
     raise NoConvergence(f"pFq series at x={x} exceeded {MAX_TERMS} terms")
 
 
-def _pfq_pair(params: HypergeomParams, x: complex, tol: float) -> tuple[complex, complex]:
-    """(value, derivative) of pFq at x; at x = 0 they are 1 and prod a / prod b."""
-    if x == 0:
-        return 1.0 + 0j, prod(params.upper) / prod(params.lower)
-    return _pfq_series(params.upper, params.lower, complex(x), tol)
+def _pfq_nodes(upper: tuple, lower: tuple, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(values, derivatives) at a 1-D array of nonzero x from one numpy term
+    loop over all nodes, with the per-node rules of `_pfq_series`: each sum
+    stops after its own three quiet terms, and a node leaves the live arrays
+    once both of its sums have stopped."""
+    vals = np.empty(x.shape, dtype=complex)
+    ders = np.empty(x.shape, dtype=complex)
+    live = np.arange(x.size)
+    xs = x
+    term = np.ones(x.shape, dtype=complex)
+    sums = np.zeros((2,) + x.shape, dtype=complex)  # value, x * derivative
+    sums[0] = 1.0
+    quiet = np.zeros(sums.shape, dtype=np.int8)
+    with np.errstate(all="ignore"):
+        for m in range(MAX_TERMS):
+            if not live.size:
+                return vals, ders
+            ratio = xs / (m + 1)
+            for a in upper:
+                ratio *= a + m
+            for b in lower:
+                ratio /= b + m
+            term = term * ratio
+            terms = term * np.array([[1.0], [m + 1.0]])
+            finite = np.isfinite(terms).all(axis=0)
+            if not finite.all():
+                raise NoConvergence(f"pFq series lost finiteness at x={xs[~finite][0]}")
+            on = quiet < 3
+            sums = np.where(on, sums + terms, sums)
+            small = np.abs(terms) < tol * np.maximum(np.abs(sums), 1e-300)
+            quiet = np.where(small | ~on, quiet + on, 0)
+            done = (quiet == 3).all(axis=0)
+            if done.any():
+                vals[live[done]] = sums[0, done]
+                ders[live[done]] = sums[1, done] / xs[done]
+                keep = ~done
+                live, xs, term = live[keep], xs[keep], term[keep]
+                sums, quiet = sums[:, keep], quiet[:, keep]
+    raise NoConvergence(f"pFq series at x={xs[0]} exceeded {MAX_TERMS} terms")
+
+
+def _pfq_pair(params: HypergeomParams, x, tol: float):
+    """(value, derivative) of pFq at x; at x = 0 they are 1 and prod a / prod b.
+    A scalar x reads the cached `_pfq_series`; a 1-D array of x gives two
+    arrays from the uncached `_pfq_nodes`."""
+    if not isinstance(x, np.ndarray):
+        if x == 0:
+            return 1.0 + 0j, prod(params.upper) / prod(params.lower)
+        return _pfq_series(params.upper, params.lower, complex(x), tol)
+    x = np.asarray(x, dtype=complex)
+    zero = x == 0
+    vals, ders = (np.full(x.shape, v) for v in _pfq_pair(params, 0, tol))
+    vals[~zero], ders[~zero] = _pfq_nodes(params.upper, params.lower, x[~zero], tol)
+    return vals, ders
 
 
 def pFq(params: HypergeomParams, x: complex, tol: float = SERIES_TOL) -> complex:
@@ -138,16 +187,31 @@ def pFq_derivative(params: HypergeomParams, x: complex, tol: float = SERIES_TOL)
     return _pfq_pair(params, x, tol)[1]
 
 
-def _power(base_abs: float, arg: float, mu: complex) -> complex:
-    """base^mu with base = base_abs * exp(i*arg) on the tracked branch."""
-    return cmath.exp(mu * (cmath.log(base_abs) + 1j * arg))
+def _power(base, arg, mu: complex):
+    """base^mu on the branch where arg(base) = arg, the principal one when arg
+    is None: numpy over a node array, cmath at one point."""
+    if isinstance(base, np.ndarray):
+        theta = np.angle(base) if arg is None else arg
+        return np.exp(mu * (np.log(np.abs(base)) + 1j * theta))
+    theta = cmath.phase(base) if arg is None else arg
+    return cmath.exp(mu * (cmath.log(abs(base)) + 1j * theta))
+
+
+def _w_matrix(v1, v2, d1, d2) -> np.ndarray:
+    """[[v1, v2], [d1, d2]]: (2, 2) at one point, (n, 2, 2) over a node array."""
+    if not isinstance(v1, np.ndarray):
+        return np.array([[v1, v2], [d1, d2]], dtype=complex)
+    w = np.empty(v1.shape + (2, 2), dtype=complex)
+    w[:, 0, 0], w[:, 0, 1], w[:, 1, 0], w[:, 1, 1] = v1, v2, d1, d2
+    return w
 
 
 @dataclass(frozen=True)
 class LocalBasis:
     """Solution pair (y1, y2) of the order-2 equation at an expansion point:
     `matrix(x, arg=None)` is W(x) = [[y1, y2], [y1', y2']], with `arg` the tracked
-    argument of the local variable (x at 0, 1-x at 1), None for the principal branch."""
+    argument of the local variable (x at 0, 1-x at 1), None for the principal branch.
+    A 1-D array of x (with an array of arguments) gives the (n, 2, 2) stack."""
 
     point: complex
     matrix: Callable[..., np.ndarray]
@@ -160,15 +224,15 @@ def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
         raise DegenerateParams(f"c={c} is (near-)integer; the basis at 0 degenerates")
     p1 = HypergeomParams.f21(a, b, c)
     p2 = HypergeomParams.f21(a - c + 1, b - c + 1, 2 - c)
+    mu = 1 - c
 
-    def matrix(x: complex, arg: float | None = None) -> np.ndarray:
+    def matrix(x, arg=None) -> np.ndarray:
         v1, d1 = _pfq_pair(p1, x, SERIES_TOL)
-        theta = cmath.phase(x) if arg is None else arg
-        front = _power(abs(x), theta, 1 - c)
+        front = _power(x, arg, mu)
         f, df = _pfq_pair(p2, x, SERIES_TOL)
         v2 = front * f
-        d2 = front * ((1 - c) * f / x + df)
-        return np.array([[v1, v2], [d1, d2]], dtype=complex)
+        d2 = front * (mu * f / x + df)
+        return _w_matrix(v1, v2, d1, d2)
 
     return LocalBasis(0j, matrix, (0j, 1 - c))
 
@@ -179,16 +243,16 @@ def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
         raise DegenerateParams(f"c-a-b={c - a - b} is (near-)integer; the basis at 1 degenerates")
     p1 = HypergeomParams.f21(a, b, a + b - c + 1)
     p2 = HypergeomParams.f21(c - a, c - b, c - a - b + 1)
+    mu = c - a - b
 
-    def matrix(x: complex, arg: float | None = None) -> np.ndarray:
+    def matrix(x, arg=None) -> np.ndarray:
         w = 1 - x
         v1, d1 = _pfq_pair(p1, w, SERIES_TOL)
-        theta = cmath.phase(w) if arg is None else arg
-        front = _power(abs(w), theta, c - a - b)
+        front = _power(w, arg, mu)
         g, dg = _pfq_pair(p2, w, SERIES_TOL)
         v2 = front * g
-        d2 = -front * ((c - a - b) * g / w + dg)
-        return np.array([[v1, v2], [-d1, d2]], dtype=complex)
+        d2 = -front * (mu * g / w + dg)
+        return _w_matrix(v1, v2, -d1, d2)
 
     return LocalBasis(1.0 + 0j, matrix, (0j, c - a - b))
 

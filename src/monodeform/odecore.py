@@ -121,21 +121,28 @@ class PerturbationSpec:
                 pts.extend(e.poles())
         return tuple(_dedup(pts))
 
-    def h_matrix(self, x: complex) -> np.ndarray:
-        return np.array([[e(x) for e in row] for row in self.H], dtype=complex)
+    def h_matrix(self, x) -> np.ndarray:
+        """H(x); a 1-D array of x gives the (n, dim, dim) stack."""
+        h = np.zeros(getattr(x, "shape", ()) + (self.dim, self.dim), dtype=complex)
+        for i, row in enumerate(self.H):
+            for j, e in enumerate(row):
+                if not e.is_zero:
+                    h[..., i, j] = e(x)
+        return h
 
-    def weight(self, x: complex, branch=None) -> complex:
+    def weight(self, x, branch=None):
         """The scalar factor at x: x^lam or log x on the tracked branch, 1 for
-        meromorphic kinds."""
+        meromorphic kinds.  Over a node array (a branch state whose arguments
+        are arrays) numpy gives the factor at every node; one point uses cmath."""
         if self.kind == KIND_MEROMORPHIC:
             return 1.0 + 0j
         if branch is None:
             raise BranchRequired(f"kind {self.kind!r} needs a branch state at x={x}")
-        theta = branch.arg(0j)
-        logx = cmath.log(abs(x)) + 1j * theta
+        xp = np if isinstance(x, np.ndarray) else cmath
+        logx = xp.log(abs(x)) + 1j * branch.arg(0j)
         if self.kind == KIND_LOG:
             return logx
-        return cmath.exp(self.lam * logx)
+        return xp.exp(self.lam * logx)
 
 
 def companion(ode: ScalarODE) -> MeromorphicSystem:

@@ -11,12 +11,15 @@ full positive circle contributes exactly 2*pi.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import hashlib
 import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import PathThroughSingularity
 from .odecore import _c2j, _j2c, exclusion_radius
@@ -94,6 +97,11 @@ class Arc:
 
 
 Segment = Union[Line, Arc]
+
+
+def _centered_on(seg: Segment, p: complex) -> bool:
+    """Whether seg is an arc centred on the tracked point p."""
+    return isinstance(seg, Arc) and abs(seg.center - p) <= POINT_MATCH_TOL * (1 + abs(p))
 
 
 @dataclass(frozen=True)
@@ -185,11 +193,7 @@ def validate_clearance(
     out = []
     for p in points:
         skipped = any(abs(p - s) <= POINT_MATCH_TOL * (1 + abs(p)) for s in skip)
-        segs = [
-            seg for seg in path.segments
-            if not (skipped and isinstance(seg, Arc)
-                    and abs(seg.center - p) <= POINT_MATCH_TOL * (1 + abs(p)))
-        ]
+        segs = [seg for seg in path.segments if not (skipped and _centered_on(seg, p))]
         if not segs:
             continue
         dist = min(seg.distance_to(p) for seg in segs)
@@ -203,7 +207,9 @@ def validate_clearance(
 
 @dataclass(frozen=True)
 class BranchState:
-    """Continuously tracked arguments of z - p at one point of a path."""
+    """Continuously tracked arguments of z - p at one point of a path, or at
+    every node of an array: then `anchor` is the node array and each
+    argument an array of the same length, which `arg` returns."""
 
     anchor: complex
     args: tuple[tuple[complex, float], ...]
@@ -227,7 +233,7 @@ class BranchState:
 
 def _arc_nodes(seg: Arc, p: complex) -> list[float]:
     """Parameter nodes fine enough that each piece turns < pi/2 seen from p."""
-    if abs(seg.center - p) <= POINT_MATCH_TOL * (1 + abs(p)):
+    if _centered_on(seg, p):
         return [0.0, 1.0]
     d_min = abs(abs(p - seg.center) - seg.radius)
     if d_min <= 1e-12 * (1 + abs(p)):
@@ -235,6 +241,14 @@ def _arc_nodes(seg: Arc, p: complex) -> list[float]:
     sweep = abs(seg.theta1 - seg.theta0)
     n = max(1, math.ceil(sweep * max(1.0, seg.radius / d_min) / (0.5 * math.pi)))
     return [i / n for i in range(n + 1)]
+
+
+def _bracket(nodes: Sequence[float], t):
+    """Index of the last table node at or below t, for one parameter or an
+    array of them; every table starts at parameter 0."""
+    if isinstance(t, np.ndarray):
+        return np.searchsorted(nodes, t + 1e-15, side="right") - 1
+    return bisect.bisect_right(nodes, t + 1e-15) - 1
 
 
 class ArgTracker:
@@ -246,24 +260,23 @@ class ArgTracker:
         self.points = list(points)
         if start is None:
             start = BranchState.principal(path.start, self.points)
-        # tables[i][j] = (t_nodes, arg_nodes) for segment i, point j
-        self.tables: list[list[tuple[list[float], list[float]]]] = []
+        # tables[i][j] = (t_nodes, z_nodes, arg_nodes) for segment i, point j
+        self.tables: list[list[tuple[list[float], list[complex], list[float]]]] = []
         current = [start.arg(p) for p in self.points]
         for seg in path.segments:
             row = []
             for j, p in enumerate(self.points):
                 nodes = _arc_nodes(seg, p) if isinstance(seg, Arc) else [0.0, 1.0]
+                zs = [seg.point(t) for t in nodes]
                 args = [current[j]]
-                exact_center = isinstance(seg, Arc) and abs(seg.center - p) <= POINT_MATCH_TOL * (1 + abs(p))
-                for t_prev, t_next in zip(nodes, nodes[1:]):
-                    if exact_center:
+                centered = _centered_on(seg, p)
+                for t_prev, t_next, z_prev, z_next in zip(nodes, nodes[1:], zs, zs[1:]):
+                    if centered:
                         inc = seg.angle(t_next) - seg.angle(t_prev)
                     else:
-                        inc = cmath.phase(
-                            (seg.point(t_next) - p) / (seg.point(t_prev) - p)
-                        )
+                        inc = cmath.phase((z_next - p) / (z_prev - p))
                     args.append(args[-1] + inc)
-                row.append((nodes, args))
+                row.append((nodes, zs, args))
                 current[j] = args[-1]
             self.tables.append(row)
         self._start = start
@@ -274,20 +287,27 @@ class ArgTracker:
             i for i, p in enumerate(self.points)
             if abs(p - point) <= POINT_MATCH_TOL * (1 + abs(point))
         )
-        nodes, args = self.tables[seg_index][j]
+        nodes, zs, args = self.tables[seg_index][j]
         seg = self.path.segments[seg_index]
-        # bracketing node at or below t
-        k = 0
-        for i, tn in enumerate(nodes):
-            if tn <= t + 1e-15:
-                k = i
-        if isinstance(seg, Arc) and abs(seg.center - point) <= POINT_MATCH_TOL * (1 + abs(point)):
+        k = _bracket(nodes, t)
+        if _centered_on(seg, point):
             return args[k] + (seg.angle(t) - seg.angle(nodes[k]))
-        return args[k] + cmath.phase((seg.point(t) - point) / (seg.point(nodes[k]) - point))
+        return args[k] + cmath.phase((seg.point(t) - point) / (zs[k] - point))
 
-    def state_at(self, seg_index: int, t: float) -> BranchState:
-        z = self.path.segments[seg_index].point(t)
-        return BranchState(z, tuple((p, self.arg(seg_index, t, p)) for p in self.points))
+    def args_at(self, seg_index: int, ts: np.ndarray) -> np.ndarray:
+        """The array form of `arg`: the tracked argument of z(t) - p for every
+        parameter in ts and every tracked point, shape (len(ts), len(points))."""
+        seg = self.path.segments[seg_index]
+        zt = np.array([seg.point(t) for t in ts])
+        out = np.empty((len(ts), len(self.points)))
+        for j, p in enumerate(self.points):
+            nodes, zs, args = (np.array(col) for col in self.tables[seg_index][j])
+            k = _bracket(nodes, ts)
+            if _centered_on(seg, p):
+                out[:, j] = args[k] + (seg.angle(ts) - seg.angle(nodes[k]))
+            else:
+                out[:, j] = args[k] + np.angle((zt - p) / (zs[k] - p))
+        return out
 
     @property
     def end_state(self) -> BranchState:

@@ -115,11 +115,16 @@ def tracked_points(sys: MeromorphicSystem, pert: Optional[PerturbationSpec],
 
 def _gauge_matrix(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """W^{-1} @ rhs via the adjugate for 2x2 (avoids cond-limited solves on
-    the wildly scaled columns near a singular point)."""
-    if w.shape == (2, 2):
-        det = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-        adj = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=complex)
-        return (adj @ rhs) / det
+    the wildly scaled columns near a singular point); an (n, 2, 2) stack
+    is handled matrix by matrix."""
+    if w.shape[-2:] == (2, 2):
+        # entries of one matrix stay numpy scalars; over an (n, 2, 2) stack
+        # they are arrays, and the transposes put the stack axis in front
+        lead = (slice(None),) * (w.ndim - 2)
+        w00, w01, w10, w11 = w[lead + (0, 0)], w[lead + (0, 1)], w[lead + (1, 0)], w[lead + (1, 1)]
+        det = w00 * w11 - w01 * w10
+        adj = np.array([[w11, -w10], [-w01, w00]], dtype=complex).T
+        return ((adj @ rhs).T / det).T
     return np.linalg.solve(w, rhs)
 
 

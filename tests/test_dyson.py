@@ -18,6 +18,7 @@ from monodeform.dyson import (
 )
 from monodeform.errors import (
     InconsistentBasepoint,
+    MonodeformError,
     NonIntegrableEndpoint,
     ShapeMismatch,
     UnsupportedKind,
@@ -195,6 +196,45 @@ def test_cocycle_jump_log_kind(hyp_system, frob0):
         pred = closed_form_jump("log", None, ref)
         rel = np.max(np.abs(delta - pred)) / np.max(np.abs(pred))
         assert rel < 1e-6
+
+
+def test_ode_route_from_zero_raises_typed_error(hyp_system, frob0):
+    # the branch-cut-jump perturbation: a power weight anchors at 0 itself
+    pert = _pert("power", ONE, 0.5)
+    with pytest.raises(MonodeformError):
+        cocycle_jump(hyp_system, pert, frob0, 0j, 0.5, route="ode")
+
+
+def test_from_zero_correction_batches_evaluator_calls(hyp_system, frob0):
+    calls, nodes = [], []
+
+    def counted(z, branch=None):
+        calls.append(1)
+        nodes.append(np.size(z))
+        return frob0.evaluator(z, branch)
+
+    basis = FundamentalMatrix(frob0.basepoint, frob0.value, frob0.provenance, counted)
+    pert = _pert("power", ONE, 0.4)
+    # values of the node-by-node sweep this replaced
+    expect = {
+        None: [-0.11282273026109141, -0.06441801651373173,
+               0.21503451412078467, 0.11282273026109141],
+        "loop": [0.09127550613300363 - 0.0663155369708413j,
+                 -0.06441801651373172 + 2.1925905388719448e-17j,
+                 0.06644931924048203 - 0.20450997588293457j,
+                 -0.09127550613300364 + 0.0663155369708413j],
+    }
+    counts = {}
+    for key, path in ((None, None), ("loop", loop_around(0, 0.25, 0.5))):
+        calls.clear()
+        nodes.clear()
+        corr = correction_C(hyp_system, pert, basis, path, from_zero=True)
+        counts[key] = (len(calls), sum(nodes))
+        want = np.array(expect[key]).reshape(2, 2)
+        assert np.max(np.abs(corr.value - want)) <= 1e-13 * np.max(np.abs(want))
+    # the loop adds hundreds of nodes and no evaluator call
+    assert counts["loop"][1] > counts[None][1] + 100
+    assert counts["loop"][0] == counts[None][0] <= 3
 
 
 def test_closed_form_jump_values():

@@ -157,6 +157,24 @@ def test_no_convergence_outside_disk(monkeypatch):
         hg._pfq_series((1.0 + 0j, 1.0 + 0j), (2.0 + 0j,), 1.5 + 0.1j, 1e-14)
 
 
+def test_array_kernel_no_convergence_outside_disk(monkeypatch):
+    import monodeform.hypergeom as hg
+
+    monkeypatch.setattr(hg, "MAX_TERMS", 2000)
+    p = HypergeomParams((1.0 + 0j, 1.0 + 0j), (2.0 + 0j,))
+    with pytest.raises(NoConvergence):
+        hg._pfq_pair(p, np.array([0.5, 1.5 + 0.1j]), 1e-14)
+
+
+def test_array_kernel_zero_node():
+    import monodeform.hypergeom as hg
+
+    p = HypergeomParams.f21(A, B, C)
+    vals, ders = hg._pfq_pair(p, np.array([0.0, 0.31, 0j]), 1e-14)
+    assert vals[0] == vals[2] == 1 and ders[0] == ders[2] == A * B / C
+    assert (vals[1], ders[1]) == pytest.approx(hg._pfq_pair(p, 0.31, 1e-14), rel=1e-14)
+
+
 @given(st.floats(0.05, 0.95), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 def test_2f1_matches_mpmath(x, a, b):
     c = 1.37  # fixed non-degenerate lower parameter
@@ -247,6 +265,26 @@ def test_local_basis_residuals_20_points(point):
                 return (basis.matrix(x + hh)[1, j] - basis.matrix(x - hh)[1, j]) / (2 * hh)
             d2_fd = (4 * d1(h / 2) - d1(h)) / 3
             assert abs(_residual_y(A, B, C, x, v, d, d2_fd)) < 1e-8
+
+
+@pytest.mark.parametrize("point", [0, 1])
+def test_local_basis_matrix_on_node_arrays(point):
+    # the (n, 2, 2) stack of one array call equals the scalar calls node for node
+    if point == 0:
+        basis = local_basis_0(A, B, C)
+        xs = np.array([1e-25, 1e-25j, 0.88j, 0.5, complex(0.3, -0.0), -0.4 + 0.2j, 0.8 + 0.3j])
+        args = np.angle(xs)
+    else:
+        basis = local_basis_1(A, B, C)
+        xs = np.array([1 - 1e-15, 1 + 1e-3j, 0.95 - 0.05j, 0.4, complex(0.7, -0.0), 1.3 - 0.2j])
+        args = np.angle(1 - xs)
+    args[-1] += 2 * math.pi  # one node on the next sheet
+    assert args[4] == 0.0 and math.copysign(1.0, xs[4].imag) == -1.0
+    for arr_args, scalar_args in ((args, args), (None, [None] * len(xs))):
+        stack = basis.matrix(xs, arr_args)
+        ref = np.array([basis.matrix(complex(x), a) for x, a in zip(xs, scalar_args)])
+        assert stack.shape == (len(xs), 2, 2)
+        assert np.all(np.abs(stack - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_connected_basis_seam_continuity(connected_basis):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from monodeform.errors import PathThroughSingularity
@@ -99,6 +100,21 @@ def test_branch_state_lookup():
     assert abs(st.arg(1 + 0j) - math.pi) < 1e-15
     with pytest.raises(KeyError):
         st.arg(5j)
+
+
+@pytest.mark.parametrize("center", [0.0, 1.0])
+def test_arg_tracker_array_lookup_matches_scalar(center):
+    # each loop has an arc centred on one tracked point and passing the other
+    loop = loop_around(center, 0.25, 0.5, avoid=[0j, 1 + 0j])
+    points = [0j, 1 + 0j]
+    tracker = ArgTracker(loop, points)
+    for i in range(len(loop.segments)):
+        ts = np.concatenate([np.linspace(0.0, 1.0, 41), [0.25, 0.5 - 1e-16, 0.75]])
+        table = tracker.args_at(i, ts)
+        assert table.shape == (len(ts), 2)
+        for j, p in enumerate(points):
+            scalar = np.array([tracker.arg(i, t, p) for t in ts])
+            assert np.max(np.abs(table[:, j] - scalar)) <= 1e-15
 
 
 def test_validate_clearance_reports_violation():
