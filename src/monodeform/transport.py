@@ -1,8 +1,9 @@
 """Numerical analytic continuation of fundamental matrices along paths.
 
-Transport integrates W' = (A + rho B)(z) W along each path segment with an
-embedded adaptive Runge-Kutta 5(4) pair (constant-speed segment parameters,
-so the control is arclength-equivalent).  The same integrator carries the
+Transport integrates W' = (A + rho B)(z) W along each path segment with the
+embedded Dormand-Prince 5(4) pair and the step control of Hairer, Norsett &
+Wanner, Solving ODEs I, II.4 (constant-speed segment parameters, so the
+control is arclength-equivalent).  The same integrator carries the
 augmented blocks of the Dyson expansion for the ODE route in `dyson`: the
 corrections C_k' = G C_{k-1} with G = W^{-1} B W, and the log-free integral
 of W^{-1} H W.  Branch arguments of multivalued perturbation weights come
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IllConditioned, NonFiniteValue, StepSizeUnderflow
 from .hypergeom import local_basis_0, local_basis_1
@@ -128,6 +128,73 @@ def _gauge_matrix(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(w, rhs)
 
 
+# Dormand-Prince 5(4): nodes, stage matrix, 5th-order weights, and the
+# difference of the embedded 4th-order weights (with the FSAL stage last)
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXP = -1 / 5
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(fun, y, rtol, atol):
+    """Integrate y' = fun(t, y) over t in [0, 1] with Dormand-Prince 5(4).
+
+    The first step is the Hairer-Norsett-Wanner estimate; the error of each
+    step is the RMS of the embedded difference over atol + max(|y|, |y_new|)
+    rtol.  Each step repeats scipy's RK45 operation for operation, so the
+    two agree bit for bit.  Returns the end state and the accepted step
+    count; raises StepSizeUnderflow once the step falls below ten float
+    spacings of t."""
+    t, f = 0.0, fun(0.0, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
+    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, 1.0)
+    K = np.empty((7, y.size), dtype=y.dtype)
+    steps = 0
+    while t < 1.0:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also stops a NaN step size
+                raise StepSizeUnderflow(f"step size fell below {min_step:.1e} at t = {t:.17g}")
+            t_new = min(t + h_abs, 1.0)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        steps += 1
+    return y, steps
+
+
 def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     """Continue W' = (A + rho B) W from w0 along the chained paths.
 
@@ -173,11 +240,11 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
                     out[(K + 1) * n2:] = plain.ravel()
                 return out
 
-            sol = solve_ivp(rhs, (0.0, 1.0), y, method="RK45", rtol=rtol, atol=atol)
-            if not sol.success:
-                raise StepSizeUnderflow(f"integrator failed on segment {i}: {sol.message}")
-            y = sol.y[:, -1]
-            steps += sol.t.size - 1
+            try:
+                y, n = _rk45(rhs, y, rtol, atol)
+            except StepSizeUnderflow as exc:
+                raise StepSizeUnderflow(f"integrator failed on segment {i}: {exc}") from None
+            steps += n
             if not np.all(np.isfinite(y.view(float))):
                 raise NonFiniteValue(f"non-finite transport state on segment {i}")
         state = tracker.end_state

@@ -2,6 +2,8 @@ import cmath
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,3 +214,22 @@ def test_dyson_task_oracle_delta(tmp_path):
     diags = run_spec(spec)["diagnostics"]
     assert diags["windings"]["0+0j"] == 1
     assert isinstance(diags["path_hash"], str) and len(diags["path_hash"]) == 16
+
+
+def test_runtime_path_does_not_import_scipy():
+    # scipy is a test-only reference: neither the CLI import nor a monodromy
+    # or eigenvalue-shift run may load it
+    import monodeform
+
+    code = (
+        "import sys\n"
+        "import monodeform.cli as cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "for name in ('monodromy-basic', 'eigenvalue-shift'):\n"
+        "    cli.run_spec(cli.example_specs()[name])\n"
+        "    assert 'scipy' not in sys.modules, name\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monodeform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,13 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from monodeform.errors import NonIntegrableWeight
+from monodeform.quadrature import _gl_rule, gauss_jacobi_01
 from monodeform.spectral import (
     QuadratureSpec,
     builtin_profile,
@@ -53,6 +57,45 @@ def test_inner_product_integrability_guard():
         inner_product(ONE, ONE, (0.3, 0.7, -0.2), QUAD)
     with pytest.raises(NonIntegrableWeight):
         inner_product(ONE, ONE, (0.1, 0.1, 1.5), QUAD)  # a+b-c = -1.3
+
+
+JACOBI_EXPONENTS = (-0.9, -0.3, 0.0, 0.25, 0.8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 64])
+def test_gauss_jacobi_rule(n):
+    # every (alpha, beta) pair of the grid, so alpha = beta and alpha + beta = 0
+    # are both covered; x on [0, 1] is (1 + t) / 2 for the rule on [-1, 1]
+    for alpha, beta in itertools.product(JACOBI_EXPONENTS, repeat=2):
+        x, w = gauss_jacobi_01(n, alpha, beta)
+        t, wt = 2.0 * x - 1.0, w * 2.0 ** (alpha + beta + 1.0)
+        t_ref, _ = roots_jacobi(n, alpha, beta)
+        assert np.max(np.abs(t - t_ref)) <= 1e-15
+        # Christoffel numbers in closed form, at 30 digits
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            const = (mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
+                     / (mpmath.gamma(n + a + b + 1) * mpmath.factorial(n)) * 2 ** (a + b + 1))
+            for ti, wi in zip(t, wt):
+                tm = mpmath.mpf(ti)
+                dp = (n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, tm)
+                exact = const / ((1 - tm * tm) * dp * dp)
+                assert abs(wi - exact) <= 1e-10 * exact
+        # x^k against B(alpha+1, beta+k+1), relative: at alpha = -0.9 the
+        # moments are near 10, and even the correctly rounded 64-node rule
+        # misses them by 1.2e-12 absolute
+        for k in range(2 * n):
+            moment = math.exp(math.lgamma(alpha + 1) + math.lgamma(beta + k + 1)
+                              - math.lgamma(alpha + beta + k + 2))
+            assert abs(np.sum(w * x**k) - moment) <= 1e-12 * moment
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 20, 24, 64])
+def test_gauss_legendre_rule_matches_scipy(n):
+    x, w = _gl_rule(n)
+    x_ref, w_ref = roots_legendre(n)
+    assert np.max(np.abs(x - x_ref)) <= 1e-15
+    assert np.max(np.abs(w - w_ref)) <= 1e-13
 
 
 def test_shift_zero_profile():

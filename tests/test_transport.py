@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from monodeform.errors import IllConditioned, SingularPoint
+import monodeform.transport as transport_module
+from monodeform.dyson import dyson_expand
+from monodeform.errors import IllConditioned, MonodeformError, SingularPoint, StepSizeUnderflow
 from monodeform.odecore import MeromorphicSystem, PerturbationSpec
 from monodeform.paths import BranchState, line_path, loop_around
 from monodeform.ratfun import RationalFn
@@ -200,3 +202,86 @@ def test_gauge_equivalence_along_path(hyp_system, frob0):
     w_end = sol.y[:4, -1].reshape(2, 2)
     phi_end = sol.y[4:, -1]
     assert np.max(np.abs(w_end @ phi_end - psi)) < 1e-10
+
+
+# --- the owned Dormand-Prince integrator against scipy's RK45 ---------------
+
+
+def _scipy_rk45(fun, y, rtol, atol):
+    sol = solve_ivp(fun, (0.0, 1.0), y, method="RK45", rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+    return sol.y[:, -1], sol.t.size - 1
+
+
+def _segment_runs(monkeypatch, integrator, run):
+    """(end state, accepted steps) of every segment integration in run(),
+    with `integrator` standing in for transport._rk45."""
+    runs = []
+
+    def recording(fun, y, rtol, atol):
+        runs.append(integrator(fun, y, rtol, atol))
+        return runs[-1]
+
+    monkeypatch.setattr(transport_module, "_rk45", recording)
+    run()
+    monkeypatch.undo()
+    return runs
+
+
+def _parity_case(name, hyp_system, frob0, frob1):
+    zero = RationalFn.zero()
+    h21 = RationalFn.from_coeffs([1.0], [0.0, 1.0, -1.0])
+    loop0 = loop_around(0, 0.25, 0.5, avoid=hyp_system.singularities)
+    loop1 = loop_around(1, 0.25, 0.5, avoid=hyp_system.singularities)
+    if name == "around-0":
+        return lambda: transport(hyp_system, None, 0, loop0, frob0, tol=1e-11)
+    if name == "around-1":
+        return lambda: transport(hyp_system, None, 0, loop1, frob1, tol=1e-11)
+    if name == "ramp-from-rest":
+        # A(0) = 0: the first step comes from the 100 h0 cap of the initial
+        # step estimate, and the steps after it are rejected and regrown
+        z = RationalFn.from_coeffs([0.0, 1.0], [1.0])
+        ramp = MeromorphicSystem(2, ((zero, z), (z, zero)))
+        return lambda: transport(ramp, None, 0, line_path(0.0, 1.0 + 0.5j),
+                                 identity_basis(0.0, 2), tol=1e-10)
+    if name == "power-weight":
+        pert = PerturbationSpec("power", ((zero, zero), (h21, zero)), lam=0.35)
+        return lambda: transport(hyp_system, pert, 0.05, loop0, frob0, tol=1e-10)
+    pert = PerturbationSpec("log", ((zero, zero), (h21, zero)))
+    return lambda: dyson_expand(hyp_system, pert, 2, loop0, frob0, tol=1e-10, route="ode")
+
+
+@pytest.mark.parametrize("name", ["around-0", "around-1", "ramp-from-rest", "power-weight",
+                                  "log-weight-K2"])
+def test_rk45_matches_scipy_rk45(monkeypatch, hyp_system, frob0, frob1, name):
+    run = _parity_case(name, hyp_system, frob0, frob1)
+    owned = _segment_runs(monkeypatch, transport_module._rk45, run)
+    reference = _segment_runs(monkeypatch, _scipy_rk45, run)
+    assert len(owned) == len(reference) > 0
+    for (y, steps), (y_ref, steps_ref) in zip(owned, reference):
+        assert steps == steps_ref
+        assert np.max(np.abs(y - y_ref)) <= 1e-14 * np.max(np.abs(y_ref))
+
+
+class _NanPast(MeromorphicSystem):
+    """The zero system, except that A(z) is NaN for Re z > CUT."""
+
+    CUT = 0.5
+
+    def evaluate(self, x, guard=True):
+        if x.real > self.CUT:
+            return np.full((self.dim, self.dim), np.nan, dtype=complex)
+        return super().evaluate(x, guard)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("cut", [0.5, -1.0])
+def test_nan_rhs_raises_step_size_underflow(monkeypatch, cut):
+    # past the midpoint the steps shrink onto Re z = 1/2; with cut = -1 the
+    # right-hand side is NaN from the start, and so is the first step size
+    monkeypatch.setattr(_NanPast, "CUT", cut)
+    zero = RationalFn.zero()
+    sys = _NanPast(2, ((zero, zero), (zero, zero)))
+    with pytest.raises(StepSizeUnderflow, match="segment 0") as err:
+        transport(sys, None, 0, line_path(0.0, 1.0), identity_basis(0.0, 2))
+    assert isinstance(err.value, MonodeformError)
