@@ -38,7 +38,7 @@ from .dyson import (
     matrix_to_json,
     windings_json,
 )
-from .errors import MonodeformError, SchemaError
+from .errors import MonodeformError, NonIntegrableForcing, SchemaError
 from .hypergeom import ConnectedBasis, hypergeometric_system, weight_omega
 from .odecore import (
     MeromorphicSystem,
@@ -46,18 +46,14 @@ from .odecore import (
     _c2j,
     _j2c,
     companion,
+    exclusion_radius,
     perturbation_from_json,
     scalar_ode_from_json,
     system_from_json,
 )
 from .paths import line_path, loop_around, path_from_json, path_hash
 from .schema import schema_json, semantic_diagnostics, validate_schema
-from .spectral import (
-    QuadratureSpec,
-    builtin_profile,
-    hierarchy_shift_residual,
-    orthonormality_report,
-)
+from .spectral import builtin_profile, hierarchy_shift_residual, orthonormality_report
 from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monodromy, transport
 from .varpar import hypergeometric_deformed_series, series_to_csv
 
@@ -147,7 +143,7 @@ def _loops_for_centers(spec, sys, basis, centers):
 # --- task runners -------------------------------------------------------------
 
 
-def _task_monodromy(spec, args) -> dict:
+def _task_monodromy(spec, args, csv_dir) -> dict:
     sys, _ = build_equation(spec)
     basis = build_basis(spec, sys)
     pert, rho = build_perturbation(spec)
@@ -172,7 +168,7 @@ def _task_monodromy(spec, args) -> dict:
             "diagnostics": _jsonable({"per_loop": diags, "tol": num["tol"]})}
 
 
-def _task_dyson(spec, args) -> dict:
+def _task_dyson(spec, args, csv_dir) -> dict:
     sys, _ = build_equation(spec)
     basis = build_basis(spec, sys)
     pert, rho = build_perturbation(spec)
@@ -203,7 +199,7 @@ def _task_dyson(spec, args) -> dict:
     }
 
 
-def _task_cocycle(spec, args) -> dict:
+def _task_cocycle(spec, args, csv_dir) -> dict:
     sys, _ = build_equation(spec)
     basis = build_basis(spec, sys)
     pert, rho = build_perturbation(spec)
@@ -273,17 +269,16 @@ def _f_profile(spec, params):
     return poly, "poly"
 
 
-def _task_eigenshift(spec, args) -> dict:
+def _task_eigenshift(spec, args, csv_dir) -> dict:
     _, params = build_equation(spec)
     if params is None:
         raise SchemaError("eigenshift needs real hypergeometric parameters", "$.equation")
     num = _numerics(spec, args)
-    # y1-carrying integrands need the geometric rule (see spectral docstring);
-    # `nodes` controls the per-panel Gauss-Legendre order there
-    quad = QuadratureSpec(rule="adaptive-subdivision", nodes=min(num["nodes"], 48))
+    # `nodes` is the per-panel Gauss-Legendre order of the geometric rule
+    nodes = min(num["nodes"], 48)
     f, fname = _f_profile(spec, params)
-    ortho = orthonormality_report(params, quad)
-    hier = hierarchy_shift_residual(f, params, quad)
+    ortho = orthonormality_report(params, nodes)
+    hier = hierarchy_shift_residual(f, params, nodes)
     shift = hier["shift"]
     return {
         "results": _jsonable({
@@ -302,10 +297,15 @@ def _task_eigenshift(spec, args) -> dict:
     }
 
 
+# the series task works on this part of (0, 1): its samples, the oracle
+# triangle points and the basepoint all lie in it
+SERIES_RANGE = (0.2, 0.8)
+
+
 def _series_coupling(spec, sys) -> tuple:
     """For the series task the perturbation must live in the companion corner
     B[n-1][0]; the scalar coupling is f(x) = B21(x) * x(1-x) for the
-    hypergeometric case."""
+    hypergeometric case, and B21 may have no pole on SERIES_RANGE."""
     pert, rho = build_perturbation(spec)
     n = sys.dim
     for i, row in enumerate(pert.H):
@@ -314,10 +314,15 @@ def _series_coupling(spec, sys) -> tuple:
                 raise SchemaError(
                     "series task needs the perturbation in the companion corner "
                     f"(found H[{i}][{j}] nonzero)", "$.perturbation.H")
+    lo, hi = SERIES_RANGE
+    for p in pert.H[n - 1][0].poles():
+        if abs(p - min(max(p.real, lo), hi)) < exclusion_radius(p):
+            raise NonIntegrableForcing(
+                f"forcing pole {p:.6g} lies on the series range [{lo}, {hi}]")
     return pert, rho
 
 
-def _task_series(spec, args, csv_dir=None) -> dict:
+def _task_series(spec, args, csv_dir) -> dict:
     sys, params = build_equation(spec)
     if params is None:
         raise SchemaError("series task needs real hypergeometric parameters", "$.equation")
@@ -329,7 +334,7 @@ def _task_series(spec, args, csv_dir=None) -> dict:
     series = hypergeometric_deformed_series(a, b, c, f, num["K"], basepoint=0.5,
                                             tol=max(num["tol"], 1e-12))
     nsamp = int(spec.get("samples", 13))
-    xs = list(np.linspace(0.2, 0.8, nsamp))
+    xs = list(np.linspace(*SERIES_RANGE, nsamp))
     samples = [{"x": x, "terms": [_c2j(series.term(k)(x)[0]) for k in range(num["K"] + 1)],
                 "value": _c2j(series.evaluate(x, rho))} for x in xs]
     basis = frobenius_basis(a, b, c, 0, 0.5)
@@ -354,7 +359,7 @@ def _task_series(spec, args, csv_dir=None) -> dict:
             "diagnostics": _jsonable({"oracle_triangle": triangle})}
 
 
-def _task_sample(spec, args, csv_dir=None) -> dict:
+def _task_sample(spec, args, csv_dir) -> dict:
     sys, params = build_equation(spec)
     nsamp = int(spec.get("samples", 101))
     xs = np.linspace(0.02, 0.98, nsamp)
@@ -394,6 +399,8 @@ _TASKS = {
     "dyson": _task_dyson,
     "cocycle": _task_cocycle,
     "eigenshift": _task_eigenshift,
+    "series": _task_series,
+    "sample": _task_sample,
 }
 
 
@@ -403,12 +410,7 @@ def run_spec(spec, args=None, csv_dir=None) -> dict:
     task = spec["task"]
     stage = f"cli.run[{task}]"
     try:
-        if task == "series":
-            body = _task_series(spec, args, csv_dir)
-        elif task == "sample":
-            body = _task_sample(spec, args, csv_dir)
-        else:
-            body = _TASKS[task](spec, args)
+        body = _TASKS[task](spec, args, csv_dir)
     except MonodeformError as exc:
         raise MonodeformError(f"{stage}: {type(exc).__name__}: {exc}") from exc
     return {

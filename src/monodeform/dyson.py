@@ -65,9 +65,6 @@ class CorrectionC:
     value: np.ndarray
     path: Optional[PathSpec]
     branch: Optional[BranchState]
-    basepoint: complex
-    from_zero: bool
-    plain: Optional[np.ndarray] = None  # int W^-1 H W over the same contour
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,10 @@ class DysonExpansion:
 
 @dataclass(frozen=True)
 class CocycleJump:
-    center: complex
     delta: np.ndarray
     x_probe: complex
     constancy_residual: float
     monodromy: np.ndarray = field(default=None, compare=False)
-    reference: Optional[np.ndarray] = field(default=None, compare=False)
     # (probe, delta, reference) for every probe evaluated, main probe first
     probe_data: tuple = field(default=(), compare=False)
 
@@ -128,9 +123,9 @@ def _line_pieces(z0: complex, z1: complex, obstacles: Sequence[complex]) -> list
     return out
 
 
-def _panels_for_path(path: PathSpec, points: Sequence[complex], nodes: int) -> list[_Panel]:
+def _panels_for_path(path: PathSpec, points: Sequence[complex]) -> list[_Panel]:
     """Chebyshev panels along the path; their arguments are left to `_track`."""
-    taus = cheb_nodes(nodes)
+    taus = cheb_nodes(PANEL_NODES)
     panels: list[_Panel] = []
     for i, seg in enumerate(path.segments):
         if isinstance(seg, Arc):
@@ -167,19 +162,18 @@ def _track(path: PathSpec, panels: list[_Panel], points: Sequence[complex],
     return tracker.end_state
 
 
-def _panels_for_head(end: complex, points: Sequence[complex], nodes: int,
-                     levels: int = HEAD_LEVELS, ratio: float = HEAD_RATIO) -> list[_Panel]:
+def _panels_for_head(end: complex, points: Sequence[complex]) -> list[_Panel]:
     """Geometric panels along the ray from 0 to `end` (innermost first),
     on the principal branch."""
-    taus = cheb_nodes(nodes)
+    taus = cheb_nodes(PANEL_NODES)
     u = end / abs(end)
     panels = []
-    for m in range(levels - 1, -1, -1):
-        hi = abs(end) * ratio**m
-        lo = abs(end) * ratio ** (m + 1)
+    for m in range(HEAD_LEVELS - 1, -1, -1):
+        hi = abs(end) * HEAD_RATIO**m
+        lo = abs(end) * HEAD_RATIO ** (m + 1)
         ss = lo + 0.5 * (taus + 1.0) * (hi - lo)
         zs = np.array([s * u for s in ss])
-        dz = np.full(nodes, u * 0.5 * (hi - lo), dtype=complex)
+        dz = np.full(PANEL_NODES, u * 0.5 * (hi - lo), dtype=complex)
         panels.append(_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points))))
     return panels
 
@@ -203,7 +197,7 @@ def _series_sweep(
     zs = np.concatenate([panel.zs for panel in panels])
     args = np.concatenate([panel.args for panel in panels])
     dz = np.concatenate([panel.dzdtau for panel in panels])
-    branch = BranchState(zs, tuple(zip(points, args.T)))
+    branch = BranchState(tuple(zip(points, args.T)))
     w = evaluator(zs, branch)
     pv = _gauge_matrix(w, pert.h_matrix(zs) @ w) * dz[:, None, None]
     gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
@@ -230,7 +224,7 @@ def _series_sweep(
             if want_plain:
                 cum = cheb_cumulative(pv[rows].reshape(n, dim * dim), 1.0)
                 d_val = d_val + cum.reshape(n, dim, dim)[-1]
-        br_end = BranchState(zs[end - 1], tuple(zip(points, args[end - 1].tolist())))
+        br_end = BranchState(tuple(zip(points, args[end - 1].tolist())))
         markers.append((w[end - 1], [c.copy() for c in c_vals], d_val.copy(), br_end))
     return markers
 
@@ -243,7 +237,6 @@ def _series_route_markers(
     K: int,
     want_plain: bool,
     from_zero: bool,
-    nodes: int = PANEL_NODES,
 ):
     if basis.evaluator is None:
         raise SeriesRouteUnavailable("series route needs a basis with a series evaluator")
@@ -256,10 +249,10 @@ def _series_route_markers(
         if not (abs(start_z.imag) < 1e-12 and start_z.real > 0):
             raise SeriesRouteUnavailable("from-zero contours start on the positive real axis")
         _check_endpoint_integrable(basis, pert, pts, start_z)
-        groups.append(_panels_for_head(start_z, pts, nodes))
+        groups.append(_panels_for_head(start_z, pts))
     else:
         start_z = paths[0].start
-    path_groups = [_panels_for_path(p, pts, nodes) for p in paths]
+    path_groups = [_panels_for_path(p, pts) for p in paths]
     groups.extend(path_groups)
     zone_center = 0.0 if basis.provenance == "frobenius-at-0" else 1.0
     reach = max(float(np.max(np.abs(panel.zs - zone_center))) for g in groups for panel in g)
@@ -337,18 +330,15 @@ def correction_C(
     tol: float = 1e-10,
     from_zero: bool = False,
     route: str = "auto",
-    want_plain: bool = False,
 ) -> CorrectionC:
     """C = int W^{-1} B W dt along the path (plus the [0, start] head when
     from_zero), with W continued from the basis and B branch-tracked."""
     paths = [path] if path is not None else []
     if not paths and not from_zero:
         raise ValueError("need a path or a from-zero contour")
-    want_plain = want_plain or pert.kind == KIND_LOG
-    markers = _route_markers(sys, pert, basis, paths, 1, want_plain, tol, from_zero, route)
-    w_end, c_list, d_val, branch = markers[-1]
-    return CorrectionC(c_list[0], path, branch, 0j if from_zero else basis.basepoint,
-                       from_zero, d_val)
+    markers = _route_markers(sys, pert, basis, paths, 1, False, tol, from_zero, route)
+    _, c_list, _, branch = markers[-1]
+    return CorrectionC(c_list[0], path, branch)
 
 
 def dyson_expand(
@@ -489,7 +479,7 @@ def cocycle_jump(
     for i in range(len(probe_data)):
         for j in range(i + 1, len(probe_data)):
             residual = max(residual, _maxabs(probe_data[i][1] - probe_data[j][1]))
-    return CocycleJump(center, delta, probe, residual, m, reference, tuple(probe_data))
+    return CocycleJump(delta, probe, residual, m, tuple(probe_data))
 
 
 def closed_form_jump(kind: str, lam: Optional[complex], c_at_probe: np.ndarray) -> np.ndarray:

@@ -172,21 +172,6 @@ def _pfq_pair(params: HypergeomParams, x, tol: float):
     return vals, ders
 
 
-def pFq(params: HypergeomParams, x: complex, tol: float = SERIES_TOL) -> complex:
-    """Partial sums of the hypergeometric series, stopping once the term
-    drops below tol * |sum| for three consecutive terms."""
-    return _pfq_pair(params, x, tol)[0]
-
-
-def hyp2f1(a: complex, b: complex, c: complex, x: complex, tol: float = SERIES_TOL) -> complex:
-    return pFq(HypergeomParams.f21(a, b, c), x, tol)
-
-
-def pFq_derivative(params: HypergeomParams, x: complex, tol: float = SERIES_TOL) -> complex:
-    """d/dx pFq, read from the same cached term loop as the value."""
-    return _pfq_pair(params, x, tol)[1]
-
-
 def _power(base, arg, mu: complex):
     """base^mu on the branch where arg(base) = arg, the principal one when arg
     is None: numpy over a node array, cmath at one point."""

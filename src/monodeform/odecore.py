@@ -34,10 +34,10 @@ def exclusion_radius(x: complex) -> float:
     return 1e-6 * (1.0 + abs(x))
 
 
-def _dedup(points: Sequence[complex], tol: float = DEDUP_TOL) -> list[complex]:
+def _dedup(points: Sequence[complex]) -> list[complex]:
     out: list[complex] = []
     for p in points:
-        if not any(abs(p - q) <= tol * (1.0 + abs(p)) for q in out):
+        if not any(abs(p - q) <= DEDUP_TOL * (1.0 + abs(p)) for q in out):
             out.append(p)
     return sorted(out, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
@@ -156,8 +156,8 @@ def companion(ode: ScalarODE) -> MeromorphicSystem:
     return MeromorphicSystem(n, tuple(rows))
 
 
-# --- JSON encoding -------------------------------------------------------
-# Polynomials serialize as [[re, im], ...] ascending in degree; kinds use the
+# --- JSON decoding -------------------------------------------------------
+# Polynomials are read as [[re, im], ...] ascending in degree; kinds use the
 # string tags "meromorphic" | "power" | "log"; scalars as [re, im].
 
 
@@ -171,32 +171,16 @@ def _j2c(v) -> complex:
     return complex(v[0], v[1])
 
 
-def poly_to_json(p: ComplexPoly) -> list[list[float]]:
-    return [_c2j(c) for c in p.coeffs]
-
-
 def poly_from_json(data) -> ComplexPoly:
     return ComplexPoly.make([_j2c(v) for v in data])
-
-
-def ratfn_to_json(r: RationalFn) -> dict:
-    return {"num": poly_to_json(r.num), "den": poly_to_json(r.den)}
 
 
 def ratfn_from_json(data) -> RationalFn:
     return RationalFn.make(poly_from_json(data["num"]), poly_from_json(data["den"]))
 
 
-def scalar_ode_to_json(ode: ScalarODE) -> dict:
-    return {"order": ode.order, "coeffs": [ratfn_to_json(c) for c in ode.coeffs]}
-
-
 def scalar_ode_from_json(data) -> ScalarODE:
     return ScalarODE(int(data["order"]), tuple(ratfn_from_json(c) for c in data["coeffs"]))
-
-
-def system_to_json(sys: MeromorphicSystem) -> dict:
-    return {"dim": sys.dim, "entries": [[ratfn_to_json(e) for e in row] for row in sys.entries]}
 
 
 def system_from_json(data) -> MeromorphicSystem:
@@ -204,13 +188,6 @@ def system_from_json(data) -> MeromorphicSystem:
         int(data["dim"]),
         tuple(tuple(ratfn_from_json(e) for e in row) for row in data["entries"]),
     )
-
-
-def perturbation_to_json(p: PerturbationSpec) -> dict:
-    out = {"kind": p.kind, "H": [[ratfn_to_json(e) for e in row] for row in p.H]}
-    if p.lam is not None:
-        out["lambda"] = _c2j(p.lam)
-    return out
 
 
 def perturbation_from_json(data) -> PerturbationSpec:

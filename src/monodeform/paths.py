@@ -39,13 +39,6 @@ class Line:
     def velocity(self, t: float) -> complex:
         return self.z1 - self.z0
 
-    @property
-    def length(self) -> float:
-        return abs(self.z1 - self.z0)
-
-    def reversed(self) -> "Line":
-        return Line(self.z1, self.z0)
-
     def distance_to(self, p: complex) -> float:
         d = self.z1 - self.z0
         if abs(d) == 0:
@@ -75,13 +68,6 @@ class Arc:
 
     def velocity(self, t: float) -> complex:
         return 1j * self.radius * (self.theta1 - self.theta0) * cmath.exp(1j * self.angle(t))
-
-    @property
-    def length(self) -> float:
-        return self.radius * abs(self.theta1 - self.theta0)
-
-    def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.theta1, self.theta0)
 
     def distance_to(self, p: complex) -> float:
         rel = p - self.center
@@ -127,13 +113,6 @@ class PathSpec:
     def is_closed(self) -> bool:
         return abs(self.start - self.end) <= ENDPOINT_TOL
 
-    @property
-    def length(self) -> float:
-        return sum(s.length for s in self.segments)
-
-    def reversed(self) -> "PathSpec":
-        return PathSpec(tuple(s.reversed() for s in reversed(self.segments)))
-
     def __add__(self, other: "PathSpec") -> "PathSpec":
         if abs(self.end - other.start) > ENDPOINT_TOL:
             raise ValueError("paths do not chain: endpoint mismatch")
@@ -152,7 +131,6 @@ def loop_around(
     radius: float,
     basepoint: complex,
     avoid: Sequence[complex] = (),
-    orientation: int = +1,
 ) -> PathSpec:
     """Positively oriented loop: line in from the basepoint, full circle, line back."""
     d = basepoint - center
@@ -167,7 +145,7 @@ def loop_around(
             )
     theta0 = cmath.phase(d)
     entry = center + radius * cmath.exp(1j * theta0)
-    arc = Arc(center, radius, theta0, theta0 + orientation * 2 * math.pi)
+    arc = Arc(center, radius, theta0, theta0 + 2 * math.pi)
     segs: list[Segment] = []
     if abs(basepoint - entry) > ENDPOINT_TOL:
         segs.append(Line(basepoint, entry))
@@ -208,10 +186,9 @@ def validate_clearance(
 @dataclass(frozen=True)
 class BranchState:
     """Continuously tracked arguments of z - p at one point of a path, or at
-    every node of an array: then `anchor` is the node array and each
-    argument an array of the same length, which `arg` returns."""
+    every node of an array: then each argument is an array over the nodes,
+    which `arg` returns."""
 
-    anchor: complex
     args: tuple[tuple[complex, float], ...]
 
     def arg(self, point: complex) -> float:
@@ -220,12 +197,9 @@ class BranchState:
                 return a
         raise KeyError(f"no tracked branch point at {point}")
 
-    def has(self, point: complex) -> bool:
-        return any(abs(p - point) <= POINT_MATCH_TOL * (1 + abs(point)) for p, _ in self.args)
-
     @staticmethod
     def principal(z: complex, points: Sequence[complex]) -> "BranchState":
-        return BranchState(z, tuple((p, cmath.phase(z - p)) for p in points))
+        return BranchState(tuple((p, cmath.phase(z - p)) for p in points))
 
     def winding(self, point: complex, reference: "BranchState") -> float:
         return (self.arg(point) - reference.arg(point)) / (2 * math.pi)
@@ -252,7 +226,9 @@ def _bracket(nodes: Sequence[float], t):
 
 
 class ArgTracker:
-    """Per-segment tables of accumulated arguments along a path."""
+    """Per-segment tables of accumulated arguments along a path.  A segment
+    that starts within the exclusion radius of a tracked point (other than
+    its own arc centre) raises PathThroughSingularity."""
 
     def __init__(self, path: PathSpec, points: Sequence[complex],
                  start: Optional[BranchState] = None):
@@ -263,13 +239,16 @@ class ArgTracker:
         # tables[i][j] = (t_nodes, z_nodes, arg_nodes) for segment i, point j
         self.tables: list[list[tuple[list[float], list[complex], list[float]]]] = []
         current = [start.arg(p) for p in self.points]
-        for seg in path.segments:
+        for i, seg in enumerate(path.segments):
             row = []
             for j, p in enumerate(self.points):
                 nodes = _arc_nodes(seg, p) if isinstance(seg, Arc) else [0.0, 1.0]
                 zs = [seg.point(t) for t in nodes]
                 args = [current[j]]
                 centered = _centered_on(seg, p)
+                if not centered and abs(zs[0] - p) < exclusion_radius(p):
+                    raise PathThroughSingularity(
+                        f"segment {i} starts at {zs[0]}, on the tracked point {p}")
                 for t_prev, t_next, z_prev, z_next in zip(nodes, nodes[1:], zs, zs[1:]):
                     if centered:
                         inc = seg.angle(t_next) - seg.angle(t_prev)
@@ -279,8 +258,7 @@ class ArgTracker:
                 row.append((nodes, zs, args))
                 current[j] = args[-1]
             self.tables.append(row)
-        self._start = start
-        self._final = BranchState(path.end, tuple(zip(self.points, current)))
+        self._final = BranchState(tuple(zip(self.points, current)))
 
     def arg(self, seg_index: int, t: float, point: complex) -> float:
         j = next(
@@ -312,12 +290,6 @@ class ArgTracker:
     @property
     def end_state(self) -> BranchState:
         return self._final
-
-    def windings(self) -> dict[complex, float]:
-        return {
-            p: (self._final.arg(p) - self._start.arg(p)) / (2 * math.pi)
-            for p in self.points
-        }
 
 
 # --- JSON ------------------------------------------------------------------

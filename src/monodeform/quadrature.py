@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import NonIntegrableEndpoint
 
+GEOMETRIC_RATIO = 0.25  # width ratio of consecutive panels toward the singular end
+GEOMETRIC_LEVELS = 48
+GEOMETRIC_ATOL = 1e-13  # a panel below this, and below the one before, ends the refinement
+
 
 @lru_cache(maxsize=128)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,11 +108,7 @@ def geometric_endpoint_integral(
     a: float,
     b: float,
     singular_at: float,
-    ratio: float = 0.25,
-    max_levels: int = 48,
-    nodes: int = 20,
-    atol: float = 1e-12,
-    check_integrable: bool = True,
+    nodes: int,
 ):
     """integral_a^b f(t) dt with an integrable singularity at one endpoint.
 
@@ -121,18 +121,17 @@ def geometric_endpoint_integral(
     toward_left = singular_at == a
     length = b - a
     side = +1.0 if toward_left else -1.0
-    if check_integrable:
-        expo = estimate_endpoint_exponent(f, singular_at, side, probe=min(1e-6, 0.01 * length))
-        if expo <= -0.999:
-            raise NonIntegrableEndpoint(
-                f"measured endpoint exponent {expo:.3f} <= -1 at t={singular_at}"
-            )
+    expo = estimate_endpoint_exponent(f, singular_at, side, probe=min(1e-6, 0.01 * length))
+    if expo <= -0.999:
+        raise NonIntegrableEndpoint(
+            f"measured endpoint exponent {expo:.3f} <= -1 at t={singular_at}"
+        )
     acc = None
     prev = None
     last = None
     cut = 1.0
-    for level in range(max_levels):
-        nxt = cut * ratio
+    for _ in range(GEOMETRIC_LEVELS):
+        nxt = cut * GEOMETRIC_RATIO
         if toward_left:
             lo, hi = a + nxt * length, a + cut * length
         else:
@@ -145,7 +144,7 @@ def geometric_endpoint_integral(
         cut = nxt
         if prev is not None:
             pn, ln = np.max(np.abs(np.asarray(prev))), np.max(np.abs(np.asarray(last)))
-            if ln < atol and ln < pn:
+            if ln < GEOMETRIC_ATOL and ln < pn:
                 break
     # close the tail assuming per-component geometric decay
     if prev is not None:
@@ -160,14 +159,10 @@ def geometric_endpoint_integral(
     return acc
 
 
-def adaptive_subdivision_01(f: Callable, nodes: int = 24, atol: float = 1e-12,
-                            max_levels: int = 48):
+def adaptive_subdivision_01(f: Callable, nodes: int):
     """integral_0^1 f(t) dt allowing integrable singularities at both ends."""
-    left = geometric_endpoint_integral(f, 0.0, 0.5, 0.0, nodes=nodes, atol=atol,
-                                       max_levels=max_levels)
-    right = geometric_endpoint_integral(f, 0.5, 1.0, 1.0, nodes=nodes, atol=atol,
-                                        max_levels=max_levels)
-    return left + right
+    return (geometric_endpoint_integral(f, 0.0, 0.5, 0.0, nodes)
+            + geometric_endpoint_integral(f, 0.5, 1.0, 1.0, nodes))
 
 
 # --- Chebyshev cumulative integration ---------------------------------------

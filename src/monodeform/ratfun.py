@@ -41,10 +41,6 @@ class ComplexPoly:
         return ComplexPoly((1.0 + 0j,))
 
     @staticmethod
-    def x() -> "ComplexPoly":
-        return ComplexPoly((0j, 1.0 + 0j))
-
-    @staticmethod
     def const(z: complex) -> "ComplexPoly":
         return ComplexPoly.make([z])
 
@@ -69,12 +65,6 @@ class ComplexPoly:
 
     def deriv(self) -> "ComplexPoly":
         return ComplexPoly.make([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def shift_up(self, m: int = 1) -> "ComplexPoly":
-        """Multiply by x**m."""
-        if self.is_zero:
-            return self
-        return ComplexPoly((0j,) * m + self.coeffs)
 
     def scale(self, z: complex) -> "ComplexPoly":
         return ComplexPoly.make([z * c for c in self.coeffs])
@@ -110,14 +100,14 @@ class ComplexPoly:
         return self.scale(1.0 / self.coeffs[-1])
 
 
-def _match_roots(rn: list[complex], rd: list[complex], tol: float) -> tuple[list[complex], list[complex]]:
-    """Cancel numerator/denominator roots that agree within tol."""
+def _match_roots(rn: list[complex], rd: list[complex]) -> tuple[list[complex], list[complex]]:
+    """Cancel numerator/denominator roots that agree within ROOT_MATCH_TOL."""
     rn = list(rn)
     rd_left = []
     for r in rd:
         hit = None
         for i, s in enumerate(rn):
-            if abs(r - s) <= tol * (1.0 + abs(r)):
+            if abs(r - s) <= ROOT_MATCH_TOL * (1.0 + abs(r)):
                 hit = i
                 break
         if hit is None:
@@ -135,7 +125,7 @@ class RationalFn:
     den: ComplexPoly
 
     @staticmethod
-    def make(num: ComplexPoly, den: ComplexPoly, tol: float = ROOT_MATCH_TOL) -> "RationalFn":
+    def make(num: ComplexPoly, den: ComplexPoly) -> "RationalFn":
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -143,7 +133,7 @@ class RationalFn:
         if den.degree == 0:
             return RationalFn(num.scale(1.0 / den.coeffs[0]), ComplexPoly.one())
         rn, rd = num.roots(), den.roots()
-        rn2, rd2 = _match_roots(rn, rd, tol)
+        rn2, rd2 = _match_roots(rn, rd)
         if len(rd2) == len(rd):
             lead = den.coeffs[-1]
             return RationalFn(num.scale(1.0 / lead), den.monic())
@@ -183,9 +173,6 @@ class RationalFn:
 
     def scale(self, z: complex) -> "RationalFn":
         return RationalFn(self.num.scale(z), self.den)
-
-    def reciprocal(self) -> "RationalFn":
-        return RationalFn.make(self.den, self.num)
 
     def deriv(self) -> "RationalFn":
         return RationalFn.make(

@@ -57,8 +57,6 @@ class FundamentalMatrix:
 
 @dataclass(frozen=True)
 class MonodromyDatum:
-    center: Optional[complex]
-    loop: PathSpec
     matrix: np.ndarray
     eigenvalues: tuple[complex, ...]
 
@@ -221,7 +219,7 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
                 v = seg.velocity(t)
                 a = sys.evaluate(z)
                 if weighted:
-                    branch = (BranchState(z, ((0j, tracker.arg(i, t, 0j)),))
+                    branch = (BranchState(((0j, tracker.arg(i, t, 0j)),))
                               if pert.multivalued else None)
                     wt = pert.weight(z, branch)
                 if perturbed:
@@ -291,5 +289,4 @@ def monodromy(
     m = np.linalg.solve(np.asarray(basis.value), np.asarray(res.w.value))
     eigs = tuple(sorted((complex(e) for e in np.linalg.eigvals(m)),
                         key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-    centers = loop.arc_centers()
-    return MonodromyDatum(centers[0] if centers else None, loop, m, eigs)
+    return MonodromyDatum(m, eigs)

@@ -29,6 +29,8 @@ from .quadrature import gauss_legendre_panel
 
 SolutionFn = Callable[[float], tuple[complex, complex]]
 
+MAX_DEPTH = 42  # interval halvings before a u_i quadrature gives up
+
 
 class _Cumulative:
     """Cached cumulative integral of a vector integrand from a basepoint.
@@ -39,10 +41,9 @@ class _Cumulative:
     """
 
     def __init__(self, integrand: Callable[[float], np.ndarray], basepoint: float,
-                 tol: float = 1e-11, max_depth: int = 42):
+                 tol: float = 1e-11):
         self.integrand = integrand
         self.tol = tol
-        self.max_depth = max_depth
         probe = np.asarray(integrand(float(basepoint)), dtype=complex)
         self._xs = [float(basepoint)]
         self._vals = {float(basepoint): np.zeros_like(probe)}
@@ -55,7 +56,7 @@ class _Cumulative:
         err = np.max(np.abs(whole - split))
         if err <= self.tol * max(1.0, float(np.max(np.abs(split)))):
             return split
-        if depth >= self.max_depth:
+        if depth >= MAX_DEPTH:
             raise NonIntegrableForcing(
                 f"quadrature for u_i failed to converge on [{a}, {b}]"
             )
@@ -145,9 +146,6 @@ class SeriesSolution:
 
     def evaluate(self, x: float, rho: complex) -> complex:
         return sum(t(x)[0] * rho ** t.k for t in self.terms)
-
-    def evaluate_derivative(self, x: float, rho: complex) -> complex:
-        return sum(t(x)[1] * rho ** t.k for t in self.terms)
 
 
 def hypergeometric_deformed_series(

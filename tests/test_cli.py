@@ -138,6 +138,38 @@ def test_exit_code_3_on_cocycle_series_route_failures(tmp_path, capsys):
         assert reason in err, err
 
 
+def _corner_pole(den):
+    """Perturbation with H21 = 1/den(x) and zeros elsewhere."""
+    zero = {"num": [], "den": [[1.0, 0.0]]}
+    return {"kind": "meromorphic", "rho": 1e-3,
+            "H": [[zero, zero], [{"num": [[1.0, 0.0]], "den": den}, zero]]}
+
+
+def test_exit_code_3_on_pole_at_basepoint(tmp_path, capsys):
+    # H21 = 1/(x - 0.5) has its pole at the default basepoint 0.5, where the
+    # paths of these tasks start
+    pert = _corner_pole([[-0.5, 0.0], [1.0, 0.0]])
+    for task in ("monodromy", "cocycle", "dyson"):
+        spec_file = _write(tmp_path, f"{task}.json",
+                           {"equation": HYP, "task": task, "perturbation": pert})
+        assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3, task
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: cli.run[{task}]: PathThroughSingularity: "), err
+
+
+def test_exit_code_3_on_series_forcing_pole(tmp_path, capsys):
+    # double poles of H21 on the series range: at the basepoint 0.5, and at
+    # the triangle point 0.7, where the u_i quadrature would never converge
+    dens = {"at-0.5": [[0.25, 0.0], [-1.0, 0.0], [1.0, 0.0]],
+            "at-0.7": [[0.49, 0.0], [-1.4, 0.0], [1.0, 0.0]]}
+    for name, den in dens.items():
+        spec_file = _write(tmp_path, f"{name}.json", {"equation": HYP, "task": "series",
+                                                      "perturbation": _corner_pole(den)})
+        assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: cli.run[series]: NonIntegrableForcing: "), err
+
+
 def test_exit_code_2_on_unreadable_file(tmp_path):
     assert main(["run", "--spec", str(tmp_path / "missing.json")]) == 2
 

@@ -289,8 +289,8 @@ def test_cocycle_identity_basepoint_check(hyp_system, frob0):
     from monodeform.dyson import CocycleJump
 
     z = np.zeros((2, 2))
-    j1 = CocycleJump(0j, z, 0.5, 0.0)
-    j2 = CocycleJump(1.0, z, 0.7, 0.0)
+    j1 = CocycleJump(z, 0.5, 0.0)
+    j2 = CocycleJump(z, 0.7, 0.0)
     with pytest.raises(InconsistentBasepoint):
         cocycle_identity_residual({"a": j1, "b": j2, ("a", "b"): j1},
                                   {"a": np.eye(2)}, ("a", "b"))

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from monodeform.cli import _ratfn_json
 from monodeform.errors import BranchRequired, SingularPoint
 from monodeform.hypergeom import hypergeometric_ode, hypergeometric_system
 from monodeform.odecore import (
@@ -11,11 +13,8 @@ from monodeform.odecore import (
     ScalarODE,
     companion,
     perturbation_from_json,
-    perturbation_to_json,
     scalar_ode_from_json,
-    scalar_ode_to_json,
     system_from_json,
-    system_to_json,
 )
 from monodeform.paths import BranchState
 from monodeform.ratfun import ComplexPoly, RationalFn
@@ -120,7 +119,7 @@ def test_perturbed_rhs_log_branch_shift():
     pert = PerturbationSpec("log", ((one, zero), (zero, one)))
     x = 0.4
     principal = BranchState.principal(x, [0j])
-    looped = BranchState(x, ((0j, principal.arg(0j) + 2 * math.pi),))
+    looped = BranchState(((0j, principal.arg(0j) + 2 * math.pi),))
     assert pert.weight(x, principal) == pytest.approx(math.log(x))
     assert pert.weight(x, looped) - pert.weight(x, principal) == pytest.approx(2j * math.pi)
 
@@ -160,14 +159,21 @@ def test_companion_residual_on_transported_column(hyp_system, frob0):
 
 
 def test_json_roundtrips(hyp_system):
+    # spec JSON as the CLI writes it, through text and the decoders
+    def decode(decoder, data):
+        return decoder(json.loads(json.dumps(data)))
+
+    den = [0.0, 1.0, -1.0]  # x(1-x)
+    zero, one = _ratfn_json([]), _ratfn_json([1.0])
     ode = hypergeometric_ode(A, B, C)
-    ode2 = scalar_ode_from_json(scalar_ode_to_json(ode))
+    ode2 = decode(scalar_ode_from_json, {"order": 2, "coeffs": [
+        _ratfn_json([-A * B], den), _ratfn_json([C, -(A + B + 1)], den)]})
     x = 0.3 + 0.2j
     for c1, c2 in zip(ode.coeffs, ode2.coeffs):
         assert abs(c1(x) - c2(x)) < 1e-12
-    sys2 = system_from_json(system_to_json(hyp_system))
+    sys2 = decode(system_from_json, {"dim": 2, "entries": [
+        [zero, one], [_ratfn_json([A * B], den), _ratfn_json([-C, A + B + 1], den)]]})
     assert np.max(np.abs(sys2.evaluate(x) - hyp_system.evaluate(x))) < 1e-12
-    pert = PerturbationSpec("power", ((RationalFn.zero(), RationalFn.zero()),
-                                      (RationalFn.const(1.0), RationalFn.zero())), lam=0.25)
-    pert2 = perturbation_from_json(perturbation_to_json(pert))
+    pert2 = decode(perturbation_from_json, {"kind": "power", "lambda": [0.25, 0.0],
+                                            "H": [[zero, zero], [one, zero]]})
     assert pert2.kind == "power" and abs(pert2.lam - 0.25) < 1e-15

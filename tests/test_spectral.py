@@ -9,7 +9,6 @@ from scipy.special import roots_jacobi, roots_legendre
 from monodeform.errors import NonIntegrableWeight
 from monodeform.quadrature import _gl_rule, gauss_jacobi_01
 from monodeform.spectral import (
-    QuadratureSpec,
     builtin_profile,
     basis_for,
     density,
@@ -22,31 +21,32 @@ from monodeform.spectral import (
 )
 
 PARAMS = (0.3, 0.7, 1.2)
-QUAD = QuadratureSpec()
 ONE = lambda x: 1.0
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(nodes=4)
+        inner_product(ONE, ONE, PARAMS, nodes=4)
     with pytest.raises(ValueError):
-        QuadratureSpec(rule="bogus")
+        eigenvalue_shift(ONE, PARAMS, nodes=7)
 
 
 def test_inner_product_zero():
-    assert abs(inner_product(lambda x: 0.0, lambda x: 0.0, PARAMS, QUAD)) == 0.0
+    assert abs(inner_product(lambda x: 0.0, lambda x: 0.0, PARAMS)) == 0.0
 
 
 def test_inner_product_unit_weight():
     # a + b = c and c = 1: omega == 1, so <1,1> = 1
-    val = inner_product(ONE, ONE, (0.4, 0.6, 1.0), QUAD)
+    val = inner_product(ONE, ONE, (0.4, 0.6, 1.0))
     assert abs(val - 1.0) < 1e-12
 
 
 def test_inner_product_beta_value_two_rules():
+    # the geometric rule against the Gauss-Jacobi rule with omega's exponents
+    a, b, c = PARAMS
     exact = math.gamma(1.2) * math.gamma(0.8) / math.gamma(2.0)  # B(c, a+b-c+1)
-    gj = inner_product(ONE, ONE, PARAMS, QUAD)
-    ad = inner_product(ONE, ONE, PARAMS, QuadratureSpec(rule="adaptive-subdivision", nodes=24))
+    gj = float(np.sum(gauss_jacobi_01(64, a + b - c, c - 1.0)[1]))
+    ad = inner_product(ONE, ONE, PARAMS)
     assert abs(gj - exact) < 1e-12
     assert abs(ad - exact) < 1e-10
     assert abs(gj - ad) < 1e-8 * abs(gj)
@@ -54,9 +54,9 @@ def test_inner_product_beta_value_two_rules():
 
 def test_inner_product_integrability_guard():
     with pytest.raises(NonIntegrableWeight):
-        inner_product(ONE, ONE, (0.3, 0.7, -0.2), QUAD)
+        inner_product(ONE, ONE, (0.3, 0.7, -0.2))
     with pytest.raises(NonIntegrableWeight):
-        inner_product(ONE, ONE, (0.1, 0.1, 1.5), QUAD)  # a+b-c = -1.3
+        inner_product(ONE, ONE, (0.1, 0.1, 1.5))  # a+b-c = -1.3
 
 
 JACOBI_EXPONENTS = (-0.9, -0.3, 0.0, 0.25, 0.8)
@@ -124,11 +124,9 @@ def test_shift_positivity():
 
 
 def test_saturation_at_equality_case():
-    from monodeform.spectral import SHIFT_QUAD
-
     feq = normalized_density_profile(PARAMS)
     # the profile is omega-normalized
-    assert abs(inner_product(feq, feq, PARAMS, SHIFT_QUAD) - 1.0) < 1e-10
+    assert abs(inner_product(feq, feq, PARAMS) - 1.0) < 1e-10
     s = eigenvalue_shift(feq, PARAMS)
     assert abs(s.saturation - 1.0) < 1e-6
 
@@ -141,9 +139,7 @@ def test_saturation_strict_for_random_profiles():
         def f(x, c=coeffs):
             return c[0] + c[1] * x + c[2] * x * (1 - x)
 
-        from monodeform.spectral import SHIFT_QUAD
-
-        norm = math.sqrt(abs(inner_product(f, f, PARAMS, SHIFT_QUAD)))
+        norm = math.sqrt(abs(inner_product(f, f, PARAMS)))
         g = lambda x: f(x) / norm
         s = eigenvalue_shift(g, PARAMS)
         assert s.saturation <= 1.0 + 1e-8
@@ -151,20 +147,16 @@ def test_saturation_strict_for_random_profiles():
 
 
 def test_quadrature_node_doubling():
-    s24 = eigenvalue_shift(lambda x: x, PARAMS,
-                           QuadratureSpec(rule="adaptive-subdivision", nodes=24))
-    s48 = eigenvalue_shift(lambda x: x, PARAMS,
-                           QuadratureSpec(rule="adaptive-subdivision", nodes=48))
+    s24 = eigenvalue_shift(lambda x: x, PARAMS, nodes=24)
+    s48 = eigenvalue_shift(lambda x: x, PARAMS, nodes=48)
     assert abs(s24.lambda1 - s48.lambda1) < 1e-9
 
 
 def test_bound_matches_y1_fourth_moment():
-    from monodeform.spectral import SHIFT_QUAD
-
     bound = shift_bound(PARAMS)
     cb = basis_for(*PARAMS)
     val = inner_product(lambda x: abs(cb.y1(x)[0]) ** 2,
-                        lambda x: abs(cb.y1(x)[0]) ** 2, PARAMS, SHIFT_QUAD)
+                        lambda x: abs(cb.y1(x)[0]) ** 2, PARAMS)
     assert abs(bound - math.sqrt(val.real)) < 1e-12
 
 

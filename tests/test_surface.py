@@ -1,0 +1,47 @@
+"""Every public function, class and method in src/monodeform has a user.
+
+A user is a whole-word occurrence of the name, other than its own
+definition, in the library itself, the scripts or the acceptance suite.
+Unit tests do not count: a name that only they reach is test-only surface.
+"""
+
+import ast
+import glob
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "monodeform")
+USERS = (glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+         + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+         + [os.path.join(ROOT, "tests", "test_acceptance.py")])
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions():
+    """(file, name) for module-level functions and classes and their methods."""
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if not isinstance(node, _DEFS) or node.name.startswith("_"):
+                continue
+            yield os.path.basename(path), node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _DEFS) and not item.name.startswith("_"):
+                        yield os.path.basename(path), f"{node.name}.{item.name}"
+
+
+def test_no_public_name_without_a_user():
+    text = ""
+    for path in USERS:
+        with open(path) as fh:
+            text += fh.read() + "\n"
+    unused = []
+    for module, qualname in _public_definitions():
+        name = qualname.rsplit(".", 1)[-1]
+        if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= 1:
+            unused.append(f"{module}: {qualname}")
+    assert not unused, "public names used only by their own definition: " + ", ".join(unused)

@@ -92,7 +92,6 @@ def test_monodromy_around_zero(hyp_system, frob0):
     # in the Frobenius frame the matrix itself is diagonal
     off = abs(md.matrix[0, 1]) + abs(md.matrix[1, 0])
     assert off < 1e-8
-    assert md.center == 0
 
 
 def test_monodromy_around_one(hyp_system, frob1):
@@ -129,7 +128,7 @@ def test_composition_is_matrix_product(hyp_system, frob0):
 def test_reversibility(hyp_system, frob0):
     path = line_path(0.5, 0.3 + 0.2j)
     fwd = transport(hyp_system, None, 0, path, frob0, tol=1e-12)
-    back = transport(hyp_system, None, 0, path.reversed(),
+    back = transport(hyp_system, None, 0, line_path(path.end, path.start),
                      FundamentalMatrix(path.end, fwd.w.value, "moved"), tol=1e-12)
     assert np.max(np.abs(back.w.value - frob0.value)) < 1e-10
 
@@ -155,7 +154,7 @@ def test_branch_factor_values():
     st0 = BranchState.principal(1.0, [0j])
     assert power.weight(1.0, st0) == pytest.approx(1.0)
     assert log.weight(1.0, st0) == pytest.approx(0.0)
-    looped = BranchState(1.0, ((0j, st0.arg(0j) + 2 * math.pi),))
+    looped = BranchState(((0j, st0.arg(0j) + 2 * math.pi),))
     assert power.weight(1.0, looped) == pytest.approx(cmath.exp(2j * math.pi * lam))
     assert log.weight(1.0, looped) == pytest.approx(2j * math.pi)
     assert PerturbationSpec("meromorphic", h).weight(0.3) == 1.0

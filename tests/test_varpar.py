@@ -137,15 +137,18 @@ def test_deformed_series_order_by_order_residual(connected_basis):
     x = 0.6
 
     def residual(rho):
+        # y' and y'' from Richardson-extrapolated central differences of values
         v = series.evaluate(x, rho)
-        d = series.evaluate_derivative(x, rho)
-        h = 1e-4
+        h = 1e-3
 
         def d1(hh):
-            return (series.evaluate_derivative(x + hh, rho)
-                    - series.evaluate_derivative(x - hh, rho)) / (2 * hh)
+            return (series.evaluate(x + hh, rho) - series.evaluate(x - hh, rho)) / (2 * hh)
 
-        d2 = (4 * d1(h / 2) - d1(h)) / 3
+        def d2h(hh):
+            return (series.evaluate(x + hh, rho) - 2 * v + series.evaluate(x - hh, rho)) / hh**2
+
+        d = (4 * d1(h / 2) - d1(h)) / 3
+        d2 = (4 * d2h(h / 2) - d2h(h)) / 3
         return abs(x * (1 - x) * d2 + (C - (A + B + 1) * x) * d - (A * B + rho) * v)
 
     r1, r2 = residual(0.1), residual(0.05)
