@@ -366,13 +366,10 @@ def _task_sample(spec, args, csv_dir) -> dict:
     rows = []
     if params is not None:
         a, b, c = params
-        cb = ConnectedBasis(a, b, c)
-        for x in xs:
-            y1, d1 = cb.y1(x)
-            y2, d2 = cb.y2(x)
-            w = weight_omega(a, b, c, x)
-            rows.append([x, y1.real, y1.imag, y2.real, y2.imag, w.real,
-                         (abs(y1) ** 2 * w.real)])
+        y1, y2 = ConnectedBasis(a, b, c).matrix(xs)[:, 0].T
+        w = weight_omega(a, b, c, xs)
+        rows = np.column_stack([xs, y1.real, y1.imag, y2.real, y2.imag, w.real,
+                                abs(y1) ** 2 * w.real]).tolist()
         header = ["x", "re_y1", "im_y1", "re_y2", "im_y2", "omega", "density"]
     else:
         for x in xs:

@@ -13,7 +13,7 @@ change of basis between the two frames computed once at a midpoint.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
@@ -83,111 +83,88 @@ def elem_sym(vals: Sequence[complex], k: int) -> complex:
     return e[k]
 
 
-@lru_cache(maxsize=1 << 18)
-def _pfq_series(upper: tuple, lower: tuple, x: complex, tol: float) -> tuple[complex, complex]:
-    """(value, derivative) at x != 0 from one pass over the terms t_m: the
-    value sums t_m, the derivative (1/x) sum m t_m, and each sum stops once
-    its own term drops below tol * |sum| for three consecutive terms."""
-    term = 1.0 + 0j
-    acc = 1.0 + 0j
-    dacc = 0j
-    quiet = dquiet = 0
-    for m in range(MAX_TERMS):
-        ratio = x / (m + 1)
-        for a in upper:
-            ratio *= a + m
-        for b in lower:
-            ratio /= b + m
-        term = term * ratio
-        dterm = (m + 1) * term
-        try:
-            if quiet < 3:
-                acc += term
-                quiet = quiet + 1 if abs(term) < tol * max(abs(acc), 1e-300) else 0
-            if dquiet < 3:
-                dacc += dterm
-                dquiet = dquiet + 1 if abs(dterm) < tol * max(abs(dacc), 1e-300) else 0
-        except OverflowError:
-            raise NoConvergence(f"pFq series diverges at x={x}") from None
-        if not (term.real == term.real and term.imag == term.imag):  # NaN guard
-            raise NoConvergence(f"pFq series lost finiteness at x={x}")
-        if quiet == dquiet == 3:
-            return acc, dacc / x
-    raise NoConvergence(f"pFq series at x={x} exceeded {MAX_TERMS} terms")
+BLOCK_ENTRIES = 1 << 15  # the power matrix of one block of nodes holds at most this many
+
+
+@lru_cache(maxsize=256)
+def _series_table(upper: tuple, lower: tuple, radius: float, tol: float) -> np.ndarray:
+    """Coefficients c_0..c_{n-1} of pFq = sum c_m x^m, with n the fewest
+    terms after which, at |x| = radius, the value terms |c_m| r^m and the
+    derivative terms m |c_m| r^m each stay below tol times the largest term
+    so far for three consecutive terms.  A zero coefficient (an upper
+    parameter 0 or a negative integer) ends the series there."""
+    size = 64
+    while True:
+        m = np.arange(size - 1)
+        ratio = (np.prod([a + m for a in upper], axis=0)
+                 / np.prod([b + m for b in lower], axis=0) / (m + 1))
+        # in Python arithmetic, so that the derivative at 0 is exactly prod a / prod b
+        ratio[0] = prod(upper) / prod(lower)
+        coef = np.cumprod(np.concatenate(([1.0 + 0j], ratio)))
+        if not np.isfinite(coef).all():
+            raise NoConvergence(f"pFq coefficients lost finiteness (params {upper}, {lower})")
+        zero = np.flatnonzero(coef == 0)
+        if zero.size:
+            return coef[: zero[0]]
+        mag = np.abs(coef) * radius ** np.arange(size)
+        ends = []
+        for t in (mag, np.arange(size) * mag):
+            quiet = t < tol * np.maximum(np.maximum.accumulate(t), 1e-300)
+            ends.append(np.flatnonzero(quiet[:-2] & quiet[1:-1] & quiet[2:]))
+        if all(e.size for e in ends):
+            return coef[: max(e[0] for e in ends) + 3]
+        if size >= MAX_TERMS:
+            raise NoConvergence(f"pFq series at |x|={radius} exceeded {MAX_TERMS} terms")
+        size = min(2 * size, MAX_TERMS)
 
 
 def _pfq_nodes(upper: tuple, lower: tuple, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(values, derivatives) at a 1-D array of nonzero x from one numpy term
-    loop over all nodes, with the per-node rules of `_pfq_series`: each sum
-    stops after its own three quiet terms, and a node leaves the live arrays
-    once both of its sums have stopped."""
-    vals = np.empty(x.shape, dtype=complex)
-    ders = np.empty(x.shape, dtype=complex)
-    live = np.arange(x.size)
-    xs = x
-    term = np.ones(x.shape, dtype=complex)
-    sums = np.zeros((2,) + x.shape, dtype=complex)  # value, x * derivative
-    sums[0] = 1.0
-    quiet = np.zeros(sums.shape, dtype=np.int8)
-    with np.errstate(all="ignore"):
-        for m in range(MAX_TERMS):
-            if not live.size:
-                return vals, ders
-            ratio = xs / (m + 1)
-            for a in upper:
-                ratio *= a + m
-            for b in lower:
-                ratio /= b + m
-            term = term * ratio
-            terms = term * np.array([[1.0], [m + 1.0]])
-            finite = np.isfinite(terms).all(axis=0)
-            if not finite.all():
-                raise NoConvergence(f"pFq series lost finiteness at x={xs[~finite][0]}")
-            on = quiet < 3
-            sums = np.where(on, sums + terms, sums)
-            small = np.abs(terms) < tol * np.maximum(np.abs(sums), 1e-300)
-            quiet = np.where(small | ~on, quiet + on, 0)
-            done = (quiet == 3).all(axis=0)
-            if done.any():
-                vals[live[done]] = sums[0, done]
-                ders[live[done]] = sums[1, done] / xs[done]
-                keep = ~done
-                live, xs, term = live[keep], xs[keep], term[keep]
-                sums, quiet = sums[:, keep], quiet[:, keep]
-    raise NoConvergence(f"pFq series at x={xs[0]} exceeded {MAX_TERMS} terms")
+    """(values, derivatives) at a 1-D array of x with |x| < 1, in blocks of
+    nodes sorted by |x|: each sums the table for its largest |x| r, rounded up
+    to 1/256 (near 1, 1 - r down to a power of 2), elementwise rather than by
+    BLAS, whose threads would compete with the CLI's worker processes."""
+    radii = np.abs(x)
+    if x.size and radii.max() >= 1:
+        raise NoConvergence(f"pFq series diverges at |x|={radii.max()}")
+    order = np.argsort(radii)
+    xs, out = x[order], np.empty((2, x.size), dtype=complex)  # values, derivatives
+    hi = x.size
+    while hi:
+        r = float(radii[order[hi - 1]])
+        key = math.ceil(r * 256) / 256
+        key = key if key < 1 else 1 - 2.0 ** math.floor(math.log2(1 - r))
+        coef = _series_table(upper, lower, key, tol)
+        lo = max(0, hi - max(1, BLOCK_ENTRIES // coef.size))
+        powers = np.empty((coef.size, hi - lo), dtype=complex)
+        powers[0], powers[1:] = 1.0, xs[lo:hi]
+        np.cumprod(powers, axis=0, out=powers)
+        out[0, order[lo:hi]] = (powers * coef[:, None]).sum(axis=0)
+        out[1, order[lo:hi]] = (powers[:-1] * (np.arange(1, coef.size) * coef[1:])[:, None]).sum(axis=0)
+        hi = lo
+    if not np.isfinite(out).all():
+        raise NoConvergence(f"pFq series lost finiteness at |x|<={radii.max()}")
+    return out[0], out[1]
 
 
 def _pfq_pair(params: HypergeomParams, x, tol: float):
-    """(value, derivative) of pFq at x; at x = 0 they are 1 and prod a / prod b.
-    A scalar x reads the cached `_pfq_series`; a 1-D array of x gives two
-    arrays from the uncached `_pfq_nodes`."""
-    if not isinstance(x, np.ndarray):
-        if x == 0:
-            return 1.0 + 0j, prod(params.upper) / prod(params.lower)
-        return _pfq_series(params.upper, params.lower, complex(x), tol)
+    """(value, derivative) of pFq at x, a scalar or an array of any shape,
+    each of the shape of x; at x = 0 they are 1 and prod a / prod b."""
     x = np.asarray(x, dtype=complex)
-    zero = x == 0
-    vals, ders = (np.full(x.shape, v) for v in _pfq_pair(params, 0, tol))
-    vals[~zero], ders[~zero] = _pfq_nodes(params.upper, params.lower, x[~zero], tol)
-    return vals, ders
+    vals, ders = _pfq_nodes(params.upper, params.lower, x.ravel(), tol)
+    return vals.reshape(x.shape)[()], ders.reshape(x.shape)[()]
 
 
 def _power(base, arg, mu: complex):
     """base^mu on the branch where arg(base) = arg, the principal one when arg
-    is None: numpy over a node array, cmath at one point."""
-    if isinstance(base, np.ndarray):
-        theta = np.angle(base) if arg is None else arg
-        return np.exp(mu * (np.log(np.abs(base)) + 1j * theta))
-    theta = cmath.phase(base) if arg is None else arg
-    return cmath.exp(mu * (cmath.log(abs(base)) + 1j * theta))
+    is None."""
+    theta = np.angle(base) if arg is None else arg
+    return np.exp(mu * (np.log(np.abs(base)) + 1j * theta))
 
 
 def _w_matrix(v1, v2, d1, d2) -> np.ndarray:
-    """[[v1, v2], [d1, d2]]: (2, 2) at one point, (n, 2, 2) over a node array."""
-    if not isinstance(v1, np.ndarray):
-        return np.array([[v1, v2], [d1, d2]], dtype=complex)
-    w = np.empty(v1.shape + (2, 2), dtype=complex)
-    w[:, 0, 0], w[:, 0, 1], w[:, 1, 0], w[:, 1, 1] = v1, v2, d1, d2
+    """[[v1, v2], [d1, d2]] at every point: the shape of v2 plus (2, 2)."""
+    w = np.empty(np.shape(v2) + (2, 2), dtype=complex)
+    w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1] = v1, v2, d1, d2
     return w
 
 
@@ -196,11 +173,10 @@ class LocalBasis:
     """Solution pair (y1, y2) of the order-2 equation at an expansion point:
     `matrix(x, arg=None)` is W(x) = [[y1, y2], [y1', y2']], with `arg` the tracked
     argument of the local variable (x at 0, 1-x at 1), None for the principal branch.
-    A 1-D array of x (with an array of arguments) gives the (n, 2, 2) stack."""
+    An array of x (with an array of arguments) gives the stack of shape x.shape + (2, 2)."""
 
     point: complex
     matrix: Callable[..., np.ndarray]
-    exponent_pair: tuple[complex, complex]
 
 
 def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
@@ -219,7 +195,7 @@ def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
         d2 = front * (mu * f / x + df)
         return _w_matrix(v1, v2, d1, d2)
 
-    return LocalBasis(0j, matrix, (0j, 1 - c))
+    return LocalBasis(0j, matrix)
 
 
 def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
@@ -239,7 +215,7 @@ def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
         d2 = -front * (mu * g / w + dg)
         return _w_matrix(v1, v2, -d1, d2)
 
-    return LocalBasis(1.0 + 0j, matrix, (0j, c - a - b))
+    return LocalBasis(1.0 + 0j, matrix)
 
 
 class ConnectedBasis:
@@ -257,30 +233,20 @@ class ConnectedBasis:
         self.basis0 = local_basis_0(a, b, c)
         self.basis1 = local_basis_1(a, b, c)
         self.connection = np.linalg.solve(self.basis1.matrix(0.5), self.basis0.matrix(0.5))
-        # (x, W(x)) of the latest matrix call, matched by identity so that
-        # equal values with different signed zeros never share a matrix
-        self._last = (None, None)
 
-    def matrix(self, x: complex) -> np.ndarray:
-        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair; a call with
-        the same x object as the latest call returns that call's matrix."""
-        last_x, w = self._last
-        if last_x is x:
-            return w
-        if abs(x) <= 0.6 or abs(x) <= abs(1 - x):
-            w = self.basis0.matrix(x)
-        else:
-            w = self.basis1.matrix(x) @ self.connection
-        self._last = (x, w)
+    def matrix(self, x) -> np.ndarray:
+        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair: (2, 2) at
+        one point, the (n, 2, 2) stack over a node array."""
+        x = np.asarray(x)
+        near0 = (np.abs(x) <= 0.6) | (np.abs(x) <= np.abs(1 - x))
+        if near0.all():
+            return self.basis0.matrix(x)
+        if not near0.any():
+            return self.basis1.matrix(x) @ self.connection
+        w = np.empty(x.shape + (2, 2), dtype=complex)
+        w[near0] = self.basis0.matrix(x[near0])
+        w[~near0] = self.basis1.matrix(x[~near0]) @ self.connection
         return w
-
-    def y1(self, x: complex) -> tuple[complex, complex]:
-        w = self.matrix(x)
-        return complex(w[0, 0]), complex(w[1, 0])
-
-    def y2(self, x: complex) -> tuple[complex, complex]:
-        w = self.matrix(x)
-        return complex(w[0, 1]), complex(w[1, 1])
 
 
 def ghe_coefficient_polys(upper: Sequence[complex], lower: Sequence[complex]) -> list[ComplexPoly]:
@@ -331,8 +297,10 @@ def hypergeometric_system(a: complex, b: complex, c: complex) -> MeromorphicSyst
     return companion(hypergeometric_ode(a, b, c))
 
 
-def weight_omega(a: complex, b: complex, c: complex, x: float) -> complex:
-    """Weight x^(c-1) (1-x)^(a+b-c) on the real interval (0, 1)."""
-    if not (0.0 < x < 1.0):
+def weight_omega(a: complex, b: complex, c: complex, x):
+    """Weight x^(c-1) (1-x)^(a+b-c) at x, a point or a node array of the
+    real interval (0, 1)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((0.0 < x) & (x < 1.0)):
         raise ValueError("weight is defined on the open interval (0, 1)")
-    return cmath.exp((c - 1) * cmath.log(x) + (a + b - c) * cmath.log(1.0 - x))
+    return np.exp((c - 1) * np.log(x + 0j) + (a + b - c) * np.log(1.0 - x + 0j))

@@ -30,14 +30,20 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre_panel(f: Callable, a: float, b: float, n: int = 24):
-    """Gauss-Legendre on [a, b]; f may return scalars or ndarrays."""
+    """Gauss-Legendre on [a, b] from one call of f on the node array."""
+    return gauss_legendre_panels(f, ((a, b),), n)[0]
+
+
+def gauss_legendre_panels(f: Callable, parts, n: int) -> list:
+    """The n-point rule on each (lo, hi) of `parts`, from one call of f on
+    all their nodes in that order.  f returns values with the nodes on the
+    leading axis, or a constant."""
     x, w = _gl_rule(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    acc = None
-    for xi, wi in zip(x, w):
-        val = np.asarray(f(mid + half * xi))
-        acc = wi * val if acc is None else acc + wi * val
-    return half * acc
+    nodes = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in parts])
+    vals = np.asarray(f(nodes))
+    vals = np.broadcast_to(vals, nodes.shape) if vals.ndim == 0 else vals
+    return [0.5 * (hi - lo) * np.tensordot(w, vals[i * n:(i + 1) * n], axes=1)
+            for i, (lo, hi) in enumerate(parts)]
 
 
 @lru_cache(maxsize=256)

@@ -9,7 +9,7 @@ import jsonschema
 
 from .errors import SchemaError
 from .hypergeom import is_near_integer
-from .odecore import _j2c, system_from_json
+from .odecore import _dedup, _j2c, perturbation_from_json, system_from_json
 from .paths import path_from_json, validate_clearance
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
@@ -185,7 +185,8 @@ def validate_schema(spec: Any) -> None:
 
 
 def semantic_diagnostics(spec: Any) -> list[dict]:
-    """Genericity / integrability / path-clearance checks without numerics."""
+    """Genericity / integrability / path-clearance checks without numerics;
+    paths keep clear of the equation's singularities and the perturbation's poles."""
     out: list[dict] = []
     try:
         validate_schema(spec)
@@ -222,6 +223,12 @@ def semantic_diagnostics(spec: Any) -> list[dict]:
             singularities = list(system_from_json(eq["system"]).singularities)
         except Exception as exc:
             out.append({"level": "error", "where": "$.equation.system", "message": str(exc)})
+    if "perturbation" in spec:
+        try:
+            pert = perturbation_from_json(spec["perturbation"])
+            singularities = _dedup(singularities + list(pert.poles))
+        except Exception as exc:
+            out.append({"level": "error", "where": "$.perturbation", "message": str(exc)})
     for i, pj in enumerate(spec.get("paths", [])):
         try:
             path = path_from_json(pj)

@@ -16,7 +16,8 @@ containing y1 carry (1-x)^(c-a-b)-type endpoint families that no single
 Jacobi weight absorbs (node-doubling stalls near 1e-5 relative), and the
 geometric rule resolves any integrable endpoint algebra to near machine
 precision.  The Gauss-Jacobi rule with the weight's own exponents only lays
-the nodes at which the hierarchy residual is sampled.
+the nodes at which the hierarchy residual is sampled.  Profiles f and the
+functions passed in are called once per panel, on its node array.
 """
 
 from __future__ import annotations
@@ -60,9 +61,14 @@ def basis_for(a: float, b: float, c: float) -> ConnectedBasis:
     return ConnectedBasis(a, b, c)
 
 
+def _solution(cb: ConnectedBasis, j: int) -> Callable:
+    """x -> y1(x) (j = 0) or y2(x) (j = 1) of `cb`, over node arrays."""
+    return lambda x: cb.matrix(x)[..., 0, j]
+
+
 def inner_product(
-    f: Callable[[float], complex],
-    g: Callable[[float], complex],
+    f: Callable,
+    g: Callable,
     params: tuple[float, float, float],
     nodes: int = 24,
 ) -> complex:
@@ -76,16 +82,15 @@ def inner_product(
 
 
 def eigenvalue_shift(
-    f: Callable[[float], complex],
+    f: Callable,
     params: tuple[float, float, float],
     nodes: int = 24,
 ) -> ShiftResult:
     """First-order shift of the eigenvalue ab under the deformation rho*f."""
     a, b, c = params
     _check_integrable(a, b, c)
-    cb = basis_for(a, b, c)
-    y1 = lambda x: cb.y1(x)[0]
-    fy1 = lambda x: f(x) * cb.y1(x)[0]
+    y1 = _solution(basis_for(a, b, c), 0)
+    fy1 = lambda x: f(x) * y1(x)
     raw = inner_product(fy1, y1, params, nodes)
     n1 = inner_product(y1, y1, params, nodes)
     bound = shift_bound(params, nodes)
@@ -103,25 +108,24 @@ def shift_bound(params: tuple[float, float, float], nodes: int = 24) -> float:
     """Sharp bound for lambda1_raw over omega-normalized f: (int |y1|^4 omega)^(1/2)."""
     a, b, c = params
     _check_integrable(a, b, c)
-    cb = basis_for(a, b, c)
-    y1sq = lambda x: abs(cb.y1(x)[0]) ** 2
+    y1 = _solution(basis_for(a, b, c), 0)
+    y1sq = lambda x: abs(y1(x)) ** 2
     val = inner_product(y1sq, y1sq, params, nodes)
     return math.sqrt(val.real)
 
 
-def density(params: tuple[float, float, float]) -> Callable[[float], float]:
+def density(params: tuple[float, float, float]) -> Callable:
     """The shift functional's density |y1(x)|^2 omega(x)."""
     a, b, c = params
-    cb = basis_for(a, b, c)
-    return lambda x: abs(cb.y1(x)[0]) ** 2 * weight_omega(a, b, c, x).real
+    y1 = _solution(basis_for(a, b, c), 0)
+    return lambda x: abs(y1(x)) ** 2 * weight_omega(a, b, c, x).real
 
 
-def normalized_density_profile(params: tuple[float, float, float]) -> Callable[[float], float]:
+def normalized_density_profile(params: tuple[float, float, float]) -> Callable:
     """f = |y1|^2 / ||y1^2||_omega, the omega-normalized equality case."""
-    a, b, c = params
-    cb = basis_for(a, b, c)
+    y1 = _solution(basis_for(*params), 0)
     bound = shift_bound(params)
-    return lambda x: abs(cb.y1(x)[0]) ** 2 / bound
+    return lambda x: abs(y1(x)) ** 2 / bound
 
 
 def orthonormality_report(params: tuple[float, float, float], nodes: int = 24) -> dict:
@@ -131,10 +135,8 @@ def orthonormality_report(params: tuple[float, float, float], nodes: int = 24) -
     get the measured values and the toolkit normalizes by <y1, y1> wherever
     the literal formula would assume 1.
     """
-    a, b, c = params
-    cb = basis_for(a, b, c)
-    y1 = lambda x: cb.y1(x)[0]
-    y2 = lambda x: cb.y2(x)[0]
+    cb = basis_for(*params)
+    y1, y2 = _solution(cb, 0), _solution(cb, 1)
     g11 = inner_product(y1, y1, params, nodes)
     g12 = inner_product(y1, y2, params, nodes)
     g22 = inner_product(y2, y2, params, nodes)
@@ -148,7 +150,7 @@ def orthonormality_report(params: tuple[float, float, float], nodes: int = 24) -
 
 
 def hierarchy_shift_residual(
-    f: Callable[[float], complex],
+    f: Callable,
     params: tuple[float, float, float],
     nodes: int = 24,
 ) -> dict:
@@ -164,11 +166,12 @@ def hierarchy_shift_residual(
     """
     a, b, c = params
     cb = basis_for(a, b, c)
+    y1 = _solution(cb, 0)
     shift = eigenvalue_shift(f, params, nodes)
     lam = shift.lambda1
 
-    def forcing(x: float) -> complex:
-        return (lam - f(x)) * cb.y1(x)[0] / (x * (1 - x))
+    def forcing(x):
+        return (lam - f(x)) * y1(x) / (x * (1 - x))
 
     y11 = particular_solution(cb, forcing)
 
@@ -179,15 +182,14 @@ def hierarchy_shift_residual(
         ypp = (4.0 * d1(RESIDUAL_FD_STEP / 2) - d1(RESIDUAL_FD_STEP)) / 3.0
         v, d = y11(x)
         lhs = x * (1 - x) * ypp + (c - (a + b + 1) * x) * d - a * b * v
-        return lhs - (lam - f(x)) * cb.y1(x)[0]
+        return lhs - (lam - f(x)) * y1(x)
 
     x, w = gauss_jacobi_01(nodes, a + b - c, c - 1.0)
     acc = 0.0
     for xi, wi in zip(x, w):
         if RESIDUAL_WINDOW[0] <= xi <= RESIDUAL_WINDOW[1]:
             acc += wi * abs(residual_at(xi)) ** 2
-    rhs_orth = inner_product(lambda t: (lam - f(t)) * cb.y1(t)[0],
-                             lambda t: cb.y1(t)[0], params, nodes)
+    rhs_orth = inner_product(lambda t: (lam - f(t)) * y1(t), y1, params, nodes)
     return {
         "residual_l2": math.sqrt(acc),
         "rhs_orthogonality": abs(rhs_orth),
@@ -195,7 +197,7 @@ def hierarchy_shift_residual(
     }
 
 
-def builtin_profile(name: str, params: tuple[float, float, float]) -> Callable[[float], complex]:
+def builtin_profile(name: str, params: tuple[float, float, float]) -> Callable:
     """Named test profiles accepted by the CLI: one | x | x(1-x) | density."""
     if name == "one":
         return lambda x: 1.0

@@ -11,7 +11,8 @@ zeroth carries zero initial data there.  This module is the independent
 oracle for the Dyson-type expansion: both must agree to O(rho^(K+1)) against
 direct integration.
 
-Solution callables used throughout map x -> (value, derivative).
+Solution callables used throughout map x -> (value, derivative), each of
+the shape of x; forcings and profiles are called on node arrays.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from .errors import NonIntegrableForcing, WronskianVanishes
 from .hypergeom import ConnectedBasis
-from .quadrature import gauss_legendre_panel
+from .quadrature import gauss_legendre_panels
 
-SolutionFn = Callable[[float], tuple[complex, complex]]
+SolutionFn = Callable[..., tuple]
 
 MAX_DEPTH = 42  # interval halvings before a u_i quadrature gives up
 
@@ -37,22 +38,21 @@ class _Cumulative:
 
     Values at previously requested points serve as anchors; a new request
     integrates adaptively (Gauss-Legendre with interval halving) only over
-    the gap to the nearest anchor.
+    the gap to the nearest anchor.  The integrand maps a node array to
+    values with the nodes on the leading axis.
     """
 
-    def __init__(self, integrand: Callable[[float], np.ndarray], basepoint: float,
-                 tol: float = 1e-11):
+    def __init__(self, integrand: Callable, basepoint: float, tol: float = 1e-11):
         self.integrand = integrand
         self.tol = tol
-        probe = np.asarray(integrand(float(basepoint)), dtype=complex)
+        probe = np.asarray(integrand(np.array([float(basepoint)])), dtype=complex)[0]
         self._xs = [float(basepoint)]
         self._vals = {float(basepoint): np.zeros_like(probe)}
 
     def _adaptive(self, a: float, b: float, depth: int = 0) -> np.ndarray:
-        whole = gauss_legendre_panel(self.integrand, a, b, 16)
         mid = 0.5 * (a + b)
-        split = (gauss_legendre_panel(self.integrand, a, mid, 16)
-                 + gauss_legendre_panel(self.integrand, mid, b, 16))
+        whole, left, right = gauss_legendre_panels(self.integrand, ((a, b), (a, mid), (mid, b)), 16)
+        split = left + right
         err = np.max(np.abs(whole - split))
         if err <= self.tol * max(1.0, float(np.max(np.abs(split)))):
             return split
@@ -63,8 +63,12 @@ class _Cumulative:
         return (self._adaptive(a, mid, depth + 1)
                 + self._adaptive(mid, b, depth + 1))
 
-    def __call__(self, x: float) -> np.ndarray:
-        x = float(x)
+    def __call__(self, x) -> np.ndarray:
+        """Values at x, a point or a node array, point by point in the order given."""
+        x = np.asarray(x, dtype=float)
+        return np.array([self._at(float(t)) for t in x.ravel()]).reshape(x.shape + (-1,))
+
+    def _at(self, x: float) -> np.ndarray:
         got = self._vals.get(x)
         if got is not None:
             return got
@@ -84,20 +88,19 @@ class ParticularSolution:
     y_p' = u_1 y_1' + u_2 y_2'."""
 
     basis: ConnectedBasis
-    uprime: Callable[[float], np.ndarray]
     u: _Cumulative
 
-    def __call__(self, x: float) -> tuple[complex, complex]:
+    def __call__(self, x) -> tuple:
         uv = self.u(x)
         w = self.basis.matrix(x)
-        val = sum(ui * w[0, i] for i, ui in enumerate(uv))
-        der = sum(ui * w[1, i] for i, ui in enumerate(uv))
-        return complex(val), complex(der)
+        val = uv[..., 0] * w[..., 0, 0] + uv[..., 1] * w[..., 0, 1]
+        der = uv[..., 0] * w[..., 1, 0] + uv[..., 1] * w[..., 1, 1]
+        return val, der
 
 
 def particular_solution(
     cb: ConnectedBasis,
-    forcing: Callable[[float], complex],
+    forcing: Callable,
     basepoint: float = 0.5,
     tol: float = 1e-11,
 ) -> ParticularSolution:
@@ -115,24 +118,22 @@ def particular_solution(
     abel_const = det0 * cmath.exp(c * cmath.log(basepoint)
                                   + (a + b + 1 - c) * cmath.log(1 - basepoint))
 
-    # keep the operand order: the oracle diagnostics built on these terms are
-    # differences near 1e-12, where a last-bit change shows in the reports
-    def uprime(x: float) -> np.ndarray:
-        inv_detw = cmath.exp(c * cmath.log(x) + (a + b + 1 - c) * cmath.log(1 - x)) / abel_const
+    # (n, 2) values of u' over a node array of real x
+    def uprime(x: np.ndarray) -> np.ndarray:
+        inv_detw = np.exp(c * np.log(x + 0j) + (a + b + 1 - c) * np.log(1 - x + 0j)) / abel_const
         w = cb.matrix(x)
-        g = forcing(x)  # a forcing that builds W(x) at this x reuses this w
-        return np.array([-g * w[0, 1] * inv_detw, g * w[0, 0] * inv_detw], dtype=complex)
+        g = forcing(x)
+        return np.stack([-g * w[:, 0, 1] * inv_detw, g * w[:, 0, 0] * inv_detw], axis=-1)
 
-    return ParticularSolution(cb, uprime, _Cumulative(uprime, basepoint, tol))
+    return ParticularSolution(cb, _Cumulative(uprime, basepoint, tol))
 
 
 @dataclass(frozen=True)
 class SeriesTerm:
     k: int
-    provenance: str  # "homogeneous" | "particular"
     fn: SolutionFn
 
-    def __call__(self, x: float) -> tuple[complex, complex]:
+    def __call__(self, x) -> tuple:
         return self.fn(x)
 
 
@@ -144,7 +145,7 @@ class SeriesSolution:
     def term(self, k: int) -> SeriesTerm:
         return self.terms[k]
 
-    def evaluate(self, x: float, rho: complex) -> complex:
+    def evaluate(self, x, rho: complex):
         return sum(t(x)[0] * rho ** t.k for t in self.terms)
 
 
@@ -152,7 +153,7 @@ def hypergeometric_deformed_series(
     a: complex,
     b: complex,
     c: complex,
-    f: Callable[[float], complex],
+    f: Callable,
     K: int,
     init_coeffs: Sequence[complex] = (1.0, 0.0),
     basepoint: float = 0.5,
@@ -170,16 +171,16 @@ def hypergeometric_deformed_series(
         raise ValueError("K must be at least 1")
     cb = basis if basis is not None else ConnectedBasis(a, b, c)
 
-    def y0(x: float) -> tuple[complex, complex]:
+    def y0(x) -> tuple:
         w = cb.matrix(x)
-        return (init_coeffs[0] * w[0, 0] + init_coeffs[1] * w[0, 1],
-                init_coeffs[0] * w[1, 0] + init_coeffs[1] * w[1, 1])
+        return (init_coeffs[0] * w[..., 0, 0] + init_coeffs[1] * w[..., 0, 1],
+                init_coeffs[0] * w[..., 1, 0] + init_coeffs[1] * w[..., 1, 1])
 
-    terms = [SeriesTerm(0, "homogeneous", y0)]
+    terms = [SeriesTerm(0, y0)]
     for k in range(1, K + 1):
         prev = terms[-1].fn
         forcing = lambda x, prev=prev: f(x) / (x * (1 - x)) * prev(x)[0]
-        terms.append(SeriesTerm(k, "particular", particular_solution(cb, forcing, basepoint, tol)))
+        terms.append(SeriesTerm(k, particular_solution(cb, forcing, basepoint, tol)))
     return SeriesSolution(K, tuple(terms))
 
 

@@ -63,6 +63,18 @@ def test_validate_path_clearance_error():
     assert any(d["level"] == "error" and "singularity" in d["message"] for d in diags)
 
 
+def test_validate_path_clearance_to_perturbation_poles(tmp_path, capsys):
+    # H21 = 1/(x - 0.75) has its pole at the end of the path 0.5 -> 0.75
+    spec = {"equation": HYP, "task": "dyson",
+            "perturbation": _corner_pole([[-0.75, 0.0], [1.0, 0.0]]),
+            "paths": [{"segments": [{"line": [[0.5, 0.0], [0.75, 0.0]]}]}]}
+    assert main(["validate", "--spec", _write(tmp_path, "spec.json", spec)]) == 0
+    diags = json.loads(capsys.readouterr().out)
+    assert [(d["level"], d["where"]) for d in diags] == [("error", "$.paths[0]")]
+    for name, example in example_specs().items():
+        assert semantic_diagnostics(example) == [], name
+
+
 def test_run_monodromy_eigenvalues(tmp_path):
     out = tmp_path / "report.json"
     spec_file = _write(tmp_path, "spec.json", {"equation": HYP, "task": "monodromy"})

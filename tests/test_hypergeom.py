@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -152,8 +153,9 @@ def test_no_convergence_outside_disk(monkeypatch):
     import monodeform.hypergeom as hg
 
     monkeypatch.setattr(hg, "MAX_TERMS", 2000)
+    p = HypergeomParams((1.0 + 0j, 1.0 + 0j), (2.0 + 0j,))
     with pytest.raises(NoConvergence):
-        hg._pfq_series((1.0 + 0j, 1.0 + 0j), (2.0 + 0j,), 1.5 + 0.1j, 1e-14)
+        hg._pfq_pair(p, 1.5 + 0.1j, 1e-14)
 
 
 def test_array_kernel_no_convergence_outside_disk(monkeypatch):
@@ -172,6 +174,57 @@ def test_array_kernel_zero_node():
     vals, ders = hg._pfq_pair(p, np.array([0.0, 0.31, 0j]), 1e-14)
     assert vals[0] == vals[2] == 1 and ders[0] == ders[2] == A * B / C
     assert (vals[1], ders[1]) == pytest.approx(hg._pfq_pair(p, 0.31, 1e-14), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [0, -1, -3])
+def test_terminating_series_is_its_polynomial(a):
+    # an upper parameter 0 or -n ends the series after n + 1 terms: value and
+    # derivative are that polynomial to rounding, relative to the sum of the
+    # magnitudes of its terms, and the table stays small
+    b, c = 0.7, 1.37
+    xs = np.array([0.3, 0.9, -0.5 + 0.4j, 0.99])
+    tracemalloc.start()
+    try:
+        vals, ders = _pfq_pair(HypergeomParams.f21(a, b, c), xs, SERIES_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with mpmath.workdps(40):
+        coef = [mpmath.rf(a, m) * mpmath.rf(b, m) / (mpmath.rf(c, m) * mpmath.factorial(m))
+                for m in range(-a + 1)]
+        for x, v, d in zip(xs, vals, ders):
+            x = mpmath.mpc(x)
+            terms = [k * x ** m for m, k in enumerate(coef)]
+            dterms = [m * k * x ** (m - 1) for m, k in enumerate(coef) if m]
+            assert abs(v - complex(sum(terms))) <= 1e-15 * float(sum(abs(t) for t in terms))
+            assert abs(d - complex(sum(dterms, mpmath.mpf(0)))) <= 1e-15 * float(
+                sum((abs(t) for t in dterms), mpmath.mpf(0)))
+
+
+def test_node_array_memory_is_bounded():
+    # 4,096 nodes at |x| <= 0.88 need ~380 terms; the power matrix is built
+    # block by block, so one call stays far below the ~25 MB of one matrix
+    p = HypergeomParams.f21(A, B, C)
+    xs = 0.88 * np.linspace(0.05, 1.0, 4096) * np.exp(1j * np.linspace(0.0, 6.0, 4096))
+    tracemalloc.start()
+    try:
+        vals, _ = _pfq_pair(p, xs, SERIES_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == xs.shape
+    assert peak < 4 << 20
+
+
+def test_2f1_near_the_unit_circle_vs_mpmath():
+    p = HypergeomParams.f21(A, B, C)
+    val, der = _pfq_pair(p, 0.99, SERIES_TOL)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp2f1(A, B, C, 0.99))
+        dref = complex(mpmath.diff(lambda t: mpmath.hyp2f1(A, B, C, t), 0.99))
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+    assert abs(der - dref) <= 1e-12 * abs(dref)
 
 
 @given(st.floats(0.05, 0.95), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
@@ -231,8 +284,12 @@ def test_local_basis_0_second_member_residual():
 
 
 def test_local_basis_0_exponents():
+    # y1 -> 1 and y2 / x^(1-c) -> 1 as x -> 0
     basis = local_basis_0(A, B, C)
-    assert basis.exponent_pair == (0j, 1 - C)
+    for x in (1e-10, 1e-12j):
+        y1, y2 = basis.matrix(x)[0]
+        assert abs(y1 - 1) < 1e-9
+        assert abs(y2 / x ** (1 - C) - 1) < 1e-9
 
 
 def test_local_basis_degenerate_params():
@@ -243,10 +300,13 @@ def test_local_basis_degenerate_params():
 
 
 def test_local_basis_1_exponents_and_value():
+    # y1 -> 1 and y2 / (1-x)^(c-a-b) -> 1 as x -> 1
     basis = local_basis_1(A, B, C)
-    assert basis.exponent_pair == (0j, C - A - B)
     v = basis.matrix(1.0 - 1e-15)[0, 0]
     assert abs(v - 1) < 1e-12
+    for w in (2.0**-30, 1e-12j):  # 1 - (1 - w) == w exactly
+        y2 = basis.matrix(1 - w)[0, 1]
+        assert abs(y2 / w ** (C - A - B) - 1) < 1e-9
 
 
 @pytest.mark.parametrize("point", [0, 1])
@@ -292,23 +352,8 @@ def test_connected_basis_seam_continuity(connected_basis):
     assert np.max(np.abs(direct - connected)) < 1e-11
 
 
-def test_connected_basis_reuses_matrix_by_identity():
-    cb = ConnectedBasis(A, B, C)
-    x = complex(0.3, 0.0)
-    w = cb.matrix(x)
-    assert cb.matrix(x) is w
-    assert cb.y1(x) == (w[0, 0], w[1, 0]) and cb.y2(x) == (w[0, 1], w[1, 1])
-    # an equal value with the other signed zero is another object, so it
-    # gets its own matrix
-    conj = complex(0.3, -0.0)
-    assert conj == x
-    w_conj = cb.matrix(conj)
-    assert w_conj is not w
-    assert cb.matrix(conj) is w_conj
-
-
 def test_connected_basis_near_one(connected_basis):
-    v, d = connected_basis.y1(0.9993)
+    v, d = connected_basis.matrix(0.9993)[:, 0]
     ref = complex(mpmath.hyp2f1(A, B, C, 0.9993))
     assert abs(v - ref) < 1e-9 * (1 + abs(ref))
 

@@ -155,8 +155,8 @@ def test_quadrature_node_doubling():
 def test_bound_matches_y1_fourth_moment():
     bound = shift_bound(PARAMS)
     cb = basis_for(*PARAMS)
-    val = inner_product(lambda x: abs(cb.y1(x)[0]) ** 2,
-                        lambda x: abs(cb.y1(x)[0]) ** 2, PARAMS)
+    y1sq = lambda x: abs(cb.matrix(x)[..., 0, 0]) ** 2
+    val = inner_product(y1sq, y1sq, PARAMS)
     assert abs(bound - math.sqrt(val.real)) < 1e-12
 
 

@@ -1,8 +1,10 @@
-"""Every public function, class and method in src/monodeform has a user.
+"""Every public function, class and method in src/monodeform has a user,
+and every dataclass field a reader.
 
 A user is a whole-word occurrence of the name, other than its own
-definition, in the library itself, the scripts or the acceptance suite.
-Unit tests do not count: a name that only they reach is test-only surface.
+definition, in the library itself, the scripts or the acceptance suite; a
+reader is an attribute read `.name` there.  Unit tests do not count: a name
+that only they reach is test-only surface.
 """
 
 import ast
@@ -45,3 +47,30 @@ def test_no_public_name_without_a_user():
         if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= 1:
             unused.append(f"{module}: {qualname}")
     assert not unused, "public names used only by their own definition: " + ", ".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_no_dataclass_field_without_a_reader():
+    read = set()
+    for path in USERS:
+        with open(path) as fh:
+            read.update(node.attr for node in ast.walk(ast.parse(fh.read()))
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.target.id not in read:
+                    unread.append(f"{os.path.basename(path)}: {node.name}.{item.target.id}")
+    assert not unread, "dataclass fields never read as attributes: " + ", ".join(unread)

@@ -14,12 +14,23 @@ from monodeform.varpar import (
 A, B, C = 0.3, 0.7, 0.4
 
 
+def _uprime(sol, x):
+    """u'(x) of a particular solution: the integrand of its u at one point."""
+    return sol.u.integrand(np.array([x]))[0]
+
+
 def test_hierarchy_structure(connected_basis):
-    """Terms run k = 0..K, the zeroth homogeneous, the rest particular."""
+    """Terms run k = 0..K: the zeroth is W(x) times the initial coefficients,
+    every later one vanishes with its derivative at the basepoint."""
     series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 3,
-                                            basis=connected_basis)
+                                            init_coeffs=(0.7, -0.2), basis=connected_basis)
     assert [t.k for t in series.terms] == [0, 1, 2, 3]
-    assert [t.provenance for t in series.terms] == ["homogeneous"] + ["particular"] * 3
+    for x in (0.3, 0.8):
+        assert np.allclose(series.term(0)(x), connected_basis.matrix(x) @ [0.7, -0.2],
+                           rtol=1e-14, atol=0)
+    for k in (1, 2, 3):
+        v, d = series.term(k)(0.5)
+        assert v == 0 and d == 0
     with pytest.raises(ValueError):
         hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 0, basis=connected_basis)
 
@@ -30,9 +41,10 @@ def test_hierarchy_rhs_for_unit_coupling(connected_basis):
     series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 2,
                                             basis=connected_basis)
     for x in (0.3, 0.6):
-        up = series.term(1).fn.uprime(x)
-        forcing = up[0] * connected_basis.y1(x)[1] + up[1] * connected_basis.y2(x)[1]
-        expect = connected_basis.y1(x)[0] / (x * (1 - x))
+        up = _uprime(series.term(1).fn, x)
+        w = connected_basis.matrix(x)
+        forcing = up[0] * w[1, 0] + up[1] * w[1, 1]
+        expect = w[0, 0] / (x * (1 - x))
         assert abs(forcing - expect) < 1e-12
 
 
@@ -44,7 +56,7 @@ def test_particular_zero_forcing(connected_basis):
 
 def test_particular_substitute_back_residual(connected_basis):
     # independent check: y_p'' from Richardson finite differences of y_p'
-    g = lambda x: math.sin(3 * x) / (x * (1 - x))
+    g = lambda x: np.sin(3 * x) / (x * (1 - x))
     sol = particular_solution(connected_basis, g, tol=1e-12)
     for x in np.linspace(0.15, 0.85, 20):
         v, d = sol(x)
@@ -72,7 +84,7 @@ def test_nth_reduces_to_2nd(connected_basis):
     sol = particular_solution(connected_basis, g, tol=1e-12)
     for x in np.linspace(0.05, 0.95, 19):
         want = np.linalg.solve(connected_basis.matrix(x), [0.0, g(x)])
-        assert np.max(np.abs(sol.uprime(x) - want)) < 1e-9 * np.max(np.abs(want))
+        assert np.max(np.abs(_uprime(sol, x) - want)) < 1e-9 * np.max(np.abs(want))
 
 
 def test_nth_first_order_integrating_factor(connected_basis):
@@ -89,19 +101,18 @@ def test_nth_first_order_integrating_factor(connected_basis):
 
 
 def test_cramer_constraint_identities(connected_basis):
-    g = lambda x: math.cos(x)
+    g = lambda x: np.cos(x)
     sol = particular_solution(connected_basis, g, tol=1e-12)
     for x in (0.25, 0.5, 0.75):
-        up = sol.uprime(x)
-        y1v, y1d = connected_basis.y1(x)
-        y2v, y2d = connected_basis.y2(x)
+        up = _uprime(sol, x)
+        (y1v, y2v), (y1d, y2d) = connected_basis.matrix(x)
         assert abs(up[0] * y1v + up[1] * y2v) < 1e-10          # sum u_i' y_i = 0
         assert abs(up[0] * y1d + up[1] * y2d - g(x)) < 1e-10   # sum u_i' y_i' = g
 
 
 def test_column_replacement_zero_forcing(connected_basis):
     sol = particular_solution(connected_basis, lambda x: 0.0)
-    assert np.max(np.abs(sol.uprime(0.33))) < 1e-15
+    assert np.max(np.abs(_uprime(sol, 0.33))) < 1e-15
 
 
 def test_wronskian_vanishes_guard():
@@ -122,7 +133,8 @@ def test_wronskian_nonvanishing_on_interval(connected_basis):
 def test_deformed_series_zero_coupling(connected_basis):
     series = hypergeometric_deformed_series(A, B, C, lambda x: 0.0, 2,
                                             basis=connected_basis)
-    assert series.terms[0].provenance == "homogeneous"
+    assert np.allclose(series.term(0)(0.65), connected_basis.matrix(0.65)[:, 0],
+                       rtol=1e-14, atol=0)
     for k in (1, 2):
         v, d = series.term(k)(0.65)
         assert abs(v) < 1e-12 and abs(d) < 1e-12
@@ -180,7 +192,7 @@ def test_generic_deformed_series_matches_hypergeometric(connected_basis):
     for x in (0.35, 0.65):
         w = connected_basis.matrix(x)
         for k in (1, 2):
-            up = series.term(k).fn.uprime(x)
+            up = _uprime(series.term(k).fn, x)
             rhs = series.term(k - 1)(x)[0] / (x * (1 - x))
             assert abs(w[0, 0] * up[0] + w[0, 1] * up[1]) < 1e-9
             assert abs(w[1, 0] * up[0] + w[1, 1] * up[1] - rhs) < 1e-9
