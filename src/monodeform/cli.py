@@ -53,7 +53,7 @@ from .odecore import (
 )
 from .paths import line_path, loop_around, path_from_json, path_hash
 from .schema import schema_json, semantic_diagnostics, validate_schema
-from .spectral import builtin_profile, hierarchy_shift_residual, orthonormality_report
+from .spectral import builtin_profile, hierarchy_shift_residual
 from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monodromy, transport
 from .varpar import hypergeometric_deformed_series, series_to_csv
 
@@ -277,7 +277,6 @@ def _task_eigenshift(spec, args, csv_dir) -> dict:
     # `nodes` is the per-panel Gauss-Legendre order of the geometric rule
     nodes = min(num["nodes"], 48)
     f, fname = _f_profile(spec, params)
-    ortho = orthonormality_report(params, nodes)
     hier = hierarchy_shift_residual(f, params, nodes)
     shift = hier["shift"]
     return {
@@ -290,7 +289,7 @@ def _task_eigenshift(spec, args, csv_dir) -> dict:
             "saturation": shift.saturation,
         }),
         "diagnostics": _jsonable({
-            "orthonormality": {k: v for k, v in ortho.items()},
+            "orthonormality": hier["orthonormality"],
             "hierarchy_residual_l2": hier["residual_l2"],
             "hierarchy_rhs_orthogonality": hier["rhs_orthogonality"],
         }),

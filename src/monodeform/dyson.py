@@ -63,7 +63,7 @@ class CorrectionC:
     """C at the end of a path (zero at the contour start by convention)."""
 
     value: np.ndarray
-    path: Optional[PathSpec]
+    path: PathSpec
     branch: Optional[BranchState]
 
 
@@ -326,17 +326,13 @@ def correction_C(
     sys: MeromorphicSystem,
     pert: PerturbationSpec,
     basis: FundamentalMatrix,
-    path: Optional[PathSpec],
+    path: PathSpec,
     tol: float = 1e-10,
-    from_zero: bool = False,
     route: str = "auto",
 ) -> CorrectionC:
-    """C = int W^{-1} B W dt along the path (plus the [0, start] head when
-    from_zero), with W continued from the basis and B branch-tracked."""
-    paths = [path] if path is not None else []
-    if not paths and not from_zero:
-        raise ValueError("need a path or a from-zero contour")
-    markers = _route_markers(sys, pert, basis, paths, 1, False, tol, from_zero, route)
+    """C = int W^{-1} B W dt along the path, with W continued from the basis
+    and B branch-tracked."""
+    markers = _route_markers(sys, pert, basis, [path], 1, False, tol, False, route)
     _, c_list, _, branch = markers[-1]
     return CorrectionC(c_list[0], path, branch)
 

@@ -29,11 +29,6 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_legendre_panel(f: Callable, a: float, b: float, n: int = 24):
-    """Gauss-Legendre on [a, b] from one call of f on the node array."""
-    return gauss_legendre_panels(f, ((a, b),), n)[0]
-
-
 def gauss_legendre_panels(f: Callable, parts, n: int) -> list:
     """The n-point rule on each (lo, hi) of `parts`, from one call of f on
     all their nodes in that order.  f returns values with the nodes on the
@@ -119,8 +114,9 @@ def geometric_endpoint_integral(
     """integral_a^b f(t) dt with an integrable singularity at one endpoint.
 
     `singular_at` must equal a or b.  Panels shrink geometrically toward the
-    singular end; once panel contributions decay geometrically the remaining
-    tail is closed by extrapolating the observed ratio.
+    singular end; f is called once on the nodes of all of them.  Once panel
+    contributions decay geometrically the remaining tail is closed by
+    extrapolating the observed ratio, and the later panels are discarded.
     """
     if singular_at not in (a, b):
         raise ValueError("singular_at must be one of the endpoints")
@@ -132,9 +128,7 @@ def geometric_endpoint_integral(
         raise NonIntegrableEndpoint(
             f"measured endpoint exponent {expo:.3f} <= -1 at t={singular_at}"
         )
-    acc = None
-    prev = None
-    last = None
+    parts = []
     cut = 1.0
     for _ in range(GEOMETRIC_LEVELS):
         nxt = cut * GEOMETRIC_RATIO
@@ -144,10 +138,14 @@ def geometric_endpoint_integral(
             lo, hi = b - cut * length, b - nxt * length
         if not (lo < hi) or (toward_left and lo <= a) or (not toward_left and hi >= b):
             break  # panel collapsed onto the singular endpoint in float
-        piece = gauss_legendre_panel(f, lo, hi, nodes)
+        parts.append((lo, hi))
+        cut = nxt
+    acc = None
+    prev = None
+    last = None
+    for piece in gauss_legendre_panels(f, parts, nodes):
         acc = piece if acc is None else acc + piece
         prev, last = last, piece
-        cut = nxt
         if prev is not None:
             pn, ln = np.max(np.abs(np.asarray(prev))), np.max(np.abs(np.asarray(last)))
             if ln < GEOMETRIC_ATOL and ln < pn:

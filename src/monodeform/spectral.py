@@ -16,8 +16,9 @@ containing y1 carry (1-x)^(c-a-b)-type endpoint families that no single
 Jacobi weight absorbs (node-doubling stalls near 1e-5 relative), and the
 geometric rule resolves any integrable endpoint algebra to near machine
 precision.  The Gauss-Jacobi rule with the weight's own exponents only lays
-the nodes at which the hierarchy residual is sampled.  Profiles f and the
-functions passed in are called once per panel, on its node array.
+the nodes at which the hierarchy residual is sampled.  Profiles f are
+called once per side of [0, 1], on the node array of all its panels, and
+one pass gives every moment the shift, its bound and the Gram matrix need.
 """
 
 from __future__ import annotations
@@ -61,71 +62,67 @@ def basis_for(a: float, b: float, c: float) -> ConnectedBasis:
     return ConnectedBasis(a, b, c)
 
 
-def _solution(cb: ConnectedBasis, j: int) -> Callable:
-    """x -> y1(x) (j = 0) or y2(x) (j = 1) of `cb`, over node arrays."""
-    return lambda x: cb.matrix(x)[..., 0, j]
-
-
-def inner_product(
-    f: Callable,
-    g: Callable,
-    params: tuple[float, float, float],
-    nodes: int = 24,
-) -> complex:
-    """<f, g>_omega = int_0^1 f(x) conj(g(x)) omega(x) dx."""
+def _moments(f: Callable, params: tuple[float, float, float], nodes: int,
+             gram: bool) -> np.ndarray:
+    """The omega-moments (f|y1|^2, |y1|^2, |y1|^4) and, with `gram`, the
+    rest of the Gram matrix (y1 conj(y2), |y2|^2), from one geometric pass
+    whose integrand builds W once per side.  Without `gram` the pass does
+    not need |y2|^2 omega ~ x^(1-c) to be integrable, which fails for c >= 2."""
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
     a, b, c = params
     _check_integrable(a, b, c)
-    integrand = lambda x: f(x) * np.conj(g(x)) * weight_omega(a, b, c, x)
-    return complex(adaptive_subdivision_01(integrand, nodes))
+    cb = basis_for(a, b, c)
+
+    def integrand(x):
+        w = cb.matrix(x)
+        y1, y2 = w[..., 0, 0], w[..., 0, 1]
+        om = weight_omega(a, b, c, x)
+        y1sq = abs(y1) ** 2
+        cols = [f(x) * y1 * np.conj(y1) * om, y1 * np.conj(y1) * om, y1sq * y1sq * om]
+        if gram:
+            cols += [y1 * np.conj(y2) * om, y2 * np.conj(y2) * om]
+        return np.stack(cols, axis=-1)
+
+    return adaptive_subdivision_01(integrand, nodes)
 
 
-def eigenvalue_shift(
-    f: Callable,
-    params: tuple[float, float, float],
-    nodes: int = 24,
-) -> ShiftResult:
+def _shift_result(moments) -> ShiftResult:
+    raw, n1, fourth = (complex(m) for m in moments[:3])
+    bound = math.sqrt(fourth.real)
+    return ShiftResult(lambda1=raw / n1, lambda1_raw=raw, norm_y1=n1.real, bound=bound,
+                       saturation=raw.real / bound)
+
+
+def _gram_report(moments) -> dict:
+    g11, g12, g22 = (complex(m) for m in moments[[1, 3, 4]])
+    near = abs(g11 - 1) < 1e-6 and abs(g12) < 1e-6 and abs(g22 - 1) < 1e-6
+    return {"<y1,y1>": g11, "<y1,y2>": g12, "<y2,y2>": g22, "orthonormal_within_1e-6": near}
+
+
+def eigenvalue_shift(f: Callable, params: tuple[float, float, float],
+                     nodes: int = 24) -> ShiftResult:
     """First-order shift of the eigenvalue ab under the deformation rho*f."""
-    a, b, c = params
-    _check_integrable(a, b, c)
-    y1 = _solution(basis_for(a, b, c), 0)
-    fy1 = lambda x: f(x) * y1(x)
-    raw = inner_product(fy1, y1, params, nodes)
-    n1 = inner_product(y1, y1, params, nodes)
-    bound = shift_bound(params, nodes)
-    lam = raw / n1
-    return ShiftResult(
-        lambda1=complex(lam),
-        lambda1_raw=complex(raw),
-        norm_y1=float(n1.real),
-        bound=bound,
-        saturation=float(raw.real / bound),
-    )
+    return _shift_result(_moments(f, params, nodes, gram=False))
 
 
 def shift_bound(params: tuple[float, float, float], nodes: int = 24) -> float:
     """Sharp bound for lambda1_raw over omega-normalized f: (int |y1|^4 omega)^(1/2)."""
-    a, b, c = params
-    _check_integrable(a, b, c)
-    y1 = _solution(basis_for(a, b, c), 0)
-    y1sq = lambda x: abs(y1(x)) ** 2
-    val = inner_product(y1sq, y1sq, params, nodes)
-    return math.sqrt(val.real)
+    return eigenvalue_shift(lambda x: 0.0, params, nodes).bound
 
 
 def density(params: tuple[float, float, float]) -> Callable:
     """The shift functional's density |y1(x)|^2 omega(x)."""
     a, b, c = params
-    y1 = _solution(basis_for(a, b, c), 0)
-    return lambda x: abs(y1(x)) ** 2 * weight_omega(a, b, c, x).real
+    cb = basis_for(a, b, c)
+    return lambda x: abs(cb.matrix(x)[..., 0, 0]) ** 2 * weight_omega(a, b, c, x).real
 
 
 def normalized_density_profile(params: tuple[float, float, float]) -> Callable:
     """f = |y1|^2 / ||y1^2||_omega, the omega-normalized equality case."""
-    y1 = _solution(basis_for(*params), 0)
+    cb = basis_for(*params)
     bound = shift_bound(params)
-    return lambda x: abs(y1(x)) ** 2 / bound
+    return lambda x: abs(cb.matrix(x)[..., 0, 0]) ** 2 / bound
 
 
 def orthonormality_report(params: tuple[float, float, float], nodes: int = 24) -> dict:
@@ -135,18 +132,7 @@ def orthonormality_report(params: tuple[float, float, float], nodes: int = 24) -
     get the measured values and the toolkit normalizes by <y1, y1> wherever
     the literal formula would assume 1.
     """
-    cb = basis_for(*params)
-    y1, y2 = _solution(cb, 0), _solution(cb, 1)
-    g11 = inner_product(y1, y1, params, nodes)
-    g12 = inner_product(y1, y2, params, nodes)
-    g22 = inner_product(y2, y2, params, nodes)
-    return {
-        "<y1,y1>": complex(g11),
-        "<y1,y2>": complex(g12),
-        "<y2,y2>": complex(g22),
-        "orthonormal_within_1e-6": bool(abs(g11 - 1) < 1e-6 and abs(g12) < 1e-6
-                                        and abs(g22 - 1) < 1e-6),
-    }
+    return _gram_report(_moments(lambda x: 0.0, params, nodes, gram=True))
 
 
 def hierarchy_shift_residual(
@@ -161,39 +147,44 @@ def hierarchy_shift_residual(
     with y11'' taken from Richardson finite differences of y11' (so the check
     is independent of the construction identities), and (ii) the omega-inner
     product of the right-hand side with y1, which vanishes exactly when
-    lambda1 carries the measured normalization.  The ShiftResult it checks
-    is returned under "shift".
+    lambda1 carries the measured normalization; (ii) is a quadrature of its
+    own, not an identity of the moments.  The ShiftResult it checks is
+    returned under "shift" and the Gram matrix of orthonormality_report,
+    from the same moments pass, under "orthonormality".
     """
     a, b, c = params
     cb = basis_for(a, b, c)
-    y1 = _solution(cb, 0)
-    shift = eigenvalue_shift(f, params, nodes)
+    moments = _moments(f, params, nodes, gram=True)
+    shift = _shift_result(moments)
     lam = shift.lambda1
 
-    def forcing(x):
-        return (lam - f(x)) * y1(x) / (x * (1 - x))
+    def forcing(x, w):
+        return (lam - f(x)) * w[..., 0, 0] / (x * (1 - x))
 
     y11 = particular_solution(cb, forcing)
 
-    def residual_at(x: float) -> complex:
-        def d1(h):
-            return (y11(x + h)[1] - y11(x - h)[1]) / (2 * h)
+    # y11 at x + h/2, x - h/2, x + h, x - h and x for each window node x, in
+    # one call; _Cumulative partitions by the order of requests, kept here
+    x, wts = gauss_jacobi_01(nodes, a + b - c, c - 1.0)
+    keep = (RESIDUAL_WINDOW[0] <= x) & (x <= RESIDUAL_WINDOW[1])
+    x, wts = x[keep], wts[keep]
+    h = RESIDUAL_FD_STEP
+    v, d = y11(np.stack([x + h / 2, x - h / 2, x + h, x - h, x], axis=-1))
+    ypp = (4.0 * (d[:, 0] - d[:, 1]) / h - (d[:, 2] - d[:, 3]) / (2 * h)) / 3.0
+    lhs = x * (1 - x) * ypp + (c - (a + b + 1) * x) * d[:, 4] - a * b * v[:, 4]
+    resid = lhs - (lam - f(x)) * cb.matrix(x)[..., 0, 0]
+    acc = float(np.sum(wts * abs(resid) ** 2))
 
-        ypp = (4.0 * d1(RESIDUAL_FD_STEP / 2) - d1(RESIDUAL_FD_STEP)) / 3.0
-        v, d = y11(x)
-        lhs = x * (1 - x) * ypp + (c - (a + b + 1) * x) * d - a * b * v
-        return lhs - (lam - f(x)) * y1(x)
+    def rhs_integrand(t):
+        y1 = cb.matrix(t)[..., 0, 0]
+        return (lam - f(t)) * y1 * np.conj(y1) * weight_omega(a, b, c, t)
 
-    x, w = gauss_jacobi_01(nodes, a + b - c, c - 1.0)
-    acc = 0.0
-    for xi, wi in zip(x, w):
-        if RESIDUAL_WINDOW[0] <= xi <= RESIDUAL_WINDOW[1]:
-            acc += wi * abs(residual_at(xi)) ** 2
-    rhs_orth = inner_product(lambda t: (lam - f(t)) * y1(t), y1, params, nodes)
+    rhs_orth = complex(adaptive_subdivision_01(rhs_integrand, nodes))
     return {
         "residual_l2": math.sqrt(acc),
         "rhs_orthogonality": abs(rhs_orth),
         "shift": shift,
+        "orthonormality": _gram_report(moments),
     }
 
 

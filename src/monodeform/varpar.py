@@ -12,7 +12,8 @@ oracle for the Dyson-type expansion: both must agree to O(rho^(K+1)) against
 direct integration.
 
 Solution callables used throughout map x -> (value, derivative), each of
-the shape of x; forcings and profiles are called on node arrays.
+the shape of x; profiles are called on node arrays, forcings as
+forcing(x, w) with w = W(x) as u' has just built it on the same nodes.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def particular_solution(
     tol: float = 1e-11,
 ) -> ParticularSolution:
     """Solution of L[y] = G over the pair (y1, y2) of `cb`, zero at the
-    basepoint together with its derivative.
+    basepoint together with its derivative.  `forcing(x, w)` gives G on a
+    node array x, with w = cb.matrix(x).
 
     The Wronskian is pinned by Abel's formula, det W = A x^-c (1-x)^(c-a-b-1)
     with the constant A measured at the basepoint, so Cramer's rule reads
@@ -122,7 +124,7 @@ def particular_solution(
     def uprime(x: np.ndarray) -> np.ndarray:
         inv_detw = np.exp(c * np.log(x + 0j) + (a + b + 1 - c) * np.log(1 - x + 0j)) / abel_const
         w = cb.matrix(x)
-        g = forcing(x)
+        g = forcing(x, w)
         return np.stack([-g * w[:, 0, 1] * inv_detw, g * w[:, 0, 0] * inv_detw], axis=-1)
 
     return ParticularSolution(cb, _Cumulative(uprime, basepoint, tol))
@@ -176,11 +178,14 @@ def hypergeometric_deformed_series(
         return (init_coeffs[0] * w[..., 0, 0] + init_coeffs[1] * w[..., 0, 1],
                 init_coeffs[0] * w[..., 1, 0] + init_coeffs[1] * w[..., 1, 1])
 
+    # level k reads y_{k-1} = coef(x) . (y1, y2): init_coeffs, then level k-1's u
     terms = [SeriesTerm(0, y0)]
+    coef = lambda x: np.asarray(init_coeffs)
     for k in range(1, K + 1):
-        prev = terms[-1].fn
-        forcing = lambda x, prev=prev: f(x) / (x * (1 - x)) * prev(x)[0]
+        forcing = lambda x, w, coef=coef: (f(x) / (x * (1 - x))
+                                           * np.sum(coef(x) * w[..., 0, :], axis=-1))
         terms.append(SeriesTerm(k, particular_solution(cb, forcing, basepoint, tol)))
+        coef = terms[-1].fn.u
     return SeriesSolution(K, tuple(terms))
 
 

@@ -182,6 +182,20 @@ def test_exit_code_3_on_series_forcing_pole(tmp_path, capsys):
         assert err.startswith("numeric failure: cli.run[series]: NonIntegrableForcing: "), err
 
 
+def test_exit_code_3_on_non_integrable_profile_moment(tmp_path, capsys):
+    # the density profile |y1|^2 omega makes f |y1|^2 omega ~ x^(2c-2) at 0:
+    # only that component of the stacked moments pass fails at c = 0.35
+    for c, code in ((0.35, 3), (0.75, 0)):
+        spec_file = _write(tmp_path, f"density-{c}.json",
+                           {"equation": {"hypergeometric": {"a": 0.3, "b": 0.4, "c": c}},
+                            "task": "eigenshift", "f": {"name": "density"}})
+        assert main(["run", "--spec", spec_file, "--out", os.devnull]) == code, c
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err.startswith("numeric failure: cli.run[eigenshift]: NonIntegrableEndpoint: "
+                                  "measured endpoint exponent -1.300 <= -1 at t=0.0"), err
+
+
 def test_exit_code_2_on_unreadable_file(tmp_path):
     assert main(["run", "--spec", str(tmp_path / "missing.json")]) == 2
 

@@ -85,9 +85,9 @@ def test_trivial_correction_corner_exponent(hyp_system, frob0):
     # entry: measure the exponent from two small probes
     vals = {}
     for x in (0.05, 0.025):
-        corr = correction_C(hyp_system, TRIVIAL, frob0, line_path(x, x + 1e-12),
-                            tol=1e-12, from_zero=True)
-        vals[x] = abs(corr.value[1, 0])
+        c1 = dyson_expand(hyp_system, TRIVIAL, 1, line_path(x, x + 1e-12), frob0,
+                          tol=1e-12, from_zero=True).terms[0]
+        vals[x] = abs(c1[1, 0])
     expo = math.log(vals[0.05] / vals[0.025]) / math.log(2.0)
     assert abs(expo - C) < 0.1
 
@@ -228,10 +228,10 @@ def test_from_zero_correction_batches_evaluator_calls(hyp_system, frob0):
     for key, path in ((None, None), ("loop", loop_around(0, 0.25, 0.5))):
         calls.clear()
         nodes.clear()
-        corr = correction_C(hyp_system, pert, basis, path, from_zero=True)
+        c1 = dyson_expand(hyp_system, pert, 1, path, basis, from_zero=True).terms[0]
         counts[key] = (len(calls), sum(nodes))
         want = np.array(expect[key]).reshape(2, 2)
-        assert np.max(np.abs(corr.value - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(c1 - want)) <= 1e-13 * np.max(np.abs(want))
     # the loop adds hundreds of nodes and no evaluator call
     assert counts["loop"][1] > counts[None][1] + 100
     assert counts["loop"][0] == counts[None][0] <= 3
@@ -251,7 +251,7 @@ def test_non_integrable_endpoint_raises(hyp_system, frob0):
     h21 = RationalFn.from_coeffs([1.0], [0.0, 0.0, 1.0])  # 1/x^2 diverges at 0
     pert = _pert("meromorphic", h21)
     with pytest.raises(NonIntegrableEndpoint):
-        correction_C(hyp_system, pert, frob0, line_path(0.5, 0.6), tol=1e-11,
+        dyson_expand(hyp_system, pert, 1, line_path(0.5, 0.6), frob0, tol=1e-11,
                      from_zero=True)
 
 

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
+from monodeform import spectral
 from monodeform.errors import NonIntegrableWeight
-from monodeform.quadrature import _gl_rule, gauss_jacobi_01
+from monodeform.hypergeom import weight_omega
+from monodeform.quadrature import (
+    GEOMETRIC_LEVELS,
+    _gl_rule,
+    adaptive_subdivision_01,
+    gauss_jacobi_01,
+    geometric_endpoint_integral,
+)
 from monodeform.spectral import (
     builtin_profile,
     basis_for,
     density,
     eigenvalue_shift,
     hierarchy_shift_residual,
-    inner_product,
     normalized_density_profile,
     orthonormality_report,
     shift_bound,
@@ -24,20 +31,30 @@ PARAMS = (0.3, 0.7, 1.2)
 ONE = lambda x: 1.0
 
 
+def _omega_integral(g, params, nodes=24):
+    """int_0^1 g omega dx by the geometric rule of the spectral moments."""
+    a, b, c = params
+    return complex(adaptive_subdivision_01(lambda x: g(x) * weight_omega(a, b, c, x), nodes))
+
+
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        inner_product(ONE, ONE, PARAMS, nodes=4)
-    with pytest.raises(ValueError):
-        eigenvalue_shift(ONE, PARAMS, nodes=7)
+    for entry in (lambda n: eigenvalue_shift(ONE, PARAMS, nodes=n),
+                  lambda n: shift_bound(PARAMS, nodes=n),
+                  lambda n: orthonormality_report(PARAMS, nodes=n),
+                  lambda n: hierarchy_shift_residual(ONE, PARAMS, nodes=n)):
+        for n in (4, 7):
+            with pytest.raises(ValueError):
+                entry(n)
 
 
 def test_inner_product_zero():
-    assert abs(inner_product(lambda x: 0.0, lambda x: 0.0, PARAMS)) == 0.0
+    # the f-moment of the zero profile is exactly zero inside the stacked pass
+    assert eigenvalue_shift(lambda x: 0.0, PARAMS).lambda1_raw == 0.0
 
 
 def test_inner_product_unit_weight():
     # a + b = c and c = 1: omega == 1, so <1,1> = 1
-    val = inner_product(ONE, ONE, (0.4, 0.6, 1.0))
+    val = _omega_integral(ONE, (0.4, 0.6, 1.0))
     assert abs(val - 1.0) < 1e-12
 
 
@@ -46,17 +63,20 @@ def test_inner_product_beta_value_two_rules():
     a, b, c = PARAMS
     exact = math.gamma(1.2) * math.gamma(0.8) / math.gamma(2.0)  # B(c, a+b-c+1)
     gj = float(np.sum(gauss_jacobi_01(64, a + b - c, c - 1.0)[1]))
-    ad = inner_product(ONE, ONE, PARAMS)
+    ad = _omega_integral(ONE, PARAMS)
     assert abs(gj - exact) < 1e-12
     assert abs(ad - exact) < 1e-10
     assert abs(gj - ad) < 1e-8 * abs(gj)
 
 
 def test_inner_product_integrability_guard():
-    with pytest.raises(NonIntegrableWeight):
-        inner_product(ONE, ONE, (0.3, 0.7, -0.2))
-    with pytest.raises(NonIntegrableWeight):
-        inner_product(ONE, ONE, (0.1, 0.1, 1.5))  # a+b-c = -1.3
+    for params in ((0.3, 0.7, -0.2), (0.1, 0.1, 1.5)):  # c < 0; a+b-c = -1.3
+        with pytest.raises(NonIntegrableWeight):
+            eigenvalue_shift(ONE, params)
+        with pytest.raises(NonIntegrableWeight):
+            orthonormality_report(params)
+        with pytest.raises(NonIntegrableWeight):
+            hierarchy_shift_residual(ONE, params)
 
 
 JACOBI_EXPONENTS = (-0.9, -0.3, 0.0, 0.25, 0.8)
@@ -98,6 +118,25 @@ def test_gauss_legendre_rule_matches_scipy(n):
     assert np.max(np.abs(w - w_ref)) <= 1e-13
 
 
+def test_geometric_rule_one_integrand_call_per_side():
+    # two exponent probes, then one call on the nodes of every panel the side
+    # can lay out: all levels toward 0, fewer toward 1, where a panel
+    # collapses onto 1 in float
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return np.asarray(x, dtype=float) ** -0.5
+
+    got = geometric_endpoint_integral(f, 0.0, 0.5, 0.0, 24)
+    assert sizes == [1, 1, 24 * GEOMETRIC_LEVELS]
+    assert abs(got - math.sqrt(2.0)) < 1e-14
+    sizes.clear()
+    geometric_endpoint_integral(lambda x: f(1.0 - np.asarray(x)), 0.5, 1.0, 1.0, 24)
+    assert sizes[:2] == [1, 1] and len(sizes) == 3
+    assert sizes[2] % 24 == 0 and sizes[2] < 24 * GEOMETRIC_LEVELS
+
+
 def test_shift_zero_profile():
     s = eigenvalue_shift(lambda x: 0.0, PARAMS)
     assert abs(s.lambda1) < 1e-14
@@ -126,7 +165,7 @@ def test_shift_positivity():
 def test_saturation_at_equality_case():
     feq = normalized_density_profile(PARAMS)
     # the profile is omega-normalized
-    assert abs(inner_product(feq, feq, PARAMS) - 1.0) < 1e-10
+    assert abs(_omega_integral(lambda x: feq(x) ** 2, PARAMS) - 1.0) < 1e-10
     s = eigenvalue_shift(feq, PARAMS)
     assert abs(s.saturation - 1.0) < 1e-6
 
@@ -139,7 +178,7 @@ def test_saturation_strict_for_random_profiles():
         def f(x, c=coeffs):
             return c[0] + c[1] * x + c[2] * x * (1 - x)
 
-        norm = math.sqrt(abs(inner_product(f, f, PARAMS)))
+        norm = math.sqrt(abs(_omega_integral(lambda x: f(x) ** 2, PARAMS)))
         g = lambda x: f(x) / norm
         s = eigenvalue_shift(g, PARAMS)
         assert s.saturation <= 1.0 + 1e-8
@@ -156,8 +195,62 @@ def test_bound_matches_y1_fourth_moment():
     bound = shift_bound(PARAMS)
     cb = basis_for(*PARAMS)
     y1sq = lambda x: abs(cb.matrix(x)[..., 0, 0]) ** 2
-    val = inner_product(y1sq, y1sq, PARAMS)
+    val = _omega_integral(lambda x: y1sq(x) ** 2, PARAMS)
     assert abs(bound - math.sqrt(val.real)) < 1e-12
+
+
+def test_moments_match_mpmath():
+    """Every moment of the stacked pass against mpmath.quad over
+    mpmath.hyp2f1 at 30 digits, split at 0.5: no shared code with the 2F1
+    kernel, the connected basis or the geometric rule."""
+    a, b, c = PARAMS
+    with mpmath.workdps(30):
+        ma, mb, mc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        memo = {}
+
+        def pair(x):
+            if x not in memo:
+                y1 = mpmath.hyp2f1(ma, mb, mc, x)
+                y2 = x ** (1 - mc) * mpmath.hyp2f1(ma - mc + 1, mb - mc + 1, 2 - mc, x)
+                memo[x] = (y1, y2, x ** (mc - 1) * (1 - x) ** (ma + mb - mc))
+            return memo[x]
+
+        def moment(g):
+            return complex(mpmath.quad(lambda x: g(*pair(x)) * pair(x)[2], [0, 0.5, 1]))
+
+        ref = {
+            "<y1,y1>": moment(lambda y1, y2, om: y1 * y1),
+            "<y1,y2>": moment(lambda y1, y2, om: y1 * y2),
+            "<y2,y2>": moment(lambda y1, y2, om: y2 * y2),
+            "fourth": moment(lambda y1, y2, om: y1 ** 4),
+        }
+        ref["raw"] = complex(mpmath.quad(lambda x: x * pair(x)[0] ** 2 * pair(x)[2], [0, 0.5, 1]))
+    rep = orthonormality_report(PARAMS)
+    shift = eigenvalue_shift(lambda x: x, PARAMS)
+    got = {"<y1,y1>": rep["<y1,y1>"], "<y1,y2>": rep["<y1,y2>"], "<y2,y2>": rep["<y2,y2>"],
+           "fourth": shift.bound ** 2, "raw": shift.lambda1_raw}
+    for key, want in ref.items():
+        assert abs(got[key] - want) <= 1e-10 * abs(want), key
+    assert abs(shift.norm_y1 - ref["<y1,y1>"]) <= 1e-10 * abs(ref["<y1,y1>"])
+
+
+def test_hierarchy_residual_runs_two_geometric_passes(monkeypatch):
+    passes = []
+    rule = spectral.adaptive_subdivision_01
+
+    def counted(f, nodes):
+        passes.append(nodes)
+        return rule(f, nodes)
+
+    monkeypatch.setattr(spectral, "adaptive_subdivision_01", counted)
+    rep = hierarchy_shift_residual(lambda x: x, PARAMS)
+    assert passes == [24, 24]
+    # the shift and the Gram matrix come from the moments pass
+    shift = eigenvalue_shift(lambda x: x, PARAMS)
+    gram = orthonormality_report(PARAMS)
+    assert abs(rep["shift"].lambda1 - shift.lambda1) <= 1e-14 * abs(shift.lambda1)
+    for key in ("<y1,y1>", "<y1,y2>", "<y2,y2>"):
+        assert abs(rep["orthonormality"][key] - gram[key]) <= 1e-14 * abs(gram[key])
 
 
 def test_orthonormality_is_measured_not_assumed():

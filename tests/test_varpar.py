@@ -49,7 +49,7 @@ def test_hierarchy_rhs_for_unit_coupling(connected_basis):
 
 
 def test_particular_zero_forcing(connected_basis):
-    sol = particular_solution(connected_basis, lambda x: 0.0)
+    sol = particular_solution(connected_basis, lambda x, w: 0.0)
     v, d = sol(0.7)
     assert abs(v) < 1e-12 and abs(d) < 1e-12
 
@@ -57,7 +57,7 @@ def test_particular_zero_forcing(connected_basis):
 def test_particular_substitute_back_residual(connected_basis):
     # independent check: y_p'' from Richardson finite differences of y_p'
     g = lambda x: np.sin(3 * x) / (x * (1 - x))
-    sol = particular_solution(connected_basis, g, tol=1e-12)
+    sol = particular_solution(connected_basis, lambda x, w: g(x), tol=1e-12)
     for x in np.linspace(0.15, 0.85, 20):
         v, d = sol(x)
         h = 1e-4
@@ -81,7 +81,7 @@ def test_abel_wronskian_scaling(connected_basis):
 def test_nth_reduces_to_2nd(connected_basis):
     """The Abel-pinned u' solves W(x) u' = (0, G) with the measured W."""
     g = lambda x: 1.0 / (x * (1 - x))
-    sol = particular_solution(connected_basis, g, tol=1e-12)
+    sol = particular_solution(connected_basis, lambda x, w: g(x), tol=1e-12)
     for x in np.linspace(0.05, 0.95, 19):
         want = np.linalg.solve(connected_basis.matrix(x), [0.0, g(x)])
         assert np.max(np.abs(_uprime(sol, x) - want)) < 1e-9 * np.max(np.abs(want))
@@ -91,7 +91,7 @@ def test_nth_first_order_integrating_factor(connected_basis):
     """G = -ab/(x(1-x)) is L[1], so y_p = 1 - W(x)[0] W(x0)^-1 e_1 exactly."""
     x0 = 0.5
     g = lambda x: -A * B / (x * (1 - x))
-    sol = particular_solution(connected_basis, g, basepoint=x0, tol=1e-12)
+    sol = particular_solution(connected_basis, lambda x, w: g(x), basepoint=x0, tol=1e-12)
     coef = np.linalg.solve(connected_basis.matrix(x0), [1.0, 0.0])
     for x in (0.2, 0.4, 0.7, 0.9):
         v, d = sol(x)
@@ -102,7 +102,7 @@ def test_nth_first_order_integrating_factor(connected_basis):
 
 def test_cramer_constraint_identities(connected_basis):
     g = lambda x: np.cos(x)
-    sol = particular_solution(connected_basis, g, tol=1e-12)
+    sol = particular_solution(connected_basis, lambda x, w: g(x), tol=1e-12)
     for x in (0.25, 0.5, 0.75):
         up = _uprime(sol, x)
         (y1v, y2v), (y1d, y2d) = connected_basis.matrix(x)
@@ -111,8 +111,42 @@ def test_cramer_constraint_identities(connected_basis):
 
 
 def test_column_replacement_zero_forcing(connected_basis):
-    sol = particular_solution(connected_basis, lambda x: 0.0)
+    sol = particular_solution(connected_basis, lambda x, w: 0.0)
     assert np.max(np.abs(_uprime(sol, 0.33))) < 1e-15
+
+
+def test_forcing_reads_the_callers_w():
+    """Evaluating a particular solution builds W once per u' integrand call
+    and once per evaluation call; so do the terms of a series, whose level-k
+    forcing reads y_{k-1} from the W that u' built."""
+    counts = {"matrix": 0, "integrand": 0}
+
+    class Counted(ConnectedBasis):
+        def matrix(self, x):
+            counts["matrix"] += 1
+            return super().matrix(x)
+
+    def count_integrand(sol):
+        integrand = sol.u.integrand
+
+        def counted(x):
+            counts["integrand"] += 1
+            return integrand(x)
+
+        sol.u.integrand = counted
+
+    cb = Counted(A, B, C)
+    sol = particular_solution(cb, lambda x, w: w[..., 0, 0] / (x * (1 - x)))
+    series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0 + x, 2, basis=cb)
+    for s in (sol, series.term(1).fn, series.term(2).fn):
+        count_integrand(s)
+    for fn in (sol, series.term(2)):
+        counts.update(matrix=0, integrand=0)
+        xs = (0.2, 0.35, 0.8, np.array([0.1, 0.6, 0.9]))
+        for x in xs:
+            fn(x)
+        assert counts["integrand"] > len(xs)
+        assert counts["matrix"] == counts["integrand"] + len(xs)
 
 
 def test_wronskian_vanishes_guard():
@@ -121,7 +155,7 @@ def test_wronskian_vanishes_guard():
             return np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
 
     with pytest.raises(WronskianVanishes):
-        particular_solution(Dependent(A, B, C), lambda x: 1.0)
+        particular_solution(Dependent(A, B, C), lambda x, w: 1.0)
 
 
 def test_wronskian_nonvanishing_on_interval(connected_basis):
