@@ -164,7 +164,7 @@ def hierarchy_shift_residual(
     y11 = particular_solution(cb, forcing)
 
     # y11 at x + h/2, x - h/2, x + h, x - h and x for each window node x, in
-    # one call; _Cumulative partitions by the order of requests, kept here
+    # one call
     x, wts = gauss_jacobi_01(nodes, a + b - c, c - 1.0)
     keep = (RESIDUAL_WINDOW[0] <= x) & (x <= RESIDUAL_WINDOW[1])
     x, wts = x[keep], wts[keep]

@@ -7,7 +7,8 @@ the monic order-2 hypergeometric operator, L[y_k] = f y_{k-1} / (x(1-x)).
 One solver handles every level: y_k = u_1 y_1 + u_2 y_2 over the connected
 basis-at-0 pair, with the u_i' from Cramer's rule and the Wronskian pinned by
 Abel's formula, integrated from a fixed basepoint so every term beyond the
-zeroth carries zero initial data there.  This module is the independent
+zeroth carries zero initial data there, on a fixed lattice of Chebyshev
+panels so each value depends on x alone.  This module is the independent
 oracle for the Dyson-type expansion: both must agree to O(rho^(K+1)) against
 direct integration.
 
@@ -18,68 +19,84 @@ forcing(x, w) with w = W(x) as u' has just built it on the same nodes.
 
 from __future__ import annotations
 
-import bisect
 import cmath
+import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonIntegrableForcing, WronskianVanishes
+from .errors import NonIntegrableForcing, PathThroughSingularity, WronskianVanishes
 from .hypergeom import ConnectedBasis
-from .quadrature import gauss_legendre_panels
 
-SolutionFn = Callable[..., tuple]
-
-MAX_DEPTH = 42  # interval halvings before a u_i quadrature gives up
+# u_i panel ends bp*r^j toward 0 and 1-(1-bp)*r^j toward 1: at bp = 0.5 the
+# first are 0.2 and 0.8, the ends of cli.SERIES_RANGE, so the series task
+# never samples a forcing outside the range its pole check covers
+LATTICE_RATIO = 0.4
+CHEB_DEGREE = 31  # one integrand call per leaf, on CHEB_DEGREE + 1 points
+MAX_DEPTH = 42  # leaf halvings before a u_i integral gives up
 
 
 class _Cumulative:
-    """Cached cumulative integral of a vector integrand from a basepoint.
-
-    Values at previously requested points serve as anchors; a new request
-    integrates adaptively (Gauss-Legendre with interval halving) only over
-    the gap to the nearest anchor.  The integrand maps a node array to
-    values with the nodes on the leading axis.
-    """
+    """Cumulative integral of a vector integrand (nodes on the leading axis)
+    from a basepoint, on a fixed lattice of panels, each built outward the
+    first time a point on or beyond it is asked for (Greengard, SIAM J.
+    Numer. Anal. 28, 1991).  A leaf holds the Chebyshev interpolant of one
+    integrand call, halved while its last two coefficients exceed
+    tol * max(1, max|c|) (Aurentz & Trefethen, ACM TOMS 43, 2017).  An end
+    belongs to the piece on the basepoint side, so u(x) depends on x alone."""
 
     def __init__(self, integrand: Callable, basepoint: float, tol: float = 1e-11):
         self.integrand = integrand
         self.tol = tol
-        probe = np.asarray(integrand(np.array([float(basepoint)])), dtype=complex)[0]
-        self._xs = [float(basepoint)]
-        self._vals = {float(basepoint): np.zeros_like(probe)}
+        self._bp = float(basepoint)
+        probe = np.asarray(integrand(np.array([self._bp])), dtype=complex)[0]
+        # per side, toward 0 and toward 1: the built edge and the value there,
+        # and the leaves outward as (far end, mid, signed half width, start, antiderivative)
+        self._edge = [(self._bp, np.zeros_like(probe))] * 2
+        self._leaves = ([], [])
 
-    def _adaptive(self, a: float, b: float, depth: int = 0) -> np.ndarray:
-        mid = 0.5 * (a + b)
-        whole, left, right = gauss_legendre_panels(self.integrand, ((a, b), (a, mid), (mid, b)), 16)
-        split = left + right
-        err = np.max(np.abs(whole - split))
-        if err <= self.tol * max(1.0, float(np.max(np.abs(split)))):
-            return split
-        if depth >= MAX_DEPTH:
-            raise NonIntegrableForcing(
-                f"quadrature for u_i failed to converge on [{a}, {b}]"
-            )
-        return (self._adaptive(a, mid, depth + 1)
-                + self._adaptive(mid, b, depth + 1))
+    def _build(self, side: int) -> None:
+        cheb = np.polynomial.chebyshev
+        near, start = self._edge[side]
+        todo = [(near, 1.0 - (1.0 - near) * LATTICE_RATIO if side else near * LATTICE_RATIO, 0)]
+        while todo:  # nearer half first, so leaves come out outward and the panel's end last
+            near, far, depth = todo.pop()
+            mid, half = 0.5 * (near + far), 0.5 * (far - near)
+            coef = cheb.chebinterpolate(lambda t: self.integrand(mid + half * t), CHEB_DEGREE)
+            if np.max(np.abs(coef[-2:])) <= self.tol * max(1.0, np.max(np.abs(coef))):
+                anti = cheb.chebint(coef, lbnd=-1, scl=half)
+                self._leaves[side].append((far, mid, half, start, anti))
+                start = start + cheb.chebval(1.0, anti)
+            elif depth < MAX_DEPTH:
+                todo += [(mid, far, depth + 1), (near, mid, depth + 1)]
+            else:
+                raise NonIntegrableForcing(f"quadrature for u_i failed to converge at x = {mid}")
+        self._edge[side] = (far, start)
 
     def __call__(self, x) -> np.ndarray:
-        """Values at x, a point or a node array, point by point in the order given."""
-        x = np.asarray(x, dtype=float)
-        return np.array([self._at(float(t)) for t in x.ravel()]).reshape(x.shape + (-1,))
+        """Values at x, a point or a node array in (0, 1): the start value of
+        x's leaf plus the integral of its interpolant up to x."""
+        flat = np.asarray(x, dtype=float).ravel()
+        if not np.all((0 < flat) & (flat < 1)):
+            raise PathThroughSingularity("u_i is integrated on (0, 1) only")
+        out = np.zeros(flat.shape + self._edge[0][1].shape, dtype=complex)
+        for side, sgn in ((0, -1.0), (1, 1.0)):
+            on = sgn * (flat - self._bp) > 0
+            if on.any():
+                while np.max(sgn * flat[on]) > sgn * self._edge[side][0]:
+                    self._build(side)
+                ends, mids, halves, starts, antis = map(np.array, zip(*self._leaves[side]))
+                k = np.searchsorted(sgn * ends, sgn * flat[on])
+                tau = (flat[on] - mids[k]) / halves[k]
+                out[on] = starts[k] + np.polynomial.chebyshev.chebval(
+                    tau[:, None], np.moveaxis(antis[k], 1, 0), tensor=False)
+        return out.reshape(np.shape(x) + self._edge[0][1].shape)
 
-    def _at(self, x: float) -> np.ndarray:
-        got = self._vals.get(x)
-        if got is not None:
-            return got
-        i = bisect.bisect_left(self._xs, x)
-        anchors = [self._xs[j] for j in (i - 1, i) if 0 <= j < len(self._xs)]
-        a = min(anchors, key=lambda t: abs(t - x))
-        val = self._vals[a] + self._adaptive(a, x)
-        bisect.insort(self._xs, x)
-        self._vals[x] = val
-        return val
+
+def _combine(coef, w) -> tuple:
+    """(value, derivative) of coef . (y1, y2) from w = W(x)."""
+    return tuple(np.sum(coef * w[..., i, :], axis=-1) for i in (0, 1))
 
 
 @dataclass
@@ -92,11 +109,7 @@ class ParticularSolution:
     u: _Cumulative
 
     def __call__(self, x) -> tuple:
-        uv = self.u(x)
-        w = self.basis.matrix(x)
-        val = uv[..., 0] * w[..., 0, 0] + uv[..., 1] * w[..., 0, 1]
-        der = uv[..., 0] * w[..., 1, 0] + uv[..., 1] * w[..., 1, 1]
-        return val, der
+        return _combine(self.u(x), self.basis.matrix(x))
 
 
 def particular_solution(
@@ -133,7 +146,7 @@ def particular_solution(
 @dataclass(frozen=True)
 class SeriesTerm:
     k: int
-    fn: SolutionFn
+    fn: Callable[..., tuple]
 
     def __call__(self, x) -> tuple:
         return self.fn(x)
@@ -173,13 +186,8 @@ def hypergeometric_deformed_series(
         raise ValueError("K must be at least 1")
     cb = basis if basis is not None else ConnectedBasis(a, b, c)
 
-    def y0(x) -> tuple:
-        w = cb.matrix(x)
-        return (init_coeffs[0] * w[..., 0, 0] + init_coeffs[1] * w[..., 0, 1],
-                init_coeffs[0] * w[..., 1, 0] + init_coeffs[1] * w[..., 1, 1])
-
     # level k reads y_{k-1} = coef(x) . (y1, y2): init_coeffs, then level k-1's u
-    terms = [SeriesTerm(0, y0)]
+    terms = [SeriesTerm(0, lambda x: _combine(np.asarray(init_coeffs), cb.matrix(x)))]
     coef = lambda x: np.asarray(init_coeffs)
     for k in range(1, K + 1):
         forcing = lambda x, w, coef=coef: (f(x) / (x * (1 - x))
@@ -191,17 +199,9 @@ def hypergeometric_deformed_series(
 
 def series_to_csv(series: SeriesSolution, xs: Sequence[float], path: str) -> None:
     """Sampled terms as CSV columns (x, Re y_k, Im y_k for each k)."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["x"]
-        for k in range(series.order + 1):
-            header += [f"re_y{k}", f"im_y{k}"]
-        writer.writerow(header)
+        writer.writerow(["x"] + [f"{p}_y{k}" for k in range(series.order + 1) for p in ("re", "im")])
         for x in xs:
-            row = [f"{x:.16g}"]
-            for t in series.terms:
-                v, _ = t(x)
-                row += [f"{v.real:.16g}", f"{v.imag:.16g}"]
-            writer.writerow(row)
+            vals = [t(x)[0] for t in series.terms]
+            writer.writerow([f"{x:.16g}"] + [f"{p:.16g}" for v in vals for p in (v.real, v.imag)])

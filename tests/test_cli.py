@@ -182,6 +182,18 @@ def test_exit_code_3_on_series_forcing_pole(tmp_path, capsys):
         assert err.startswith("numeric failure: cli.run[series]: NonIntegrableForcing: "), err
 
 
+def test_series_forcing_pole_just_off_the_range(tmp_path):
+    # simple poles of H21 just outside [0.2, 0.8]: the u_i lattice's first
+    # panel ends are the range ends, so no forcing sample crosses a pole
+    for p in (0.19, 0.199, 0.81):
+        spec_file = _write(tmp_path, f"{p}.json", {"equation": HYP, "task": "series",
+                                                   "perturbation": _corner_pole([[-p, 0.0], [1.0, 0.0]])})
+        out = tmp_path / f"{p}-rep.json"
+        assert main(["run", "--spec", spec_file, "--out", str(out)]) == 0, p
+        tri = json.loads(out.read_text())["diagnostics"]["oracle_triangle"]
+        assert max(v for t in tri for k, v in t.items() if k != "x") <= 1e-8, p
+
+
 def test_exit_code_3_on_non_integrable_profile_moment(tmp_path, capsys):
     # the density profile |y1|^2 omega makes f |y1|^2 omega ~ x^(2c-2) at 0:
     # only that component of the stacked moments pass fails at c = 0.35

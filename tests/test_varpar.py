@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from monodeform.errors import WronskianVanishes
+from monodeform.errors import NonIntegrableForcing, PathThroughSingularity, WronskianVanishes
 from monodeform.hypergeom import ConnectedBasis
 from monodeform.varpar import (
     hypergeometric_deformed_series,
@@ -118,7 +118,8 @@ def test_column_replacement_zero_forcing(connected_basis):
 def test_forcing_reads_the_callers_w():
     """Evaluating a particular solution builds W once per u' integrand call
     and once per evaluation call; so do the terms of a series, whose level-k
-    forcing reads y_{k-1} from the W that u' built."""
+    forcing reads y_{k-1} from the W that u' built.  Points on panels already
+    built cost no integrand call."""
     counts = {"matrix": 0, "integrand": 0}
 
     class Counted(ConnectedBasis):
@@ -145,8 +146,46 @@ def test_forcing_reads_the_callers_w():
         xs = (0.2, 0.35, 0.8, np.array([0.1, 0.6, 0.9]))
         for x in xs:
             fn(x)
-        assert counts["integrand"] > len(xs)
         assert counts["matrix"] == counts["integrand"] + len(xs)
+        built = counts["integrand"]
+        for x in (0.3, 0.85, np.array([0.15, 0.45, 0.7])):
+            fn(x)
+        assert counts["integrand"] == built
+
+
+def test_u_depends_on_x_alone():
+    """u is bitwise the same whether its points come as one array or one at
+    a time in reverse order, lattice ends and the basepoint included."""
+    xs = np.array([0.1, 0.2, 0.35, 0.5, 0.63, 0.8, 0.9])
+
+    def fresh():
+        cb = ConnectedBasis(A, B, C)
+        sol = particular_solution(cb, lambda x, w: np.sin(3 * x) * w[..., 0, 0] / (x * (1 - x)))
+        series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0 + x, 2, basis=cb)
+        return sol.u, series.term(2).fn.u
+
+    together = [u(xs) for u in fresh()]
+    apart = [np.array([u(x) for x in xs[::-1]])[::-1] for u in fresh()]
+    for one, other in zip(together, apart):
+        assert np.array_equal(one, other)
+    assert not np.any(together[0][3])
+
+
+def test_forcing_pole_on_the_panel_raises():
+    """A double pole at 0.3 lies on the panel [0.2, 0.5] of both 0.2 and
+    0.35: the leaf halving reaches its depth cap."""
+    sol = particular_solution(ConnectedBasis(A, B, C), lambda x, w: 1.0 / (x - 0.3) ** 2)
+    for x in (0.2, 0.35):
+        with pytest.raises(NonIntegrableForcing):
+            sol(x)
+
+
+def test_u_outside_the_unit_interval_raises(connected_basis):
+    """The path from the basepoint to x <= 0 or x >= 1 crosses a singular point."""
+    sol = particular_solution(connected_basis, lambda x, w: 1.0 + x)
+    for x in (0.0, -0.1, 1.0, np.array([0.4, 1.2])):
+        with pytest.raises(PathThroughSingularity):
+            sol(x)
 
 
 def test_wronskian_vanishes_guard():
