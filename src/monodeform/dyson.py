@@ -18,10 +18,10 @@ composite g h traverses h first (function-style composition, making loop ->
 monodromy a homomorphism).
 
 Two integration routes are implemented and cross-checked: an augmented
-adaptive ODE transport (any basis; the blocks are integrated by
-`transport`), and piecewise-Chebyshev quadrature with
-the fundamental matrix evaluated directly from its Frobenius series (needed
-for integrals anchored at the singular point 0 itself).
+adaptive ODE transport (any basis; the blocks are integrated by `transport`),
+and piecewise-Chebyshev quadrature with W evaluated from the Frobenius series
+of the zones at 0 and 1 (needed for integrals anchored at the singular point 0
+itself), which `auto` takes for any contour inside those two zones.
 """
 
 from __future__ import annotations
@@ -240,32 +240,20 @@ def _series_route_markers(
 ):
     if basis.evaluator is None:
         raise SeriesRouteUnavailable("series route needs a basis with a series evaluator")
-    if basis.provenance not in ("frobenius-at-0", "frobenius-at-1"):
-        raise SeriesRouteUnavailable(f"series route undefined for provenance {basis.provenance!r}")
     pts = tracked_points(sys, pert, paths)
-    groups: list[list[_Panel]] = []
+    start_z = paths[0].start if paths else basis.basepoint
     if from_zero:
-        start_z = paths[0].start if paths else basis.basepoint
         if not (abs(start_z.imag) < 1e-12 and start_z.real > 0):
             raise SeriesRouteUnavailable("from-zero contours start on the positive real axis")
         _check_endpoint_integrable(basis, pert, pts, start_z)
-        groups.append(_panels_for_head(start_z, pts))
-    else:
-        start_z = paths[0].start
     path_groups = [_panels_for_path(p, pts) for p in paths]
-    groups.extend(path_groups)
-    zone_center = 0.0 if basis.provenance == "frobenius-at-0" else 1.0
-    reach = max(float(np.max(np.abs(panel.zs - zone_center))) for g in groups for panel in g)
-    if reach > 0.88:
-        raise SeriesRouteUnavailable(
-            f"contour leaves the series convergence zone (reach {reach:.3f})"
-        )
     state = BranchState.principal(start_z, pts)
     for p, panels in zip(paths, path_groups):
         state = _track(p, panels, pts, state)
     # with from_zero the first marker is the end of the head piece (at the
     # contour start itself), followed by one marker per path
-    return _series_sweep(basis.evaluator, pert, groups, pts, K, basis.dim, want_plain)
+    head = [_panels_for_head(start_z, pts)] if from_zero else []
+    return _series_sweep(basis.evaluator, pert, head + path_groups, pts, K, basis.dim, want_plain)
 
 
 def _check_endpoint_integrable(basis, pert, pts, start_z):
@@ -411,12 +399,9 @@ def deformation_delta(
     want_plain = pert.kind == KIND_LOG
     markers = _route_markers(sys, pert, basis, all_paths, 1, want_plain, tol,
                              from_zero, route)
-    # marker layout: [head (series from-zero only)] + one per path
-    offset = 1 if from_zero else 0
-    if pre_paths:
-        w_x, c_x_list, d_x, _ = markers[offset + len(pre_paths) - 1]
-        c_x = c_x_list[0]
-    elif from_zero:
+    # marker layout: [head (series from-zero only)] + one per path, where a
+    # from-zero contour has no pre-path: either way the first is at the probe
+    if pre_paths or from_zero:
         w_x, c_x_list, d_x, _ = markers[0]
         c_x = c_x_list[0]
     else:

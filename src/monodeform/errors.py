@@ -44,7 +44,8 @@ class IllConditioned(MonodeformError):
 class SeriesRouteUnavailable(MonodeformError):
     """The Frobenius series route cannot integrate the contour: the basis has
     no series evaluator, a from-zero contour leaves the positive real axis,
-    or the contour leaves the series convergence zone."""
+    or the contour leaves the union of the two series zones, |z| <= 0.88 and
+    |1 - z| <= 0.88 (a zone switch needs a node in both)."""
 
 
 class NonIntegrableEndpoint(MonodeformError):

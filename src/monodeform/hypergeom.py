@@ -6,9 +6,9 @@ parameters; its order-2 case is
 
     x(1-x) y'' + [c - (a+b+1)x] y' - ab y = 0
 
-with local bases at 0 and 1 built from 2F1 series.  Evaluation anywhere on
-(0, 1) routes through whichever expansion point is closer, with the constant
-change of basis between the two frames computed once at a midpoint.
+with local bases at 0 and 1 built from 2F1 series.  Each point is evaluated in
+the basis of its zone times a constant change of frame: on (0, 1) the one
+matched at the midpoint, along a tracked contour re-anchored at zone switches.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParams, InvalidLower, NoConvergence
+from .errors import DegenerateParams, InvalidLower, NoConvergence, SeriesRouteUnavailable
 from .odecore import MeromorphicSystem, ScalarODE, companion
 from .ratfun import ComplexPoly, RationalFn
 
@@ -175,7 +175,6 @@ class LocalBasis:
     argument of the local variable (x at 0, 1-x at 1), None for the principal branch.
     An array of x (with an array of arguments) gives the stack of shape x.shape + (2, 2)."""
 
-    point: complex
     matrix: Callable[..., np.ndarray]
 
 
@@ -195,7 +194,7 @@ def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
         d2 = front * (mu * f / x + df)
         return _w_matrix(v1, v2, d1, d2)
 
-    return LocalBasis(0j, matrix)
+    return LocalBasis(matrix)
 
 
 def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
@@ -215,18 +214,30 @@ def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
         d2 = -front * (mu * g / w + dg)
         return _w_matrix(v1, v2, -d1, d2)
 
-    return LocalBasis(1.0 + 0j, matrix)
+    return LocalBasis(matrix)
+
+
+ZONE_RADIUS = 0.88  # each local series is summed only this close to its point
+
+
+def _near0(x):
+    """The zone rule: the nodes the basis at 0 evaluates; the basis at 1
+    takes the rest."""
+    return (np.abs(x) <= 0.6) | (np.abs(x) <= np.abs(1 - x))
+
+
+def check_zone(x: np.ndarray, zone) -> None:
+    """SeriesRouteUnavailable unless each node is within ZONE_RADIUS of its zone's point."""
+    reach = np.max(np.abs(x - zone), initial=0.0)
+    if reach > ZONE_RADIUS:
+        raise SeriesRouteUnavailable(f"contour leaves the series convergence zone (reach {reach:.3f})")
 
 
 class ConnectedBasis:
-    """Global evaluator for the basis-at-0 pair across (0, 1).
-
-    Near 1 the series at 0 converges too slowly, so the pair is re-expressed
-    in the basis at 1 through the constant matrix K with W0(x) = W1(x) K,
-    fixed by matching both frames at the midpoint 0.5, where both series
-    converge quickly.  Evaluation is principal-branch; use the local bases
-    directly for branch-tracked continuation.
-    """
+    """The local pairs at 0 and 1 joined across their zones: each node takes
+    W_zone(x) K, its zone's local matrix times a constant K.  `matrix` is the
+    principal-branch basis-at-0 pair, with K = I near 0 and, near 1, the
+    `connection` W0 = W1 K matched at 0.5; `along` tracks branches."""
 
     def __init__(self, a: complex, b: complex, c: complex):
         self.a, self.b, self.c = complex(a), complex(b), complex(c)
@@ -238,7 +249,7 @@ class ConnectedBasis:
         """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair: (2, 2) at
         one point, the (n, 2, 2) stack over a node array."""
         x = np.asarray(x)
-        near0 = (np.abs(x) <= 0.6) | (np.abs(x) <= np.abs(1 - x))
+        near0 = _near0(x)
         if near0.all():
             return self.basis0.matrix(x)
         if not near0.any():
@@ -247,6 +258,31 @@ class ConnectedBasis:
         w[near0] = self.basis0.matrix(x[near0])
         w[~near0] = self.basis1.matrix(x[~near0]) @ self.connection
         return w
+
+    def along(self, x, arg0, arg1, point: int) -> np.ndarray:
+        """W of the pair at `point` (0 or 1) along the nodes x in path order,
+        with arg0, arg1 the tracked arguments of x, 1 - x (principal at x[0],
+        where K is the principal one).  At each zone switch K <- W_new(z*)^-1
+        W_old(z*) K, with z* the first node of the new zone, where both series
+        must converge; one call per zone over its nodes and the switch nodes."""
+        shape, x = np.shape(x), np.ravel(x)
+        zone = np.where(_near0(x), 0, 1)
+        check_zone(x, zone)
+        new = np.flatnonzero(zone[1:] != zone[:-1]) + 1  # each the z* of its switch
+        check_zone(x[new], [[0], [1]])
+        w = np.empty((2,) + x.shape + (2, 2), dtype=complex)
+        for z, basis, arg in ((0, self.basis0, arg0), (1, self.basis1, arg1)):
+            take = zone == z
+            take[new] = True
+            w[z, take] = basis.matrix(x[take], np.broadcast_to(np.ravel(arg), x.shape)[take])
+        k = np.eye(2) if zone[0] == point else np.linalg.matrix_power(self.connection, 1 - 2 * point)
+        out = np.empty(x.shape + (2, 2), dtype=complex)
+        ends = [0, *new, x.size]
+        for lo, hi in zip(ends, ends[1:]):
+            if lo:
+                k = np.linalg.solve(w[zone[lo], lo], w[1 - zone[lo], lo] @ k)
+            out[lo:hi] = (w[zone[lo], lo:hi].reshape(-1, 2) @ k).reshape(-1, 2, 2)  # one product
+        return out.reshape(shape + (2, 2))
 
 
 def ghe_coefficient_polys(upper: Sequence[complex], lower: Sequence[complex]) -> list[ComplexPoly]:

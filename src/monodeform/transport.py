@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import IllConditioned, NonFiniteValue, StepSizeUnderflow
-from .hypergeom import local_basis_0, local_basis_1
+from .errors import DegenerateParams, IllConditioned, NonFiniteValue, StepSizeUnderflow
+from .hypergeom import ConnectedBasis, check_zone, local_basis_0, local_basis_1
 from .odecore import MeromorphicSystem, PerturbationSpec, _dedup
 from .paths import ArgTracker, BranchState, PathSpec
 
@@ -76,21 +76,29 @@ def frobenius_basis(a: complex, b: complex, c: complex, point: int,
     """Fundamental matrix with columns (y_i, y_i') of the local basis at 0 or 1.
 
     The attached evaluator recomputes W(z) from the series on any branch,
-    which is what makes quadrature-based correction integrals possible near
-    the expansion point.
+    continued through both local zones by `ConnectedBasis.along` (only
+    through its own zone when the basis at the other point degenerates),
+    which is what makes quadrature-based correction integrals possible.
     """
     if point not in (0, 1):
         raise ValueError("Frobenius bases are built at the points 0 or 1")
     basis = local_basis_0(a, b, c) if point == 0 else local_basis_1(a, b, c)
+    try:
+        zones = ConnectedBasis(a, b, c)
+    except DegenerateParams:  # at the other point: W keeps to this basis's zone
+        zones = None
 
     def evaluator(z: complex, branch: Optional[BranchState] = None) -> np.ndarray:
         if branch is None:
             return basis.matrix(z)
-        # the tracked arg of z-1 maps to the local variable w = 1-z by -pi,
-        # chosen so real z < 1 stays on the principal branch; the arg of z
-        # passes untouched (adding 0.0 would turn -0.0 into +0.0)
-        arg = branch.arg(basis.point)
-        return basis.matrix(z, arg - math.pi if point == 1 else arg)
+        # arg(z-1) maps to arg(1-z) by -pi or +pi, principal at the first node;
+        # arg(z) passes untouched (adding 0.0 would turn -0.0 into +0.0)
+        arg1 = branch.arg(1.0)
+        args = (branch.arg(0j), arg1 - math.copysign(math.pi, np.ravel(arg1)[0]))
+        if zones is None:
+            check_zone(np.asarray(z), point)
+            return basis.matrix(z, args[point])
+        return zones.along(z, *args, point)
 
     tag = "frobenius-at-0" if point == 0 else "frobenius-at-1"
     return FundamentalMatrix(complex(x0), evaluator(complex(x0)), tag, evaluator)

@@ -127,27 +127,61 @@ def test_exit_code_3_on_numeric_failure(tmp_path):
     assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3
 
 
+def _power_cocycle_spec(basis):
+    zero = {"num": [], "den": [[1.0, 0.0]]}
+    one = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}
+    return {"equation": HYP, "task": "cocycle", "centers": [0.0], "basis": basis,
+            "perturbation": {"kind": "power", "lambda": 0.5, "rho": 1e-3,
+                             "H": [[zero, zero], [one, zero]]}}
+
+
 def test_exit_code_3_on_cocycle_series_route_failures(tmp_path, capsys):
     # power-weight jumps at 0 need the series route from 0; each basis below
     # passes validation but cannot give it
-    zero = {"num": [], "den": [[1.0, 0.0]]}
-    one = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}
-    base = {"equation": HYP, "task": "cocycle", "centers": [0.0],
-            "perturbation": {"kind": "power", "lambda": 0.5, "rho": 1e-3,
-                             "H": [[zero, zero], [one, zero]]}}
     bases = {
         "identity": ({"type": "identity"}, "series evaluator"),
         "off-axis": ({"type": "frobenius0", "basepoint": [0.5, 0.2]}, "positive real axis"),
-        "outside-zone": ({"type": "frobenius0", "basepoint": 0.9}, "convergence zone"),
     }
     for name, (basis, reason) in bases.items():
-        spec = dict(base, basis=basis)
+        spec = _power_cocycle_spec(basis)
         assert semantic_diagnostics(spec) == [], name
         spec_file = _write(tmp_path, f"{name}.json", spec)
         assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3, name
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: cli.run[cocycle]: SeriesRouteUnavailable: "), err
         assert reason in err, err
+
+
+def test_cocycle_from_zero_runs_through_both_zones(tmp_path):
+    # from 0.9 the head from 0 and the probe lines cross into the zone at 1,
+    # where the series route continues W through the basis at 1
+    spec = _power_cocycle_spec({"type": "frobenius0", "basepoint": 0.9})
+    assert semantic_diagnostics(spec) == []
+    out = tmp_path / "r.json"
+    assert main(["run", "--spec", _write(tmp_path, "spec.json", spec), "--out", str(out)]) == 0
+    [jump] = json.loads(out.read_text())["results"]["jumps"]
+    assert len(jump["closed_form"]) == 4
+    assert max(c["closed_form_rel_err"] for c in jump["closed_form"]) <= 1e-6
+
+
+def test_cocycle_specs_make_no_rk_call(monkeypatch):
+    # the benchmark's cocycle shapes: H21 = k/(x(1-x)) with centers 0 and 1,
+    # and a power weight at 0; every loop stays in the two series zones
+    from monodeform import transport
+
+    calls = []
+    rk45 = transport._rk45
+    monkeypatch.setattr(transport, "_rk45", lambda *a: calls.append(1) or rk45(*a))
+    zero = {"num": [], "den": [[1.0, 0.0]]}
+    mero = {"equation": HYP, "task": "cocycle", "basis": {"type": "frobenius0"},
+            "perturbation": {"kind": "meromorphic", "rho": 1e-3, "H": [
+                [zero, zero],
+                [{"num": [[0.8, 0.0]], "den": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}, zero]]}}
+    report = run_spec(mero)
+    assert [j["center"] for j in report["results"]["jumps"]] == [[0.0, 0.0], [1.0, 0.0]]
+    assert report["diagnostics"]["cocycle_identity_residual"] <= 1e-9
+    run_spec(_power_cocycle_spec({"type": "frobenius0"}))
+    assert calls == []
 
 
 def _corner_pole(den):

@@ -9,6 +9,7 @@ from monodeform.dyson import (
     cocycle_identity_residual,
     cocycle_jump,
     correction_C,
+    default_loop_radius,
     deformation_delta,
     dyson_expand,
     evaluate_dyson,
@@ -20,14 +21,17 @@ from monodeform.errors import (
     InconsistentBasepoint,
     MonodeformError,
     NonIntegrableEndpoint,
+    SeriesRouteUnavailable,
     ShapeMismatch,
     UnsupportedKind,
 )
+from monodeform.hypergeom import hypergeometric_system
 from monodeform.odecore import MeromorphicSystem, PerturbationSpec
-from monodeform.paths import line_path, loop_around, path_hash
+from monodeform import transport as transport_module
+from monodeform.paths import Arc, Line, PathSpec, line_path, loop_around, path_hash
 from monodeform.quadrature import cheb_cumulative, cheb_nodes
 from monodeform.ratfun import ComplexPoly, RationalFn
-from monodeform.transport import FundamentalMatrix, identity_basis, transport
+from monodeform.transport import FundamentalMatrix, frobenius_basis, identity_basis, transport
 
 A, B, C = 0.3, 0.7, 0.4
 ZERO = RationalFn.zero()
@@ -343,8 +347,6 @@ def test_delta_routes_agree_multivalued(hyp_system, frob0):
 def test_delta_routes_agree_around_one(hyp_system):
     # the series route with the basis at 1 maps loop arguments through the
     # local variable 1 - x; both routes must agree
-    from monodeform.transport import frobenius_basis
-
     w1 = frobenius_basis(A, B, C, 1, 0.5)
     loop1 = loop_around(1, 0.25, 0.5, avoid=hyp_system.singularities)
     d_ser, m_ser, _, _ = deformation_delta(hyp_system, TRIVIAL, w1, 0.5, [loop1],
@@ -353,6 +355,93 @@ def test_delta_routes_agree_around_one(hyp_system):
                                            tol=1e-12, route="ode")
     assert np.max(np.abs(d_ser - d_ode)) < 1e-9
     assert np.max(np.abs(m_ser - m_ode)) < 1e-9
+
+
+def _routes(sys, basis, probe, loops):
+    """(delta, M) by the series route and by the ODE route at tol 1e-12."""
+    ser = deformation_delta(sys, TRIVIAL, basis, probe, loops, route="series")
+    ode = deformation_delta(sys, TRIVIAL, basis, probe, loops, tol=1e-12, route="ode")
+    return ser[:2], ode[:2]
+
+
+@pytest.mark.parametrize("point, center", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("probe", [0.3, 0.5, 0.7])
+def test_two_zone_series_route_matches_ode(hyp_system, point, center, probe):
+    # loops around the other point leave the zone of the basis and continue
+    # W through the other local basis
+    basis = frobenius_basis(A, B, C, point, 0.5)
+    loop = loop_around(center, default_loop_radius(center, hyp_system, probe), probe,
+                       avoid=hyp_system.singularities)
+    ser, ode = _routes(hyp_system, basis, probe, [loop])
+    for s, o in zip(ser, ode):
+        assert np.max(np.abs(s - o)) <= 1e-9
+
+
+@pytest.mark.parametrize("point, x0", [(0, 0.7 - 0.1j), (1, 0.3 - 0.1j)])
+def test_two_zone_series_route_below_the_axis(hyp_system, point, x0):
+    # the contour starts in the other zone, below the axis: W starts as the
+    # principal connection times the basis there, on the principal branch
+    basis = frobenius_basis(A, B, C, point, x0)
+    for center in (0, 1):
+        loop = loop_around(center, default_loop_radius(center, hyp_system, x0), x0,
+                           avoid=hyp_system.singularities)
+        ser, ode = _routes(hyp_system, basis, x0, [loop])
+        for s, o in zip(ser, ode):
+            assert np.max(np.abs(s - o)) <= 1e-9, center
+
+
+def test_two_zone_series_route_composites(hyp_system, frob0):
+    la, lb = (loop_around(ctr, default_loop_radius(ctr, hyp_system, 0.5), 0.5,
+                          avoid=hyp_system.singularities) for ctr in (0, 1))
+    deltas, monos = {}, {}
+    for key, loops in (("a", [la]), ("b", [lb]), (("a", "b"), [lb, la]), (("b", "a"), [la, lb])):
+        ser, ode = _routes(hyp_system, frob0, 0.5, loops)
+        for s, o in zip(ser, ode):
+            assert np.max(np.abs(s - o)) <= 1e-9, key
+        deltas[key], monos[key] = ser
+    assert cocycle_identity_residual(deltas, monos, ("a", "b")) <= 1e-9
+    assert cocycle_identity_residual(deltas, monos, ("b", "a")) <= 1e-9
+
+
+_TOP = 0.4 + 1.5j
+
+
+@pytest.mark.parametrize("probe, loop", [
+    # once round a circle of radius 1.5 about 0.4: its top has |z|, |1-z| > 1
+    (0.5, PathSpec((Line(0.5, _TOP), Arc(0.4, 1.5, math.pi / 2, math.pi / 2 + 2 * math.pi),
+                    Line(_TOP, 0.5)))),
+    # a circle of radius 0.9 about 1: both series converge on it, but most of
+    # it lies outside both zones
+    (0.05, loop_around(1, 0.9, 0.05)),
+], ids=["radius-1.5", "radius-0.9"])
+def test_contour_outside_both_zones_falls_back_to_rk(hyp_system, frob0, monkeypatch, probe, loop):
+    with pytest.raises(SeriesRouteUnavailable, match="convergence zone"):
+        deformation_delta(hyp_system, TRIVIAL, frob0, probe, [loop], route="series")
+    calls = []
+    rk45 = transport_module._rk45
+    monkeypatch.setattr(transport_module, "_rk45", lambda *a: calls.append(1) or rk45(*a))
+    auto = deformation_delta(hyp_system, TRIVIAL, frob0, probe, [loop], route="auto")
+    assert calls
+    ode = deformation_delta(hyp_system, TRIVIAL, frob0, probe, [loop], route="ode")
+    assert np.array_equal(auto[0], ode[0])
+
+
+def test_degenerate_other_basis_keeps_to_own_zone(monkeypatch):
+    # c - a - b = 0: the basis at 1 has a log member, so W stays in the zone
+    # at 0, where the probe 0.7 still converges, and a loop around 1 takes RK
+    a, b, c = 0.2, 0.3, 0.5
+    sys = hypergeometric_system(a, b, c)
+    frob0 = frobenius_basis(a, b, c, 0, 0.5)
+    jump = cocycle_jump(sys, _pert("power", ONE, 0.5), frob0, 0j, 0.7)
+    assert np.max(np.abs(jump.delta - closed_form_jump("power", 0.5, jump.probe_data[0][2]))) < 1e-9
+    loop1 = loop_around(1, 0.25, 0.5, avoid=sys.singularities)
+    with pytest.raises(SeriesRouteUnavailable, match="convergence zone"):
+        deformation_delta(sys, TRIVIAL, frob0, 0.5, [loop1], route="series")
+    calls = []
+    rk45 = transport_module._rk45
+    monkeypatch.setattr(transport_module, "_rk45", lambda *a: calls.append(1) or rk45(*a))
+    deformation_delta(sys, TRIVIAL, frob0, 0.5, [loop1])
+    assert calls
 
 
 def test_matrix_json_roundtrip():

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import mpmath
@@ -16,6 +17,7 @@ from monodeform.hypergeom import (
     elem_sym,
     ghe_coefficient_polys,
     ghe_operator,
+    hypergeometric_system,
     local_basis_0,
     local_basis_1,
     pochhammer,
@@ -356,6 +358,67 @@ def test_connected_basis_near_one(connected_basis):
     v, d = connected_basis.matrix(0.9993)[:, 0]
     ref = complex(mpmath.hyp2f1(A, B, C, 0.9993))
     assert abs(v - ref) < 1e-9 * (1 + abs(ref))
+
+
+def _seeded_triple(seed):
+    """(a, b, c) with c and c - a - b at least 0.1 from the integers; odd
+    seeds move a, b and c off the real axis."""
+    rng = random.Random(seed)
+    while True:
+        a, b, c = (complex(rng.uniform(lo, hi), rng.uniform(-0.2, 0.2) * (seed % 2))
+                   for lo, hi in ((0.1, 0.9), (0.1, 0.9), (0.15, 1.85)))
+        if min(abs(v.real - round(v.real)) for v in (c, c - a - b)) >= 0.1:
+            return a, b, c
+
+
+def _gauss_connection(a, b, c):
+    """K with W0 = W1 K on the principal branch over (0, 1), and the
+    monodromies M_0, M_1 of the basis at 0 around 0 and 1 (W -> W M), from
+    Gauss's connection formulas (DLMF 15.10.21-22) at 30 digits."""
+    with mpmath.workdps(30):
+        a, b, c = (mpmath.mpc(v.real, v.imag) for v in (a, b, c))
+        g = mpmath.gamma
+        k = mpmath.matrix([
+            [g(c) * g(c - a - b) / (g(c - a) * g(c - b)),
+             g(2 - c) * g(c - a - b) / (g(1 - a) * g(1 - b))],
+            [g(c) * g(a + b - c) / (g(a) * g(b)),
+             g(2 - c) * g(a + b - c) / (g(a - c + 1) * g(b - c + 1))]])
+        m0 = mpmath.diag([1, mpmath.exp(2j * mpmath.pi * (1 - c))])
+        m1 = mpmath.inverse(k) * mpmath.diag([1, mpmath.exp(2j * mpmath.pi * (c - a - b))]) * k
+        return [np.array(m.tolist(), dtype=complex) for m in (k, m0, m1)]
+
+
+def _rel(m, ref):
+    return np.max(np.abs(m - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+def test_connection_and_monodromies_match_gauss_closed_form(seed):
+    from monodeform.dyson import deformation_delta
+    from monodeform.odecore import PerturbationSpec
+    from monodeform.paths import Arc, Line, PathSpec, loop_around
+    from monodeform.ratfun import RationalFn
+    from monodeform.transport import frobenius_basis, monodromy
+
+    a, b, c = _seeded_triple(seed)
+    k, m0, m1 = _gauss_connection(a, b, c)
+    assert _rel(ConnectedBasis(a, b, c).connection, k) <= 1e-12
+    sys = hypergeometric_system(a, b, c)
+    frob0 = frobenius_basis(a, b, c, 0, 0.5)
+    zero = RationalFn.zero()
+    pert = PerturbationSpec("meromorphic", ((zero, zero),
+                                            (RationalFn.from_coeffs([1.0], [0.0, 1.0, -1.0]), zero)))
+    for center, ref in ((0, m0), (1, m1)):
+        loop = loop_around(center, 0.25, 0.5, avoid=sys.singularities)
+        rk = monodromy(sys, frob0, loop, tol=1e-12).matrix
+        series = deformation_delta(sys, pert, frob0, 0.5, [loop], route="series")[1]
+        assert _rel(rk, ref) <= 1e-9 and _rel(series, ref) <= 1e-9, center
+    # a loop around infinity: once round both 0 and 1, negatively, from 0.3
+    top = 0.5 + 1.5j
+    loop_inf = PathSpec((Line(0.3, top), Arc(0.5, 1.5, math.pi / 2, math.pi / 2 - 2 * math.pi),
+                         Line(top, 0.3)))
+    m_inf = monodromy(sys, frobenius_basis(a, b, c, 0, 0.3), loop_inf, tol=1e-12).matrix
+    assert np.max(np.abs(m_inf @ m1 @ m0 - np.eye(2))) <= 1e-9
 
 
 # --- operator assembly ----------------------------------------------------------
