@@ -158,12 +158,14 @@ def _task_monodromy(spec, args, csv_dir) -> dict:
             "matrix": matrix_to_json(datum.matrix),
             "eigenvalues": [_c2j(e) for e in datum.eigenvalues],
         }
+        diag = {"center": ctr, "basis_condition": basis.cond, "rk_steps": datum.steps}
         if pert is not None:
             pdatum = monodromy(sys, basis, loop, num["tol"], pert=pert, rho=rho)
             entry["perturbed_matrix"] = matrix_to_json(pdatum.matrix)
             entry["perturbed_eigenvalues"] = [_c2j(e) for e in pdatum.eigenvalues]
+            diag["perturbed_rk_steps"] = pdatum.steps
         results.append(entry)
-    diags.append({"basis_condition": basis.cond})
+        diags.append(diag)
     return {"results": {"monodromies": _jsonable(results)},
             "diagnostics": _jsonable({"per_loop": diags, "tol": num["tol"]})}
 
@@ -213,15 +215,14 @@ def _task_cocycle(spec, args, csv_dir) -> dict:
         # converges there (the canonical choice: a well-defined C(0) forces
         # delta = 0); otherwise they are basepoint-relative, which shifts
         # delta only by a coboundary
-        anchor = "basepoint"
-        jump = None
+        jump = reason = None
         if not pert.multivalued and abs(ctr) < 1e-9 and basis.evaluator is not None:
             try:
                 jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"],
                                     from_zero=True)
                 anchor = "zero"
-            except MonodeformError:
-                jump = None
+            except MonodeformError as exc:
+                reason = f"{type(exc).__name__}: {exc}"
         if jump is None:
             jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"])
             anchor = "zero" if pert.multivalued else "basepoint"
@@ -231,6 +232,8 @@ def _task_cocycle(spec, args, csv_dir) -> dict:
             "delta": matrix_to_json(jump.delta),
             "monodromy": matrix_to_json(jump.monodromy),
         }
+        if reason is not None:
+            entry["anchor_reason"] = reason
         if not pert.multivalued:
             entry["constancy_residual"] = jump.constancy_residual
         else:

@@ -253,11 +253,15 @@ class ConnectedBasis:
         if near0.all():
             return self.basis0.matrix(x)
         if not near0.any():
-            return self.basis1.matrix(x) @ self.connection
+            return self._matrix1(x)
         w = np.empty(x.shape + (2, 2), dtype=complex)
         w[near0] = self.basis0.matrix(x[near0])
-        w[~near0] = self.basis1.matrix(x[~near0]) @ self.connection
+        w[~near0] = self._matrix1(x[~near0])
         return w
+
+    def _matrix1(self, x) -> np.ndarray:
+        w1 = self.basis1.matrix(x)
+        return (w1.reshape(-1, 2) @ self.connection).reshape(w1.shape)  # one product
 
     def along(self, x, arg0, arg1, point: int) -> np.ndarray:
         """W of the pair at `point` (0 or 1) along the nodes x in path order,

@@ -1,9 +1,9 @@
 """Numerical analytic continuation of fundamental matrices along paths.
 
 Transport integrates W' = (A + rho B)(z) W along each path segment with the
-embedded Dormand-Prince 5(4) pair and the step control of Hairer, Norsett &
-Wanner, Solving ODEs I, II.4 (constant-speed segment parameters, so the
-control is arclength-equivalent).  The same integrator carries the
+embedded Dormand-Prince 8(5,3) pair (DOP853) and the step control of
+Hairer, Norsett & Wanner, Solving ODEs I, II.4 and II.10 (constant-speed
+segment parameters, so the control is arclength-equivalent).  The same integrator carries the
 augmented blocks of the Dyson expansion for the ODE route in `dyson`: the
 corrections C_k' = G C_{k-1} with G = W^{-1} B W, and the log-free integral
 of W^{-1} H W.  Branch arguments of multivalued perturbation weights come
@@ -59,6 +59,7 @@ class FundamentalMatrix:
 class MonodromyDatum:
     matrix: np.ndarray
     eigenvalues: tuple[complex, ...]
+    steps: int  # accepted integrator steps round the loop
 
 
 class TransportResult(NamedTuple):
@@ -134,44 +135,81 @@ def _gauge_matrix(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(w, rhs)
 
 
-# Dormand-Prince 5(4): nodes, stage matrix, 5th-order weights, and the
-# difference of the embedded 4th-order weights (with the FSAL stage last)
-_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+# Dormand-Prince 8(5,3), the 12 stages of Hairer, Norsett & Wanner's DOP853
+# without its dense-output stages: nodes, the strictly lower stage matrix
+# (row s holds the weights of stages 0..s-1), the 8th-order weights, and
+# the 5th- and 3rd-order error weights (with the FSAL stage last)
+_C = np.array([0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+               0.118350341907227396726757197510, 0.281649658092772603273242802490,
+               0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+               0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0])
+_A_ROWS = (
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1],
+)
+_A = np.array([[0.0] * 12] + [row + [0] * (12 - len(row)) for row in _A_ROWS])
+_B = np.array([5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+               1.89151789931450038304281599044, -5.8012039600105847814672114227,
+               3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+               2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2])
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+_E5 = np.array([0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXP = -1 / 5
+_ERR_EXP = -1 / 8
 
 
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _rk45(fun, y, rtol, atol):
-    """Integrate y' = fun(t, y) over t in [0, 1] with Dormand-Prince 5(4).
+def _dop853(fun, y, rtol, atol):
+    """Integrate y' = fun(t, y) over t in [0, 1] with Dormand-Prince 8(5,3).
 
     The first step is the Hairer-Norsett-Wanner estimate; the error of each
-    step is the RMS of the embedded difference over atol + max(|y|, |y_new|)
-    rtol.  Each step repeats scipy's RK45 operation for operation, so the
-    two agree bit for bit.  Returns the end state and the accepted step
-    count; raises StepSizeUnderflow once the step falls below ten float
-    spacings of t."""
+    step is |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), with e5 and e3 the
+    two embedded differences over atol + max(|y|, |y_new|) rtol.  Each step
+    repeats scipy's DOP853 operation for operation, so the two agree bit for
+    bit.  Returns the end state and the accepted step count; raises
+    StepSizeUnderflow once the step falls below ten float spacings of t."""
     t, f = 0.0, fun(0.0, y)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
     d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 5)
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, 1.0)
-    K = np.empty((7, y.size), dtype=y.dtype)
+    K = np.empty((13, y.size), dtype=y.dtype)
     steps = 0
     while t < 1.0:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -184,12 +222,14 @@ def _rk45(fun, y, rtol, atol):
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            for s in range(1, 12):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
             K[-1] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            e5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            err = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
                 h_abs *= min(1, factor) if rejected else factor
@@ -247,7 +287,7 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
                 return out
 
             try:
-                y, n = _rk45(rhs, y, rtol, atol)
+                y, n = _dop853(rhs, y, rtol, atol)
             except StepSizeUnderflow as exc:
                 raise StepSizeUnderflow(f"integrator failed on segment {i}: {exc}") from None
             steps += n
@@ -269,15 +309,15 @@ def transport(
     tol: float = DEFAULT_TOL,
 ) -> TransportResult:
     """Continue w0 along the path; returns the end value, the branch state,
-    and the accepted step count."""
+    and the accepted step count.  The end value carries no evaluator: round
+    a loop it is W M, no longer the W that w0's series evaluates there."""
     if abs(path.start - w0.basepoint) > 1e-9:
         raise ValueError("w0 is not based at the path start")
     rtol = max(tol, 1e-13)
     scale = max(1.0, float(np.max(np.abs(w0.value))))
     [(w_end, _, _, branch)], steps = _integrate(sys, pert, rho, [path], w0.value, 0, False,
                                                 rtol, rtol * 1e-2 * scale)
-    return TransportResult(FundamentalMatrix(path.end, w_end, w0.provenance, w0.evaluator),
-                           branch, steps)
+    return TransportResult(FundamentalMatrix(path.end, w_end, w0.provenance), branch, steps)
 
 
 def monodromy(
@@ -297,4 +337,4 @@ def monodromy(
     m = np.linalg.solve(np.asarray(basis.value), np.asarray(res.w.value))
     eigs = tuple(sorted((complex(e) for e in np.linalg.eigvals(m)),
                         key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-    return MonodromyDatum(m, eigs)
+    return MonodromyDatum(m, eigs, res.steps)

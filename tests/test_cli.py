@@ -89,6 +89,32 @@ def test_run_monodromy_eigenvalues(tmp_path):
     assert rep["version"] and rep["config_hash"]
 
 
+def test_monodromy_diagnostics_per_loop():
+    spec = dict(example_specs()["monodromy-basic"], perturbation={
+        "kind": "meromorphic", "rho": 1e-3, "H": _corner_pole([[0.0, 0.0], [1.0, 0.0]])["H"]})
+    for report in (run_spec(example_specs()["monodromy-basic"]), run_spec(spec)):
+        per_loop = report["diagnostics"]["per_loop"]
+        assert [d["center"] for d in per_loop] == [[0.0, 0.0], [1.0, 0.0]]
+        for d in per_loop:
+            assert d["basis_condition"] > 1 and d["rk_steps"] > 0
+            assert ("perturbed_rk_steps" in d) == ("perturbation" in report["inputs"])
+            assert d.get("perturbed_rk_steps", 1) > 0
+
+
+def test_cocycle_records_why_the_anchor_fell_back():
+    # the correction integrand of 1/(x^2 (1-x)^2) is not integrable at 0, so
+    # the jump at 0 falls back to the basepoint anchor and says why; the jump
+    # at 1 never tries the zero anchor
+    jumps = run_spec(example_specs()["meromorphic-cocycle"])["results"]["jumps"]
+    assert [j["center"] for j in jumps] == [[0.0, 0.0], [1.0, 0.0]]
+    assert jumps[0]["anchor"] == "basepoint"
+    assert jumps[0]["anchor_reason"].startswith("NonIntegrableEndpoint: ")
+    assert "anchor_reason" not in jumps[1]
+    # a jump that anchors at zero has nothing to explain
+    [zero, _] = run_spec(example_specs()["trivial-deformation"])["results"]["jumps"]
+    assert zero["anchor"] == "zero" and "anchor_reason" not in zero
+
+
 def test_run_cocycle_log_frame(tmp_path):
     spec = example_specs()["log-frame-jump"]
     out = tmp_path / "report.json"
@@ -170,8 +196,8 @@ def test_cocycle_specs_make_no_rk_call(monkeypatch):
     from monodeform import transport
 
     calls = []
-    rk45 = transport._rk45
-    monkeypatch.setattr(transport, "_rk45", lambda *a: calls.append(1) or rk45(*a))
+    rk = transport._dop853
+    monkeypatch.setattr(transport, "_dop853", lambda *a: calls.append(1) or rk(*a))
     zero = {"num": [], "den": [[1.0, 0.0]]}
     mero = {"equation": HYP, "task": "cocycle", "basis": {"type": "frobenius0"},
             "perturbation": {"kind": "meromorphic", "rho": 1e-3, "H": [
@@ -320,20 +346,30 @@ def test_dyson_task_oracle_delta(tmp_path):
     assert isinstance(diags["path_hash"], str) and len(diags["path_hash"]) == 16
 
 
-def test_runtime_path_does_not_import_scipy():
-    # scipy is a test-only reference: neither the CLI import nor a monodromy
-    # or eigenvalue-shift run may load it
+def test_runtime_path_imports_neither_scipy_nor_jsonschema(tmp_path):
+    # scipy and jsonschema are test-only references: neither the CLI import
+    # nor a monodromy or eigenvalue-shift run nor a parallel sweep may load them
     import monodeform
 
+    examples = example_specs()
+    sweep = _write(tmp_path, "sweep.json", {"sweep": [examples["monodromy-basic"],
+                                                      examples["branch-cut-jump"]]})
     code = (
         "import sys\n"
         "import monodeform.cli as cli\n"
-        "assert 'scipy' not in sys.modules, 'import'\n"
+        "def check(stage):\n"
+        "    for mod in ('scipy', 'jsonschema'):\n"
+        "        assert mod not in sys.modules, (mod, stage)\n"
+        "check('import')\n"
         "for name in ('monodromy-basic', 'eigenvalue-shift'):\n"
         "    cli.run_spec(cli.example_specs()[name])\n"
-        "    assert 'scipy' not in sys.modules, name\n"
+        "    check(name)\n"
+        f"assert cli.main(['run', '--spec', {sweep!r}, '--jobs', '2',\n"
+        f"                 '--out', {str(tmp_path / 'sweep-report.json')!r}]) == 0\n"
+        "check('sweep')\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(monodeform.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((tmp_path / "sweep-report.json").read_text())["sweep"]) == 2

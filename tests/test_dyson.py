@@ -418,8 +418,8 @@ def test_contour_outside_both_zones_falls_back_to_rk(hyp_system, frob0, monkeypa
     with pytest.raises(SeriesRouteUnavailable, match="convergence zone"):
         deformation_delta(hyp_system, TRIVIAL, frob0, probe, [loop], route="series")
     calls = []
-    rk45 = transport_module._rk45
-    monkeypatch.setattr(transport_module, "_rk45", lambda *a: calls.append(1) or rk45(*a))
+    rk = transport_module._dop853
+    monkeypatch.setattr(transport_module, "_dop853", lambda *a: calls.append(1) or rk(*a))
     auto = deformation_delta(hyp_system, TRIVIAL, frob0, probe, [loop], route="auto")
     assert calls
     ode = deformation_delta(hyp_system, TRIVIAL, frob0, probe, [loop], route="ode")
@@ -438,10 +438,24 @@ def test_degenerate_other_basis_keeps_to_own_zone(monkeypatch):
     with pytest.raises(SeriesRouteUnavailable, match="convergence zone"):
         deformation_delta(sys, TRIVIAL, frob0, 0.5, [loop1], route="series")
     calls = []
-    rk45 = transport_module._rk45
-    monkeypatch.setattr(transport_module, "_rk45", lambda *a: calls.append(1) or rk45(*a))
+    rk = transport_module._dop853
+    monkeypatch.setattr(transport_module, "_dop853", lambda *a: calls.append(1) or rk(*a))
     deformation_delta(sys, TRIVIAL, frob0, 0.5, [loop1])
     assert calls
+
+
+def test_carried_basis_takes_the_ode_route(hyp_system):
+    # carried once round 0 the basis is W M_0, which the series of its own
+    # frame no longer gives, so `auto` must not measure M against that series
+    frob0 = frobenius_basis(0.3, 0.7, 0.4, 0, 0.5)
+    loop0 = loop_around(0, 0.25, 0.5, avoid=hyp_system.singularities)
+    carried = transport(hyp_system, None, 0, loop0, frob0).w
+    assert carried.evaluator is None
+    loop1 = loop_around(1, 0.25, 0.5, avoid=hyp_system.singularities)
+    auto = deformation_delta(hyp_system, TRIVIAL, carried, 0.5, [loop1], route="auto")
+    ode = deformation_delta(hyp_system, TRIVIAL, carried, 0.5, [loop1], route="ode")
+    for got, want in zip(auto, ode):
+        assert np.array_equal(got, want)
 
 
 def test_matrix_json_roundtrip():

@@ -203,25 +203,25 @@ def test_gauge_equivalence_along_path(hyp_system, frob0):
     assert np.max(np.abs(w_end @ phi_end - psi)) < 1e-10
 
 
-# --- the owned Dormand-Prince integrator against scipy's RK45 ---------------
+# --- the owned Dormand-Prince integrator against scipy's DOP853 -------------
 
 
-def _scipy_rk45(fun, y, rtol, atol):
-    sol = solve_ivp(fun, (0.0, 1.0), y, method="RK45", rtol=rtol, atol=atol)
+def _scipy_dop853(fun, y, rtol, atol):
+    sol = solve_ivp(fun, (0.0, 1.0), y, method="DOP853", rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return sol.y[:, -1], sol.t.size - 1
 
 
 def _segment_runs(monkeypatch, integrator, run):
     """(end state, accepted steps) of every segment integration in run(),
-    with `integrator` standing in for transport._rk45."""
+    with `integrator` standing in for transport._dop853."""
     runs = []
 
     def recording(fun, y, rtol, atol):
         runs.append(integrator(fun, y, rtol, atol))
         return runs[-1]
 
-    monkeypatch.setattr(transport_module, "_rk45", recording)
+    monkeypatch.setattr(transport_module, "_dop853", recording)
     run()
     monkeypatch.undo()
     return runs
@@ -252,14 +252,33 @@ def _parity_case(name, hyp_system, frob0, frob1):
 
 @pytest.mark.parametrize("name", ["around-0", "around-1", "ramp-from-rest", "power-weight",
                                   "log-weight-K2"])
-def test_rk45_matches_scipy_rk45(monkeypatch, hyp_system, frob0, frob1, name):
+def test_dop853_matches_scipy_dop853(monkeypatch, hyp_system, frob0, frob1, name):
     run = _parity_case(name, hyp_system, frob0, frob1)
-    owned = _segment_runs(monkeypatch, transport_module._rk45, run)
-    reference = _segment_runs(monkeypatch, _scipy_rk45, run)
+    owned = _segment_runs(monkeypatch, transport_module._dop853, run)
+    reference = _segment_runs(monkeypatch, _scipy_dop853, run)
     assert len(owned) == len(reference) > 0
     for (y, steps), (y_ref, steps_ref) in zip(owned, reference):
         assert steps == steps_ref
         assert np.max(np.abs(y - y_ref)) <= 1e-14 * np.max(np.abs(y_ref))
+
+
+@pytest.mark.parametrize("name, budget", [("around-0", 600), ("around-1", 800)])
+def test_dop853_rhs_evaluations_per_loop(monkeypatch, hyp_system, frob0, frob1, name, budget):
+    # the 8th-order pair takes these loops at tol 1e-11 in 558 and 738
+    # evaluations
+    nfev = []
+    integrate = transport_module._dop853
+
+    def counted(fun, y, rtol, atol):
+        def rhs(t, yy):
+            nfev.append(1)
+            return fun(t, yy)
+
+        return integrate(rhs, y, rtol, atol)
+
+    monkeypatch.setattr(transport_module, "_dop853", counted)
+    _parity_case(name, hyp_system, frob0, frob1)()
+    assert 0 < len(nfev) <= budget
 
 
 class _NanPast(MeromorphicSystem):
