@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Optional
 
 import numpy as np
@@ -514,6 +513,15 @@ def _emit(report, out_path: Optional[str]):
         print(blob)
 
 
+def __getattr__(name: str):
+    # PEP 562: the pool (and multiprocessing) loads only for `run --jobs N`;
+    # a class assigned to the module attribute `ProcessPoolExecutor` wins
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_one(payload):
     spec, csv_dir = payload
     return run_spec(spec, None, csv_dir)
@@ -579,7 +587,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 validate_schema(e)
             payloads = [(e, args.csv) for e in entries]
             if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                with _sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs) as pool:
                     reports = list(pool.map(_run_one, payloads))
             else:
                 reports = [_run_one(p) for p in payloads]

@@ -97,13 +97,13 @@ def _maxabs(m: np.ndarray) -> float:
 # --- series-quadrature route -------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Panel:
+    """The Chebyshev panels of one path segment or of the whole head, end to end."""
+
     zs: np.ndarray
     dzdtau: np.ndarray
-    args: Optional[np.ndarray]  # (len(zs), len(points)) tracked arguments of zs - p
-    seg: int = -1  # path segment and node parameters, for the argument lookup
-    ts: Optional[np.ndarray] = None
+    args: np.ndarray  # (len(zs), len(points)) tracked arguments of zs - p
 
 
 def _line_pieces(z0: complex, z1: complex, obstacles: Sequence[complex]) -> list[tuple[complex, complex]]:
@@ -123,9 +123,12 @@ def _line_pieces(z0: complex, z1: complex, obstacles: Sequence[complex]) -> list
     return out
 
 
-def _panels_for_path(path: PathSpec, points: Sequence[complex]) -> list[_Panel]:
-    """Chebyshev panels along the path; their arguments are left to `_track`."""
+def _panels_for_path(path: PathSpec, points: Sequence[complex],
+                     start: BranchState) -> tuple[list[_Panel], BranchState]:
+    """One `_Panel` per path segment, its arguments tracked from `start`;
+    returns them and the branch state at the path end."""
     taus = cheb_nodes(PANEL_NODES)
+    tracker = ArgTracker(path, points, start)
     panels: list[_Panel] = []
     for i, seg in enumerate(path.segments):
         if isinstance(seg, Arc):
@@ -144,38 +147,33 @@ def _panels_for_path(path: PathSpec, points: Sequence[complex]) -> list[_Panel]:
             for a, b in pieces:
                 cuts.append(cuts[-1] + abs(b - a) / total if total > 0 else 1.0)
             cuts[-1] = 1.0
-        for t0, t1 in zip(cuts, cuts[1:]):
-            ts = t0 + 0.5 * (taus + 1.0) * (t1 - t0)
-            zs = np.array([seg.point(t) for t in ts])
-            dz = np.array([seg.velocity(t) * 0.5 * (t1 - t0) for t in ts])
-            panels.append(_Panel(zs, dz, None, i, ts))
-    return panels
-
-
-def _track(path: PathSpec, panels: list[_Panel], points: Sequence[complex],
-           start: BranchState) -> BranchState:
-    """Fill the panels' tracked arguments from the path's argument tables;
-    returns the branch state at the path end."""
-    tracker = ArgTracker(path, points, start)
-    for panel in panels:
-        panel.args = tracker.args_at(panel.seg, panel.ts)
-    return tracker.end_state
+        t0, width = np.array(cuts[:-1])[:, None], np.diff(cuts)[:, None]
+        ts = (t0 + 0.5 * (taus + 1.0) * width).ravel()
+        dz = seg.velocity(ts) * 0.5 * np.repeat(width.ravel(), PANEL_NODES)
+        panels.append(_Panel(seg.point(ts), dz, tracker.args_at(i, ts)))
+    return panels, tracker.end_state
 
 
 def _panels_for_head(end: complex, points: Sequence[complex]) -> list[_Panel]:
-    """Geometric panels along the ray from 0 to `end` (innermost first),
-    on the principal branch."""
+    """One `_Panel` of geometric panels along the ray from 0 to `end`
+    (innermost first), on the principal branch."""
     taus = cheb_nodes(PANEL_NODES)
     u = end / abs(end)
-    panels = []
-    for m in range(HEAD_LEVELS - 1, -1, -1):
-        hi = abs(end) * HEAD_RATIO**m
-        lo = abs(end) * HEAD_RATIO ** (m + 1)
-        ss = lo + 0.5 * (taus + 1.0) * (hi - lo)
-        zs = np.array([s * u for s in ss])
-        dz = np.full(PANEL_NODES, u * 0.5 * (hi - lo), dtype=complex)
-        panels.append(_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points))))
-    return panels
+    m = np.arange(HEAD_LEVELS - 1, -1, -1)[:, None]
+    hi = abs(end) * HEAD_RATIO**m
+    lo = abs(end) * HEAD_RATIO ** (m + 1)
+    zs = ((lo + 0.5 * (taus + 1.0) * (hi - lo)) * u).ravel()
+    dz = np.repeat((u * 0.5 * (hi - lo)).ravel(), PANEL_NODES)
+    return [_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points)))]
+
+
+def _running_integral(values: np.ndarray):
+    """Node and panel-end values of the integral over a stack of P panels: each
+    panel's local integral starts at the sum of the totals before it, in order."""
+    local = cheb_cumulative(values, 1.0)
+    ends = np.cumsum(local[:, -1], axis=0)
+    starts = np.concatenate([np.zeros_like(ends[:1]), ends[:-1]])
+    return starts[:, None] + local, ends
 
 
 def _series_sweep(
@@ -192,7 +190,8 @@ def _series_sweep(
 
     The integrand is built once over every node of every group: one
     evaluator call gives the stack of W, and H, the gauge product and the
-    weight follow as arrays; the sweeps then run panel by panel on slices."""
+    weight follow as arrays.  Each order is then one cumulative integral over
+    the stack of all panels, and C_k at the nodes feeds order k + 1."""
     panels = [panel for group in panel_groups for panel in group]
     zs = np.concatenate([panel.zs for panel in panels])
     args = np.concatenate([panel.args for panel in panels])
@@ -201,32 +200,18 @@ def _series_sweep(
     w = evaluator(zs, branch)
     pv = _gauge_matrix(w, pert.h_matrix(zs) @ w) * dz[:, None, None]
     gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
-    c_vals = [np.zeros((dim, dim), dtype=complex) for _ in range(K)]
-    d_val = np.zeros((dim, dim), dtype=complex)
-    markers = []
-    end = 0
-    for group in panel_groups:
-        for panel in group:
-            n = len(panel.zs)
-            rows = slice(end, end + n)
-            end += n
-            start = [c.copy() for c in c_vals]
-            prev_nodes = None
-            for k in range(1, K + 1):
-                if k == 1:
-                    integrand = gv[rows]
-                else:
-                    integrand = np.einsum("nij,njk->nik", gv[rows], prev_nodes)
-                cum = cheb_cumulative(integrand.reshape(n, dim * dim), 1.0)
-                nodes_k = start[k - 1][None, :, :] + cum.reshape(n, dim, dim)
-                prev_nodes = nodes_k
-                c_vals[k - 1] = nodes_k[-1]
-            if want_plain:
-                cum = cheb_cumulative(pv[rows].reshape(n, dim * dim), 1.0)
-                d_val = d_val + cum.reshape(n, dim, dim)[-1]
-        br_end = BranchState(tuple(zip(points, args[end - 1].tolist())))
-        markers.append((w[end - 1], [c.copy() for c in c_vals], d_val.copy(), br_end))
-    return markers
+    stack = (-1, PANEL_NODES, dim * dim)
+    ends = []  # panel-end values of C_1..C_K, then of the plain integral
+    for k in range(K):
+        integrand = gv if k == 0 else np.einsum("nij,njk->nik", gv, nodes.reshape(gv.shape))
+        nodes, ends_k = _running_integral(integrand.reshape(stack))
+        ends.append(ends_k)
+    ends.append(_running_integral(pv.reshape(stack))[1] if want_plain else np.zeros_like(ends[0]))
+    group_ends = np.cumsum([sum(len(panel.zs) for panel in group) for group in panel_groups])
+    at = np.stack(ends)[:, group_ends // PANEL_NODES - 1].reshape(K + 1, -1, dim, dim)
+    return [(w[end - 1], list(at[:K, g]), at[K, g],
+             BranchState(tuple(zip(points, args[end - 1].tolist()))))
+            for g, end in enumerate(group_ends)]
 
 
 def _series_route_markers(
@@ -246,10 +231,11 @@ def _series_route_markers(
         if not (abs(start_z.imag) < 1e-12 and start_z.real > 0):
             raise SeriesRouteUnavailable("from-zero contours start on the positive real axis")
         _check_endpoint_integrable(basis, pert, pts, start_z)
-    path_groups = [_panels_for_path(p, pts) for p in paths]
     state = BranchState.principal(start_z, pts)
-    for p, panels in zip(paths, path_groups):
-        state = _track(p, panels, pts, state)
+    path_groups = []
+    for p in paths:
+        panels, state = _panels_for_path(p, pts, state)
+        path_groups.append(panels)
     # with from_zero the first marker is the end of the head piece (at the
     # contour start itself), followed by one marker per path
     head = [_panels_for_head(start_z, pts)] if from_zero else []
@@ -259,11 +245,11 @@ def _series_route_markers(
 def _check_endpoint_integrable(basis, pert, pts, start_z):
     u = start_z / abs(start_z)
 
-    def probe(s: float):
+    def probe(s: np.ndarray):
         z = s * u
         br = BranchState.principal(z, pts)
         w = basis.evaluator(z, br)
-        return pert.weight(z, br) * _gauge_matrix(w, pert.h_matrix(z) @ w)
+        return np.reshape(pert.weight(z, br), (-1, 1, 1)) * _gauge_matrix(w, pert.h_matrix(z) @ w)
 
     expo = estimate_endpoint_exponent(probe, 0.0, +1.0, probe=1e-5 * abs(start_z))
     if expo <= -0.999:

@@ -1,12 +1,13 @@
 """Piecewise paths in the complex plane with continuous branch tracking.
 
 A path is a chain of Line and Arc segments, each parameterized on t in [0,1]
-at constant speed.  For every tracked branch point p, the argument of z - p
-is accumulated continuously along the path: straight segments change the
-argument by less than pi (so a single principal-phase increment is exact),
-and arcs are subdivided finely enough that the same holds per piece.  Arcs
-centered on a tracked point accumulate their parameter sweep exactly, so a
-full positive circle contributes exactly 2*pi.
+at constant speed (`point` and `velocity` take one t or an array of them).
+For every tracked branch point p, the argument of z - p is accumulated
+continuously along the path: straight segments change the argument by less
+than pi (so a single principal-phase increment is exact), and arcs are
+subdivided finely enough that the same holds per piece.  Arcs centered on a
+tracked point accumulate their parameter sweep exactly, so a full positive
+circle contributes exactly 2*pi.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Line:
         return self.z0 + t * (self.z1 - self.z0)
 
     def velocity(self, t: float) -> complex:
-        return self.z1 - self.z0
+        d = self.z1 - self.z0
+        return np.full(t.shape, d) if isinstance(t, np.ndarray) else d
 
     def distance_to(self, p: complex) -> float:
         d = self.z1 - self.z0
@@ -64,10 +66,12 @@ class Arc:
         return self.theta0 + t * (self.theta1 - self.theta0)
 
     def point(self, t: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * self.angle(t))
+        exp = np.exp if isinstance(t, np.ndarray) else cmath.exp
+        return self.center + self.radius * exp(1j * self.angle(t))
 
     def velocity(self, t: float) -> complex:
-        return 1j * self.radius * (self.theta1 - self.theta0) * cmath.exp(1j * self.angle(t))
+        exp = np.exp if isinstance(t, np.ndarray) else cmath.exp
+        return 1j * self.radius * (self.theta1 - self.theta0) * exp(1j * self.angle(t))
 
     def distance_to(self, p: complex) -> float:
         rel = p - self.center
@@ -199,7 +203,8 @@ class BranchState:
 
     @staticmethod
     def principal(z: complex, points: Sequence[complex]) -> "BranchState":
-        return BranchState(tuple((p, cmath.phase(z - p)) for p in points))
+        phase = np.angle if isinstance(z, np.ndarray) else cmath.phase
+        return BranchState(tuple((p, phase(z - p)) for p in points))
 
     def winding(self, point: complex, reference: "BranchState") -> float:
         return (self.arg(point) - reference.arg(point)) / (2 * math.pi)
@@ -276,7 +281,7 @@ class ArgTracker:
         """The array form of `arg`: the tracked argument of z(t) - p for every
         parameter in ts and every tracked point, shape (len(ts), len(points))."""
         seg = self.path.segments[seg_index]
-        zt = np.array([seg.point(t) for t in ts])
+        zt = seg.point(ts)
         out = np.empty((len(ts), len(self.points)))
         for j, p in enumerate(self.points):
             nodes, zs, args = (np.array(col) for col in self.tables[seg_index][j])

@@ -89,19 +89,15 @@ def estimate_endpoint_exponent(f: Callable, end: float, side: float, probe: floa
     """Smallest per-component growth exponent of f near `end`.
 
     Samples at distances probe and probe/4 along `side` (+1 for a left
-    endpoint, -1 for a right endpoint) and reads off the slope of log|f|.
+    endpoint, -1 for a right endpoint), from one call of f on both points
+    (values with the points on the leading axis, or a constant), and reads
+    off the slope of log|f|.
     """
-    t1 = end + side * probe
-    t2 = end + side * probe / 4.0
-    v1 = np.atleast_1d(np.asarray(f(t1), dtype=complex)).ravel()
-    v2 = np.atleast_1d(np.asarray(f(t2), dtype=complex)).ravel()
-    scale = max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-300)
-    slopes = []
-    for a, bb in zip(np.abs(v1), np.abs(v2)):
-        if a < 1e-13 * scale and bb < 1e-13 * scale:
-            continue
-        slopes.append(math.log(max(a, 1e-300) / max(bb, 1e-300)) / math.log(4.0))
-    return min(slopes) if slopes else 0.0
+    vals = np.abs(np.asarray(f(end + side * probe / np.array([1.0, 4.0])), dtype=complex))
+    v1, v2 = (np.broadcast_to(vals, (2,)) if vals.ndim == 0 else vals).reshape(2, -1)
+    seen = np.maximum(v1, v2) >= 1e-13 * max(np.max(v1), np.max(v2), 1e-300)
+    slopes = np.log(np.maximum(v1[seen], 1e-300) / np.maximum(v2[seen], 1e-300)) / math.log(4.0)
+    return float(np.min(slopes)) if seen.any() else 0.0
 
 
 def geometric_endpoint_integral(
@@ -194,9 +190,10 @@ def _cheb_integration_matrix(n: int) -> np.ndarray:
 def cheb_cumulative(values: np.ndarray, half_length: complex) -> np.ndarray:
     """Cumulative integral at the Chebyshev nodes from the first node.
 
-    `values` has shape (n, m): samples of m components at cheb_nodes(n) on a
-    segment whose parameterization has constant complex velocity; multiply by
+    `values` has shape (..., n, m): samples of m components at
+    cheb_nodes(n) on one segment, or on each of a stack of them, whose
+    parameterization has constant complex velocity; multiply by
     `half_length` = velocity * (t-range)/2 to account for the change of
-    variables.  Returns shape (n, m).
+    variables.  Returns the shape of `values`.
     """
-    return (_cheb_integration_matrix(values.shape[0]) @ values) * half_length
+    return (_cheb_integration_matrix(values.shape[-2]) @ values) * half_length

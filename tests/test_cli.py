@@ -348,7 +348,8 @@ def test_dyson_task_oracle_delta(tmp_path):
 
 def test_runtime_path_imports_neither_scipy_nor_jsonschema(tmp_path):
     # scipy and jsonschema are test-only references: neither the CLI import
-    # nor a monodromy or eigenvalue-shift run nor a parallel sweep may load them
+    # nor a monodromy or eigenvalue-shift run nor a parallel sweep may load
+    # them; multiprocessing is for the parallel sweep alone
     import monodeform
 
     examples = example_specs()
@@ -357,8 +358,8 @@ def test_runtime_path_imports_neither_scipy_nor_jsonschema(tmp_path):
     code = (
         "import sys\n"
         "import monodeform.cli as cli\n"
-        "def check(stage):\n"
-        "    for mod in ('scipy', 'jsonschema'):\n"
+        "def check(stage, mods=('scipy', 'jsonschema', 'multiprocessing')):\n"
+        "    for mod in mods:\n"
         "        assert mod not in sys.modules, (mod, stage)\n"
         "check('import')\n"
         "for name in ('monodromy-basic', 'eigenvalue-shift'):\n"
@@ -366,7 +367,7 @@ def test_runtime_path_imports_neither_scipy_nor_jsonschema(tmp_path):
         "    check(name)\n"
         f"assert cli.main(['run', '--spec', {sweep!r}, '--jobs', '2',\n"
         f"                 '--out', {str(tmp_path / 'sweep-report.json')!r}]) == 0\n"
-        "check('sweep')\n"
+        "check('sweep', ('scipy', 'jsonschema'))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(monodeform.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -126,6 +126,28 @@ def test_arg_tracker_array_lookup_matches_scalar(center):
             assert np.max(np.abs(table[:, j] - scalar)) <= 1e-15
 
 
+@pytest.mark.parametrize("seg", [Line(0.5 + 0.1j, 0.2 - 0.3j),
+                                 Arc(1.0 + 0j, 0.25, 2.0, 2.0 + 2 * math.pi)],
+                         ids=["line", "arc"])
+def test_segment_on_parameter_array_matches_scalar_calls(seg):
+    ts = np.concatenate([np.linspace(0.0, 1.0, 17), [1 / 3, 0.7071]])
+    for method in (seg.point, seg.velocity):
+        values = method(ts)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        scalars = [method(float(t)) for t in ts]
+        assert all(type(v) is complex for v in scalars)
+        assert np.array_equal(values, scalars)
+
+
+def test_arg_tracker_one_call_per_segment_matches_pieces():
+    loop = loop_around(0.0, 0.25, 0.5, avoid=[0j, 1 + 0j])
+    tracker = ArgTracker(loop, [0j, 1 + 0j])
+    pieces = [np.linspace(lo, hi, 9) for lo, hi in ((0.0, 0.3), (0.3, 0.8), (0.8, 1.0))]
+    for i in range(len(loop.segments)):
+        whole = tracker.args_at(i, np.concatenate(pieces))
+        assert np.array_equal(whole, np.concatenate([tracker.args_at(i, ts) for ts in pieces]))
+
+
 def test_validate_clearance_reports_violation():
     path = line_path(0.0 + 1e-9j, 1.0 + 1e-9j)  # grazes both 0 and 1
     msgs = validate_clearance(path, [0j, 1 + 0j])

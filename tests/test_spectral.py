@@ -119,9 +119,9 @@ def test_gauss_legendre_rule_matches_scipy(n):
 
 
 def test_geometric_rule_one_integrand_call_per_side():
-    # two exponent probes, then one call on the nodes of every panel the side
-    # can lay out: all levels toward 0, fewer toward 1, where a panel
-    # collapses onto 1 in float
+    # one call on both exponent probes, then one call on the nodes of every
+    # panel the side can lay out: all levels toward 0, fewer toward 1, where
+    # a panel collapses onto 1 in float
     sizes = []
 
     def f(x):
@@ -129,12 +129,12 @@ def test_geometric_rule_one_integrand_call_per_side():
         return np.asarray(x, dtype=float) ** -0.5
 
     got = geometric_endpoint_integral(f, 0.0, 0.5, 0.0, 24)
-    assert sizes == [1, 1, 24 * GEOMETRIC_LEVELS]
+    assert sizes == [2, 24 * GEOMETRIC_LEVELS]
     assert abs(got - math.sqrt(2.0)) < 1e-14
     sizes.clear()
     geometric_endpoint_integral(lambda x: f(1.0 - np.asarray(x)), 0.5, 1.0, 1.0, 24)
-    assert sizes[:2] == [1, 1] and len(sizes) == 3
-    assert sizes[2] % 24 == 0 and sizes[2] < 24 * GEOMETRIC_LEVELS
+    assert sizes[0] == 2 and len(sizes) == 2
+    assert sizes[1] % 24 == 0 and sizes[1] < 24 * GEOMETRIC_LEVELS
 
 
 def test_shift_zero_profile():
