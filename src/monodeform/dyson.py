@@ -198,7 +198,7 @@ def _series_sweep(
     dz = np.concatenate([panel.dzdtau for panel in panels])
     branch = BranchState(tuple(zip(points, args.T)))
     w = evaluator(zs, branch)
-    pv = _gauge_matrix(w, pert.h_matrix(zs) @ w) * dz[:, None, None]
+    pv = _gauge_matrix(w, np.einsum("nij,njk->nik", pert.h_matrix(zs), w)) * dz[:, None, None]
     gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
     stack = (-1, PANEL_NODES, dim * dim)
     ends = []  # panel-end values of C_1..C_K, then of the plain integral
@@ -249,7 +249,8 @@ def _check_endpoint_integrable(basis, pert, pts, start_z):
         z = s * u
         br = BranchState.principal(z, pts)
         w = basis.evaluator(z, br)
-        return np.reshape(pert.weight(z, br), (-1, 1, 1)) * _gauge_matrix(w, pert.h_matrix(z) @ w)
+        hw = np.einsum("nij,njk->nik", pert.h_matrix(z), w)
+        return np.reshape(pert.weight(z, br), (-1, 1, 1)) * _gauge_matrix(w, hw)
 
     expo = estimate_endpoint_exponent(probe, 0.0, +1.0, probe=1e-5 * abs(start_z))
     if expo <= -0.999:

@@ -87,71 +87,75 @@ BLOCK_ENTRIES = 1 << 15  # the power matrix of one block of nodes holds at most 
 
 
 @lru_cache(maxsize=256)
-def _series_table(upper: tuple, lower: tuple, radius: float, tol: float) -> np.ndarray:
-    """Coefficients c_0..c_{n-1} of pFq = sum c_m x^m, with n the fewest
-    terms after which, at |x| = radius, the value terms |c_m| r^m and the
-    derivative terms m |c_m| r^m each stay below tol times the largest term
-    so far for three consecutive terms.  A zero coefficient (an upper
-    parameter 0 or a negative integer) ends the series there."""
-    size = 64
-    while True:
-        m = np.arange(size - 1)
-        ratio = (np.prod([a + m for a in upper], axis=0)
-                 / np.prod([b + m for b in lower], axis=0) / (m + 1))
-        # in Python arithmetic, so that the derivative at 0 is exactly prod a / prod b
-        ratio[0] = prod(upper) / prod(lower)
-        coef = np.cumprod(np.concatenate(([1.0 + 0j], ratio)))
-        if not np.isfinite(coef).all():
-            raise NoConvergence(f"pFq coefficients lost finiteness (params {upper}, {lower})")
-        zero = np.flatnonzero(coef == 0)
-        if zero.size:
-            return coef[: zero[0]]
-        mag = np.abs(coef) * radius ** np.arange(size)
-        ends = []
-        for t in (mag, np.arange(size) * mag):
-            quiet = t < tol * np.maximum(np.maximum.accumulate(t), 1e-300)
-            ends.append(np.flatnonzero(quiet[:-2] & quiet[1:-1] & quiet[2:]))
-        if all(e.size for e in ends):
-            return coef[: max(e[0] for e in ends) + 3]
-        if size >= MAX_TERMS:
-            raise NoConvergence(f"pFq series at |x|={radius} exceeded {MAX_TERMS} terms")
-        size = min(2 * size, MAX_TERMS)
+def _series_table(params: tuple, radius: float, tol: float) -> np.ndarray:
+    """Row 2i: the coefficients c_0..c_{n-1} of the i-th pFq of `params`,
+    sum c_m x^m; row 2i + 1: its derivative weights (m + 1) c_{m+1}; both
+    zero-padded to the longest table.  n is the fewest terms after which, at
+    |x| = radius, the value terms |c_m| r^m and the derivative terms m |c_m| r^m
+    each stay below tol times the largest term so far for three consecutive
+    terms; a zero coefficient (an upper parameter 0 or -k) ends the series."""
+    coefs = []
+    for upper, lower in ((p.upper, p.lower) for p in params):
+        size = 64
+        while True:
+            m = np.arange(size - 1)
+            ratio = (np.prod([a + m for a in upper], axis=0)
+                     / np.prod([b + m for b in lower], axis=0) / (m + 1))
+            # in Python arithmetic, so that the derivative at 0 is exactly prod a / prod b
+            ratio[0] = prod(upper) / prod(lower)
+            coef = np.cumprod(np.concatenate(([1.0 + 0j], ratio)))
+            if not np.isfinite(coef).all():
+                raise NoConvergence(f"pFq coefficients lost finiteness (params {upper}, {lower})")
+            zero = np.flatnonzero(coef == 0)
+            if zero.size:
+                coefs.append(coef[: zero[0]])
+                break
+            mag = np.abs(coef) * radius ** np.arange(size)
+            ends = []
+            for t in (mag, np.arange(size) * mag):
+                quiet = t < tol * np.maximum(np.maximum.accumulate(t), 1e-300)
+                ends.append(np.flatnonzero(quiet[:-2] & quiet[1:-1] & quiet[2:]))
+            if all(e.size for e in ends):
+                coefs.append(coef[: max(e[0] for e in ends) + 3])
+                break
+            if size >= MAX_TERMS:
+                raise NoConvergence(f"pFq series at |x|={radius} exceeded {MAX_TERMS} terms")
+            size = min(2 * size, MAX_TERMS)
+    table = np.zeros((2 * len(coefs), max(coef.size for coef in coefs)), dtype=complex)
+    for i, coef in enumerate(coefs):
+        table[2 * i, : coef.size] = coef
+        table[2 * i + 1, : coef.size - 1] = np.arange(1, coef.size) * coef[1:]
+    return table
 
 
-def _pfq_nodes(upper: tuple, lower: tuple, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(values, derivatives) at a 1-D array of x with |x| < 1, in blocks of
-    nodes sorted by |x|: each sums the table for its largest |x| r, rounded up
-    to 1/256 (near 1, 1 - r down to a power of 2), elementwise rather than by
-    BLAS, whose threads would compete with the CLI's worker processes."""
-    radii = np.abs(x)
-    if x.size and radii.max() >= 1:
+def _pfq_nodes(params: tuple[HypergeomParams, ...], x, tol: float) -> np.ndarray:
+    """Values and derivatives of each pFq of `params` at x (a scalar or any
+    array, |x| < 1), shape (len(params), 2) + x.shape; 1 and prod a / prod b
+    at x = 0.  One pass serves every series: nodes sorted by |x| once, each
+    block sums all the tables for its largest |x| r, rounded up to 1/256 (near
+    1, 1 - r down to a power of 2), against one power matrix, by einsum rather
+    than BLAS, whose threads would compete with the CLI's worker processes."""
+    flat = np.ravel(np.asarray(x, dtype=complex))
+    radii = np.abs(flat)
+    if flat.size and radii.max() >= 1:
         raise NoConvergence(f"pFq series diverges at |x|={radii.max()}")
     order = np.argsort(radii)
-    xs, out = x[order], np.empty((2, x.size), dtype=complex)  # values, derivatives
-    hi = x.size
+    xs, out = flat[order], np.empty((2 * len(params), flat.size), dtype=complex)
+    hi = flat.size
     while hi:
         r = float(radii[order[hi - 1]])
         key = math.ceil(r * 256) / 256
         key = key if key < 1 else 1 - 2.0 ** math.floor(math.log2(1 - r))
-        coef = _series_table(upper, lower, key, tol)
-        lo = max(0, hi - max(1, BLOCK_ENTRIES // coef.size))
-        powers = np.empty((coef.size, hi - lo), dtype=complex)
-        powers[0], powers[1:] = 1.0, xs[lo:hi]
-        np.cumprod(powers, axis=0, out=powers)
-        out[0, order[lo:hi]] = (powers * coef[:, None]).sum(axis=0)
-        out[1, order[lo:hi]] = (powers[:-1] * (np.arange(1, coef.size) * coef[1:])[:, None]).sum(axis=0)
+        table = _series_table(params, key, tol)
+        lo = max(0, hi - max(1, BLOCK_ENTRIES // table.shape[1]))
+        powers = np.empty((hi - lo, table.shape[1]), dtype=complex)
+        powers[:, 0], powers[:, 1:] = 1.0, xs[lo:hi, None]
+        np.cumprod(powers, axis=1, out=powers)
+        out[:, order[lo:hi]] = np.einsum("nm,km->kn", powers, table)
         hi = lo
     if not np.isfinite(out).all():
         raise NoConvergence(f"pFq series lost finiteness at |x|<={radii.max()}")
-    return out[0], out[1]
-
-
-def _pfq_pair(params: HypergeomParams, x, tol: float):
-    """(value, derivative) of pFq at x, a scalar or an array of any shape,
-    each of the shape of x; at x = 0 they are 1 and prod a / prod b."""
-    x = np.asarray(x, dtype=complex)
-    vals, ders = _pfq_nodes(params.upper, params.lower, x.ravel(), tol)
-    return vals.reshape(x.shape)[()], ders.reshape(x.shape)[()]
+    return out.reshape((len(params), 2) + np.shape(x))
 
 
 def _power(base, arg, mu: complex):
@@ -187,9 +191,8 @@ def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
     mu = 1 - c
 
     def matrix(x, arg=None) -> np.ndarray:
-        v1, d1 = _pfq_pair(p1, x, SERIES_TOL)
+        (v1, d1), (f, df) = _pfq_nodes((p1, p2), x, SERIES_TOL)
         front = _power(x, arg, mu)
-        f, df = _pfq_pair(p2, x, SERIES_TOL)
         v2 = front * f
         d2 = front * (mu * f / x + df)
         return _w_matrix(v1, v2, d1, d2)
@@ -207,9 +210,8 @@ def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
 
     def matrix(x, arg=None) -> np.ndarray:
         w = 1 - x
-        v1, d1 = _pfq_pair(p1, w, SERIES_TOL)
+        (v1, d1), (g, dg) = _pfq_nodes((p1, p2), w, SERIES_TOL)
         front = _power(w, arg, mu)
-        g, dg = _pfq_pair(p2, w, SERIES_TOL)
         v2 = front * g
         d2 = -front * (mu * g / w + dg)
         return _w_matrix(v1, v2, -d1, d2)

@@ -29,16 +29,18 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_legendre_panels(f: Callable, parts, n: int) -> list:
+def gauss_legendre_panels(f: Callable, parts, n: int) -> np.ndarray:
     """The n-point rule on each (lo, hi) of `parts`, from one call of f on
-    all their nodes in that order.  f returns values with the nodes on the
-    leading axis, or a constant."""
+    all their nodes in that order and one contraction: the panel sums on the
+    leading axis.  f returns values with the nodes on the leading axis, or a
+    constant."""
     x, w = _gl_rule(n)
-    nodes = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in parts])
+    lo, hi = np.array(parts, dtype=float).T
+    nodes = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x).ravel()
     vals = np.asarray(f(nodes))
     vals = np.broadcast_to(vals, nodes.shape) if vals.ndim == 0 else vals
-    return [0.5 * (hi - lo) * np.tensordot(w, vals[i * n:(i + 1) * n], axes=1)
-            for i, (lo, hi) in enumerate(parts)]
+    sums = np.tensordot(vals.reshape((len(lo), n) + vals.shape[1:]), w, axes=([1], [0]))
+    return (0.5 * (hi - lo)).reshape((-1,) + (1,) * (sums.ndim - 1)) * sums
 
 
 @lru_cache(maxsize=256)
@@ -124,38 +126,22 @@ def geometric_endpoint_integral(
         raise NonIntegrableEndpoint(
             f"measured endpoint exponent {expo:.3f} <= -1 at t={singular_at}"
         )
-    parts = []
-    cut = 1.0
-    for _ in range(GEOMETRIC_LEVELS):
-        nxt = cut * GEOMETRIC_RATIO
-        if toward_left:
-            lo, hi = a + nxt * length, a + cut * length
-        else:
-            lo, hi = b - cut * length, b - nxt * length
-        if not (lo < hi) or (toward_left and lo <= a) or (not toward_left and hi >= b):
-            break  # panel collapsed onto the singular endpoint in float
-        parts.append((lo, hi))
-        cut = nxt
-    acc = None
-    prev = None
-    last = None
-    for piece in gauss_legendre_panels(f, parts, nodes):
-        acc = piece if acc is None else acc + piece
-        prev, last = last, piece
-        if prev is not None:
-            pn, ln = np.max(np.abs(np.asarray(prev))), np.max(np.abs(np.asarray(last)))
-            if ln < GEOMETRIC_ATOL and ln < pn:
-                break
-    # close the tail assuming per-component geometric decay
-    if prev is not None:
-        p = np.atleast_1d(np.asarray(prev, dtype=complex))
-        l = np.atleast_1d(np.asarray(last, dtype=complex))
-        tail = np.zeros_like(l)
-        for idx in np.ndindex(l.shape):
-            if abs(p[idx]) > 0 and abs(l[idx]) < 0.9 * abs(p[idx]):
-                r = l[idx] / p[idx]
-                tail[idx] = l[idx] * r / (1.0 - r)
-        acc = acc + tail.reshape(np.asarray(last).shape)
+    cuts = GEOMETRIC_RATIO ** np.arange(GEOMETRIC_LEVELS + 1.0) * length
+    lo, hi = (a + cuts[1:], a + cuts[:-1]) if toward_left else (b - cuts[:-1], b - cuts[1:])
+    # the panels before the first that collapses onto the singular endpoint in float
+    kept = (lo < hi) & ((lo > a) if toward_left else (hi < b))
+    parts = np.stack([lo, hi], axis=1)[: kept.size if kept.all() else np.argmin(kept)]
+    pieces = gauss_legendre_panels(f, parts, nodes)
+    # the panels up to the first one below GEOMETRIC_ATOL and below the one before it
+    mags = np.abs(pieces).reshape(len(parts), -1).max(axis=1)
+    quiet = np.flatnonzero((mags[1:] < GEOMETRIC_ATOL) & (mags[1:] < mags[:-1]))
+    count = quiet[0] + 2 if quiet.size else len(parts)
+    acc = pieces[:count].sum(axis=0)
+    if count > 1:  # close the tail assuming per-component geometric decay
+        prev, last = pieces[count - 2], pieces[count - 1]
+        decays = np.abs(last) < 0.9 * np.abs(prev)
+        r = np.where(decays, last / np.where(decays, prev, 1), 0)
+        acc = acc + last * r / (1.0 - r)
     return acc
 
 

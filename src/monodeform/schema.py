@@ -227,10 +227,21 @@ def _violations(schema: dict, value: Any, path: str) -> Iterator[tuple[str, str]
             raise ValueError(f"schema keyword {key!r} is not supported")
 
 
+def _non_finite(value: Any, path: str) -> Iterator[tuple[str, str]]:
+    """(JSON path, message) of each NaN or infinity json.load read into value."""
+    if isinstance(value, float) and not abs(value) < float("inf"):
+        yield path, f"{value!r} is not a finite number"
+    elif isinstance(value, (dict, list)):
+        step = ".{}" if isinstance(value, dict) else "[{}]"
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(item, path + step.format(key))
+
+
 def validate_schema(spec: Any) -> None:
     """Raise SchemaError (with a JSON-path location) on structural problems:
-    of all the violations, the first by JSON path."""
-    first = min(_violations(PROBLEM_SCHEMA, spec, "$"), key=lambda v: v[0], default=None)
+    of all the violations, the first by JSON path, else the first NaN or infinity."""
+    first = (min(_violations(PROBLEM_SCHEMA, spec, "$"), key=lambda v: v[0], default=None)
+             or next(_non_finite(spec, "$"), None))
     if first is not None:
         path, message = first
         raise SchemaError(f"{message} (at {path})", path)

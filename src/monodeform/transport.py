@@ -122,17 +122,17 @@ def tracked_points(sys: MeromorphicSystem, pert: Optional[PerturbationSpec],
 
 def _gauge_matrix(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """W^{-1} @ rhs via the adjugate for 2x2 (avoids cond-limited solves on
-    the wildly scaled columns near a singular point); an (n, 2, 2) stack
-    is handled matrix by matrix."""
-    if w.shape[-2:] == (2, 2):
-        # entries of one matrix stay numpy scalars; over an (n, 2, 2) stack
-        # they are arrays, and the transposes put the stack axis in front
-        lead = (slice(None),) * (w.ndim - 2)
-        w00, w01, w10, w11 = w[lead + (0, 0)], w[lead + (0, 1)], w[lead + (1, 0)], w[lead + (1, 1)]
-        det = w00 * w11 - w01 * w10
-        adj = np.array([[w11, -w10], [-w01, w00]], dtype=complex).T
-        return ((adj @ rhs).T / det).T
-    return np.linalg.solve(w, rhs)
+    the wildly scaled columns near a singular point); over an (n, 2, 2)
+    stack as elementwise arithmetic on the entries."""
+    if w.shape == (2, 2):
+        (w00, w01), (w10, w11) = w.tolist()
+        return (np.array([[w11, -w01], [-w10, w00]]) @ rhs) / (w00 * w11 - w01 * w10)
+    if w.shape[1:] != (2, 2):
+        return np.linalg.solve(w, rhs)
+    w00, w01, w10, w11 = (w[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    top, bottom = rhs[:, 0], rhs[:, 1]
+    out = np.stack([w11 * top - w01 * bottom, w00 * bottom - w10 * top], axis=1)
+    return out / (w00 * w11 - w01 * w10)[:, :, None]
 
 
 # Dormand-Prince 8(5,3), the 12 stages of Hairer, Norsett & Wanner's DOP853

@@ -142,6 +142,25 @@ def test_exit_code_2_on_malformed_spec(tmp_path):
     assert main(["run", "--spec", spec_file]) == 2
 
 
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+def test_exit_code_2_on_non_finite_numbers(tmp_path, capsys, number):
+    # json.load reads NaN, Infinity and -Infinity; each is a schema error at
+    # its JSON path, in the equation parameters and in a path point alike
+    cases = {
+        "$.equation.hypergeometric.a": {
+            "equation": {"hypergeometric": {"a": number, "b": 0.7, "c": 0.4}},
+            "task": "monodromy"},
+        "$.paths[0].segments[0].line[1][0]": {
+            "equation": HYP, "task": "monodromy",
+            "paths": [{"segments": [{"line": [[0.5, 0.0], [number, 0.5]]}]}]},
+    }
+    for where, spec in cases.items():
+        spec_file = _write(tmp_path, "spec.json", spec)
+        assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and err.strip().endswith(f"(at {where})"), err
+
+
 def test_exit_code_3_on_numeric_failure(tmp_path):
     # a path through the singularity at 1 makes the transport fail
     spec = {"equation": HYP, "task": "monodromy",

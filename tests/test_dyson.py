@@ -521,7 +521,7 @@ def _nested_reference_sweep(evaluator, pert, panel_groups, points, K, dim, want_
     dz = np.concatenate([panel.dzdtau for panel in panels])
     branch = BranchState(tuple(zip(points, args.T)))
     w = evaluator(zs, branch)
-    pv = _gauge_matrix(w, pert.h_matrix(zs) @ w) * dz[:, None, None]
+    pv = _gauge_matrix(w, np.einsum("nij,njk->nik", pert.h_matrix(zs), w)) * dz[:, None, None]
     gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
     n = PANEL_NODES
     c_vals = [np.zeros((dim, dim), dtype=complex) for _ in range(K)]

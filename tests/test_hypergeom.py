@@ -13,7 +13,7 @@ from monodeform.hypergeom import (
     ConnectedBasis,
     SERIES_TOL,
     HypergeomParams,
-    _pfq_pair,
+    _pfq_nodes,
     elem_sym,
     ghe_coefficient_polys,
     ghe_operator,
@@ -125,12 +125,12 @@ def test_elem_sym_permutation_invariance(vals, rnd):
 
 def test_pfq_at_zero_is_one():
     p = HypergeomParams.f21(2.3, -1.1, 0.7)
-    assert _pfq_pair(p, 0.0, SERIES_TOL)[0] == 1.0
+    assert _pfq_nodes((p,), 0.0, SERIES_TOL)[0][0] == 1.0
 
 
 def test_2f1_log_value():
     # 2F1(1,1;2;x) = -log(1-x)/x
-    val, _ = _pfq_pair(HypergeomParams.f21(1, 1, 2), 0.5, SERIES_TOL)
+    val, _ = _pfq_nodes((HypergeomParams.f21(1, 1, 2),), 0.5, SERIES_TOL)[0]
     assert abs(val - (-math.log(0.5) / 0.5)) < 1e-13
 
 
@@ -157,7 +157,7 @@ def test_no_convergence_outside_disk(monkeypatch):
     monkeypatch.setattr(hg, "MAX_TERMS", 2000)
     p = HypergeomParams((1.0 + 0j, 1.0 + 0j), (2.0 + 0j,))
     with pytest.raises(NoConvergence):
-        hg._pfq_pair(p, 1.5 + 0.1j, 1e-14)
+        hg._pfq_nodes((p,), 1.5 + 0.1j, 1e-14)
 
 
 def test_array_kernel_no_convergence_outside_disk(monkeypatch):
@@ -166,16 +166,16 @@ def test_array_kernel_no_convergence_outside_disk(monkeypatch):
     monkeypatch.setattr(hg, "MAX_TERMS", 2000)
     p = HypergeomParams((1.0 + 0j, 1.0 + 0j), (2.0 + 0j,))
     with pytest.raises(NoConvergence):
-        hg._pfq_pair(p, np.array([0.5, 1.5 + 0.1j]), 1e-14)
+        hg._pfq_nodes((p,), np.array([0.5, 1.5 + 0.1j]), 1e-14)
 
 
 def test_array_kernel_zero_node():
     import monodeform.hypergeom as hg
 
     p = HypergeomParams.f21(A, B, C)
-    vals, ders = hg._pfq_pair(p, np.array([0.0, 0.31, 0j]), 1e-14)
+    vals, ders = hg._pfq_nodes((p,), np.array([0.0, 0.31, 0j]), 1e-14)[0]
     assert vals[0] == vals[2] == 1 and ders[0] == ders[2] == A * B / C
-    assert (vals[1], ders[1]) == pytest.approx(hg._pfq_pair(p, 0.31, 1e-14), rel=1e-14)
+    assert (vals[1], ders[1]) == pytest.approx(hg._pfq_nodes((p,), 0.31, 1e-14)[0], rel=1e-14)
 
 
 @pytest.mark.parametrize("a", [0, -1, -3])
@@ -187,7 +187,7 @@ def test_terminating_series_is_its_polynomial(a):
     xs = np.array([0.3, 0.9, -0.5 + 0.4j, 0.99])
     tracemalloc.start()
     try:
-        vals, ders = _pfq_pair(HypergeomParams.f21(a, b, c), xs, SERIES_TOL)
+        vals, ders = _pfq_nodes((HypergeomParams.f21(a, b, c),), xs, SERIES_TOL)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,7 +211,7 @@ def test_node_array_memory_is_bounded():
     xs = 0.88 * np.linspace(0.05, 1.0, 4096) * np.exp(1j * np.linspace(0.0, 6.0, 4096))
     tracemalloc.start()
     try:
-        vals, _ = _pfq_pair(p, xs, SERIES_TOL)
+        vals, _ = _pfq_nodes((p,), xs, SERIES_TOL)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -219,9 +219,28 @@ def test_node_array_memory_is_bounded():
     assert peak < 4 << 20
 
 
+def test_fused_pass_equals_single_series_sums():
+    # one pass over both series of the basis at 0 gives each series' own
+    # sums, at one node and over nodes at radii up to 0.88 in several blocks
+    import monodeform.hypergeom as hg
+
+    pair = HypergeomParams.f21(A, B, C), HypergeomParams.f21(A - C + 1, B - C + 1, 2 - C)
+    size = hg._series_table(pair, 0.88, SERIES_TOL).shape[1]
+    rng = np.random.default_rng(5)
+    n = 3 * (hg.BLOCK_ENTRIES // size) + 7
+    xs = 0.88 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    xs[0] = 0.88
+    for x in (0.31 + 0.2j, xs):
+        both = _pfq_nodes(pair, x, SERIES_TOL)
+        assert both.shape == (2, 2) + np.shape(x)
+        for fused, p in zip(both, pair):
+            alone = _pfq_nodes((p,), x, SERIES_TOL)[0]
+            assert np.all(np.abs(fused - alone) <= 1e-15 * np.abs(alone))
+
+
 def test_2f1_near_the_unit_circle_vs_mpmath():
     p = HypergeomParams.f21(A, B, C)
-    val, der = _pfq_pair(p, 0.99, SERIES_TOL)
+    val, der = _pfq_nodes((p,), 0.99, SERIES_TOL)[0]
     with mpmath.workdps(30):
         ref = complex(mpmath.hyp2f1(A, B, C, 0.99))
         dref = complex(mpmath.diff(lambda t: mpmath.hyp2f1(A, B, C, t), 0.99))
@@ -232,7 +251,7 @@ def test_2f1_near_the_unit_circle_vs_mpmath():
 @given(st.floats(0.05, 0.95), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 def test_2f1_matches_mpmath(x, a, b):
     c = 1.37  # fixed non-degenerate lower parameter
-    ours, _ = _pfq_pair(HypergeomParams.f21(a, b, c), x, SERIES_TOL)
+    ours, _ = _pfq_nodes((HypergeomParams.f21(a, b, c),), x, SERIES_TOL)[0]
     ref = complex(mpmath.hyp2f1(a, b, c, x))
     assert abs(ours - ref) < 1e-10 * (1 + abs(ref))
 
@@ -240,11 +259,11 @@ def test_2f1_matches_mpmath(x, a, b):
 def test_derivative_contiguous_vs_mpmath():
     # one test id over all points, so the suite keeps printing this name
     p = HypergeomParams.f21(A, B, C)
-    assert _pfq_pair(p, 0.0, SERIES_TOL)[1] == A * B / C
+    assert _pfq_nodes((p,), 0.0, SERIES_TOL)[0][1] == A * B / C
     for x in (0.0, 1e-20, 1e-3 + 1e-3j, 0.31, -0.5 + 0.4j, 0.88j):
         with mpmath.workdps(30):
             ref = complex(mpmath.diff(lambda t: mpmath.hyp2f1(A, B, C, t), x))
-        assert abs(_pfq_pair(p, x, SERIES_TOL)[1] - ref) <= 1e-12 * abs(ref), x
+        assert abs(_pfq_nodes((p,), x, SERIES_TOL)[0][1] - ref) <= 1e-12 * abs(ref), x
 
 
 # --- local bases ---------------------------------------------------------------
@@ -256,7 +275,7 @@ def _residual_y(a, b, c, x, val, der, der2):
 
 def _series_second_derivative(params: HypergeomParams, x, front_mu=0.0):
     """Termwise second derivative of x^mu * pFq(params; x)."""
-    f, df = _pfq_pair(params, x, SERIES_TOL)
+    f, df = _pfq_nodes((params,), x, SERIES_TOL)[0]
     shifted = HypergeomParams(tuple(u + 1 for u in params.upper),
                               tuple(l + 1 for l in params.lower))
     fac = 1.0
@@ -264,7 +283,7 @@ def _series_second_derivative(params: HypergeomParams, x, front_mu=0.0):
         fac *= u
     for l in params.lower:
         fac /= l
-    ddf = fac * _pfq_pair(shifted, x, SERIES_TOL)[1]
+    ddf = fac * _pfq_nodes((shifted,), x, SERIES_TOL)[0][1]
     mu = front_mu
     front = x**mu
     return front * (mu * (mu - 1) * f / x**2 + 2 * mu * df / x + ddf)
@@ -358,6 +377,28 @@ def test_connected_basis_near_one(connected_basis):
     v, d = connected_basis.matrix(0.9993)[:, 0]
     ref = complex(mpmath.hyp2f1(A, B, C, 0.9993))
     assert abs(v - ref) < 1e-9 * (1 + abs(ref))
+
+
+def test_connected_basis_one_kernel_call_per_zone(monkeypatch):
+    # W over nodes in both zones: each zone sums both series of its pair in
+    # one kernel pass, for `matrix` and for `along` across a zone switch
+    import monodeform.hypergeom as hg
+
+    cb = ConnectedBasis(A, B, C)
+    calls = []
+    kernel = hg._pfq_nodes
+
+    def counted(*args):  # the nodes come second to last
+        calls.append(np.size(args[-2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(hg, "_pfq_nodes", counted)
+    xs = np.linspace(0.05, 0.95, 40) + 0.05j
+    cb.matrix(xs)
+    assert len(calls) == 2 and sum(calls) == xs.size
+    calls.clear()
+    cb.along(xs, np.angle(xs), np.angle(1 - xs), 0)
+    assert len(calls) == 2 and sum(calls) == xs.size + 1  # the switch node twice
 
 
 def _seeded_triple(seed):

@@ -14,6 +14,7 @@ from monodeform.quadrature import (
     _gl_rule,
     adaptive_subdivision_01,
     gauss_jacobi_01,
+    gauss_legendre_panels,
     geometric_endpoint_integral,
 )
 from monodeform.spectral import (
@@ -116,6 +117,30 @@ def test_gauss_legendre_rule_matches_scipy(n):
     x_ref, w_ref = roots_legendre(n)
     assert np.max(np.abs(x - x_ref)) <= 1e-15
     assert np.max(np.abs(w - w_ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 2)])
+def test_gauss_legendre_panels_equal_per_panel_sums(shape):
+    # one contraction over all panels gives each panel's own tensordot sum,
+    # for scalar, vector and matrix-valued integrands
+    n = 24
+    parts = [(0.5 * 0.25 ** (k + 1), 0.5 * 0.25 ** k) for k in range(12)]
+    rng = np.random.default_rng(7)
+    coef = rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
+
+    def f(x):
+        x = np.reshape(x, (-1,) + (1,) * len(shape))
+        return coef[0] * x ** -0.4 + coef[1] * np.log(x) + coef[2]
+
+    x, w = _gl_rule(n)
+    ref = []
+    for lo, hi in parts:
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        ref.append(0.5 * (hi - lo) * np.tensordot(w, f(nodes), axes=1))
+    got = gauss_legendre_panels(f, parts, n)
+    assert got.shape == (len(parts),) + shape
+    for piece, want in zip(got, ref):
+        assert np.max(np.abs(piece - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_geometric_rule_one_integrand_call_per_side():

@@ -13,6 +13,7 @@ from monodeform.paths import BranchState, line_path, loop_around
 from monodeform.ratfun import RationalFn
 from monodeform.transport import (
     FundamentalMatrix,
+    _gauge_matrix,
     frobenius_basis,
     identity_basis,
     monodromy,
@@ -303,3 +304,19 @@ def test_nan_rhs_raises_step_size_underflow(monkeypatch, cut):
     with pytest.raises(StepSizeUnderflow, match="segment 0") as err:
         transport(sys, None, 0, line_path(0.0, 1.0), identity_basis(0.0, 2))
     assert isinstance(err.value, MonodeformError)
+
+
+def test_stacked_gauge_matrix_equals_solve_per_matrix():
+    # the elementwise adjugate product over an (n, 2, 2) stack is W^-1 R of
+    # each matrix, and a 2-D W takes the single-matrix path to the same value
+    rng = np.random.default_rng(3)
+    w = np.eye(2) + 0.2 * (rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2)))
+    rhs = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
+    assert max(np.linalg.cond(m) for m in w) < 10
+    got = _gauge_matrix(w, rhs)
+    for g, m, r in zip(got, w, rhs):
+        ref = np.linalg.solve(m, r)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+    one = _gauge_matrix(w[0], rhs[0])
+    assert one.shape == (2, 2)
+    assert np.max(np.abs(one - _gauge_matrix(w[:1], rhs[:1])[0])) <= 1e-15 * np.max(np.abs(one))
