@@ -52,7 +52,7 @@ from .odecore import (
 )
 from .paths import line_path, loop_around, path_from_json, path_hash
 from .schema import schema_json, semantic_diagnostics, validate_schema
-from .spectral import builtin_profile, hierarchy_shift_residual
+from .spectral import basis_for, builtin_profile, hierarchy_shift_residual
 from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monodromy, transport
 from .varpar import hypergeometric_deformed_series, series_to_csv
 
@@ -83,12 +83,16 @@ def build_equation(spec) -> tuple[MeromorphicSystem, Optional[tuple[float, float
     eq = spec["equation"]
     if "hypergeometric" in eq:
         h = eq["hypergeometric"]
-        a, b, c = (_j2c(h[k]) for k in ("a", "b", "c"))
-        params = (a.real, b.real, c.real) if max(abs(a.imag), abs(b.imag), abs(c.imag)) < 1e-14 else None
-        return hypergeometric_system(a, b, c), params
+        return hypergeometric_system(*(_j2c(h[k]) for k in "abc")), _real_triple(h)
     if "scalar" in eq:
         return companion(scalar_ode_from_json(eq["scalar"])), None
     return system_from_json(eq["system"]), None
+
+
+def _real_triple(h) -> Optional[tuple[float, float, float]]:
+    """(a, b, c) when the hypergeometric parameters `h` are all real, else None."""
+    a, b, c = (_j2c(h[k]) for k in "abc")
+    return (a.real, b.real, c.real) if max(abs(a.imag), abs(b.imag), abs(c.imag)) < 1e-14 else None
 
 
 def build_basis(spec, sys: MeromorphicSystem) -> FundamentalMatrix:
@@ -272,7 +276,8 @@ def _f_profile(spec, params):
 
 
 def _task_eigenshift(spec, args, csv_dir) -> dict:
-    _, params = build_equation(spec)
+    eq = spec["equation"]
+    params = _real_triple(eq["hypergeometric"]) if "hypergeometric" in eq else None
     if params is None:
         raise SchemaError("eigenshift needs real hypergeometric parameters", "$.equation")
     num = _numerics(spec, args)
@@ -333,7 +338,7 @@ def _task_series(spec, args, csv_dir) -> dict:
     b21 = pert.H[sys.dim - 1][0]
     f = lambda x: b21(x) * x * (1 - x)
     series = hypergeometric_deformed_series(a, b, c, f, num["K"], basepoint=0.5,
-                                            tol=max(num["tol"], 1e-12))
+                                            tol=max(num["tol"], 1e-12), basis=basis_for(a, b, c))
     nsamp = int(spec.get("samples", 13))
     xs = list(np.linspace(*SERIES_RANGE, nsamp))
     samples = [{"x": x, "terms": [_c2j(series.term(k)(x)[0]) for k in range(num["K"] + 1)],

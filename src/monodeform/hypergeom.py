@@ -220,6 +220,7 @@ def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
 
 
 ZONE_RADIUS = 0.88  # each local series is summed only this close to its point
+MEMO_BYTES = 1 << 18  # node and stack bytes one ConnectedBasis.matrix keeps
 
 
 def _near0(x):
@@ -246,19 +247,26 @@ class ConnectedBasis:
         self.basis0 = local_basis_0(a, b, c)
         self.basis1 = local_basis_1(a, b, c)
         self.connection = np.linalg.solve(self.basis1.matrix(0.5), self.basis0.matrix(0.5))
+        self._memo, self._held = {}, 0
 
     def matrix(self, x) -> np.ndarray:
-        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair: (2, 2) at
-        one point, the (n, 2, 2) stack over a node array."""
+        """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair: (2, 2) at one point, the
+        (n, 2, 2) stack over a node array; read-only, kept per node set (dtype, shape, bytes)
+        within MEMO_BYTES: 256 KiB a basis, 8 MiB over the 32 spectral.basis_for keeps."""
         x = np.asarray(x)
+        key = (x.dtype.str, x.shape, x.tobytes())
+        if key in self._memo:
+            return self._memo[key]
         near0 = _near0(x)
-        if near0.all():
-            return self.basis0.matrix(x)
-        if not near0.any():
-            return self._matrix1(x)
         w = np.empty(x.shape + (2, 2), dtype=complex)
-        w[near0] = self.basis0.matrix(x[near0])
-        w[~near0] = self._matrix1(x[~near0])
+        for zone, evaluate in ((near0, self.basis0.matrix), (~near0, self._matrix1)):
+            if zone.any():
+                w[zone] = evaluate(x[zone])
+        w.flags.writeable = False
+        self._memo[key], self._held = w, self._held + len(key[2]) + w.nbytes
+        while self._held > MEMO_BYTES:  # oldest first, so a stack above the bound last
+            old = next(iter(self._memo))
+            self._held -= len(old[2]) + self._memo.pop(old).nbytes
         return w
 
     def _matrix1(self, x) -> np.ndarray:

@@ -173,6 +173,17 @@ def _cheb_integration_matrix(n: int) -> np.ndarray:
     return q
 
 
+@lru_cache(maxsize=8)
+def cheb_leaf_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-kind points t, and the identity put through chebinterpolate at t and chebint from -1."""
+    cheb = np.polynomial.chebyshev
+    maps = (cheb.chebpts1(n), cheb.chebinterpolate(lambda t: np.eye(n), n - 1),
+            cheb.chebint(np.eye(n), lbnd=-1))
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
 def cheb_cumulative(values: np.ndarray, half_length: complex) -> np.ndarray:
     """Cumulative integral at the Chebyshev nodes from the first node.
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NonIntegrableForcing, PathThroughSingularity, WronskianVanishes
 from .hypergeom import ConnectedBasis
+from .quadrature import cheb_leaf_maps
 
 # u_i panel ends bp*r^j toward 0 and 1-(1-bp)*r^j toward 1: at bp = 0.5 the
 # first are 0.2 and 0.8, the ends of cli.SERIES_RANGE, so the series task
@@ -57,17 +58,17 @@ class _Cumulative:
         self._leaves = ([], [])
 
     def _build(self, side: int) -> None:
-        cheb = np.polynomial.chebyshev
+        t, fit, integ = cheb_leaf_maps(CHEB_DEGREE + 1)
         near, start = self._edge[side]
         todo = [(near, 1.0 - (1.0 - near) * LATTICE_RATIO if side else near * LATTICE_RATIO, 0)]
         while todo:  # nearer half first, so leaves come out outward and the panel's end last
             near, far, depth = todo.pop()
             mid, half = 0.5 * (near + far), 0.5 * (far - near)
-            coef = cheb.chebinterpolate(lambda t: self.integrand(mid + half * t), CHEB_DEGREE)
+            coef = fit @ self.integrand(mid + half * t)
             if np.max(np.abs(coef[-2:])) <= self.tol * max(1.0, np.max(np.abs(coef))):
-                anti = cheb.chebint(coef, lbnd=-1, scl=half)
+                anti = half * (integ @ coef)
                 self._leaves[side].append((far, mid, half, start, anti))
-                start = start + cheb.chebval(1.0, anti)
+                start = start + anti.sum(axis=0)  # T_k(1) = 1
             elif depth < MAX_DEPTH:
                 todo += [(mid, far, depth + 1), (near, mid, depth + 1)]
             else:
@@ -89,8 +90,8 @@ class _Cumulative:
                 ends, mids, halves, starts, antis = map(np.array, zip(*self._leaves[side]))
                 k = np.searchsorted(sgn * ends, sgn * flat[on])
                 tau = (flat[on] - mids[k]) / halves[k]
-                out[on] = starts[k] + np.polynomial.chebyshev.chebval(
-                    tau[:, None], np.moveaxis(antis[k], 1, 0), tensor=False)
+                vander = np.polynomial.chebyshev.chebvander(tau, CHEB_DEGREE + 1)
+                out[on] = starts[k] + np.einsum("nk,nk...->n...", vander, antis[k])
         return out.reshape(np.shape(x) + self._edge[0][1].shape)
 
 

@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from monodeform.cli import example_specs, main, run_spec
+from monodeform.cli import _emit, example_specs, main, run_spec
 from monodeform.errors import SchemaError
 from monodeform.paths import loop_around, path_to_json
 from monodeform.schema import semantic_diagnostics, validate_schema
+from monodeform.spectral import basis_for
 
 
 def _write(tmp_path, name, spec):
@@ -322,6 +323,30 @@ def test_series_task_csv_and_triangle(tmp_path):
     csv_text = (csv_dir / "series_terms.csv").read_text()
     assert csv_text.splitlines()[0].startswith("x,re_y0,im_y0")
     assert "\r" not in csv_text  # LF endings
+
+
+def test_eigenshift_report_independent_of_history(tmp_path):
+    # one triple's series op and six eigenshifts share a basis and its W
+    # memo: the report of a shift is the same bytes cold, after the other
+    # ops of its triple, and on a second run
+    hyp = {"hypergeometric": {"a": 0.3, "b": 0.7, "c": 1.2}}
+    series = dict(example_specs()["series-oracle"], equation=hyp)
+    profiles = [{"name": n} for n in ("one", "x", "x(1-x)")]
+    profiles += [{"poly": [[0.2, 0], [-0.7, 0], [v, 0]]} for v in (0.4, -0.9, 0.1)]
+    shifts = [{"equation": hyp, "task": "eigenshift", "f": f, "numerics": {"nodes": 24}}
+              for f in profiles]
+
+    def emitted(spec):
+        path = tmp_path / "report.json"
+        _emit(run_spec(spec), str(path))
+        return path.read_bytes()
+
+    basis_for.cache_clear()
+    cold = emitted(shifts[4])
+    for spec in [series] + shifts[:4] + shifts[5:]:
+        run_spec(spec)
+    assert emitted(shifts[4]) == cold
+    assert emitted(shifts[4]) == cold
 
 
 def test_sample_task_csv(tmp_path):

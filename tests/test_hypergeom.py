@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from monodeform.errors import DegenerateParams, InvalidLower, NoConvergence
 from monodeform.hypergeom import (
+    MEMO_BYTES,
     ConnectedBasis,
     SERIES_TOL,
     HypergeomParams,
@@ -379,26 +380,77 @@ def test_connected_basis_near_one(connected_basis):
     assert abs(v - ref) < 1e-9 * (1 + abs(ref))
 
 
-def test_connected_basis_one_kernel_call_per_zone(monkeypatch):
-    # W over nodes in both zones: each zone sums both series of its pair in
-    # one kernel pass, for `matrix` and for `along` across a zone switch
+def _counted_kernel(monkeypatch) -> list:
+    """The node counts of the _pfq_nodes calls made from here on."""
     import monodeform.hypergeom as hg
 
-    cb = ConnectedBasis(A, B, C)
-    calls = []
-    kernel = hg._pfq_nodes
+    calls, kernel = [], hg._pfq_nodes
 
     def counted(*args):  # the nodes come second to last
         calls.append(np.size(args[-2]))
         return kernel(*args)
 
     monkeypatch.setattr(hg, "_pfq_nodes", counted)
+    return calls
+
+
+def test_connected_basis_one_kernel_call_per_zone(monkeypatch):
+    # W over nodes in both zones: each zone sums both series of its pair in
+    # one kernel pass, for `matrix` and for `along` across a zone switch
+    cb = ConnectedBasis(A, B, C)
+    calls = _counted_kernel(monkeypatch)
     xs = np.linspace(0.05, 0.95, 40) + 0.05j
     cb.matrix(xs)
     assert len(calls) == 2 and sum(calls) == xs.size
     calls.clear()
     cb.along(xs, np.angle(xs), np.angle(1 - xs), 0)
     assert len(calls) == 2 and sum(calls) == xs.size + 1  # the switch node twice
+
+
+def test_connected_basis_memo_serves_equal_node_sets(monkeypatch):
+    # a fresh array with the values of one already seen costs no kernel call
+    # and gets the same read-only stack; one moved node misses
+    cb = ConnectedBasis(A, B, C)
+    calls = _counted_kernel(monkeypatch)
+    xs = np.linspace(0.05, 0.95, 40) + 0.05j
+    first = cb.matrix(xs)
+    assert len(calls) == 2
+    again = cb.matrix(xs.copy())
+    assert len(calls) == 2 and np.array_equal(again, first)
+    for w in (first, again):
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 0.0
+    moved = xs.copy()
+    moved[7] += 1e-12
+    assert not np.array_equal(cb.matrix(moved), first)
+    assert len(calls) == 4
+    cb.matrix(0.5)
+    cb.matrix(np.float64(0.5))
+    assert len(calls) == 5
+
+
+def test_connected_basis_memo_stays_within_its_bound(monkeypatch):
+    # many distinct node sets, and one whose stack alone exceeds the bound:
+    # the kept nodes and stacks never pass MEMO_BYTES, and the newest set that
+    # fits is kept
+    cb = ConnectedBasis(A, B, C)
+
+    def held():
+        kept = sum(len(key[2]) + w.nbytes for key, w in cb._memo.items())
+        assert cb._held == kept
+        return kept
+
+    for i in range(300):
+        xs = np.linspace(0.1, 0.9, 60) + 1e-4 * i
+        cb.matrix(xs)
+        assert held() <= MEMO_BYTES
+    assert 1 < len(cb._memo) < 300
+    calls = _counted_kernel(monkeypatch)
+    cb.matrix(xs)
+    assert calls == []
+    big = np.linspace(0.01, 0.99, MEMO_BYTES // 64 + 1)
+    assert np.allclose(cb.matrix(big)[::97], cb.matrix(big[::97]), rtol=1e-13, atol=0)
+    assert held() <= MEMO_BYTES
 
 
 def _seeded_triple(seed):

@@ -5,7 +5,9 @@ import pytest
 
 from monodeform.errors import NonIntegrableForcing, PathThroughSingularity, WronskianVanishes
 from monodeform.hypergeom import ConnectedBasis
+from monodeform.quadrature import cheb_leaf_maps
 from monodeform.varpar import (
+    CHEB_DEGREE,
     hypergeometric_deformed_series,
     particular_solution,
     series_to_csv,
@@ -169,6 +171,61 @@ def test_u_depends_on_x_alone():
     for one, other in zip(together, apart):
         assert np.array_equal(one, other)
     assert not np.any(together[0][3])
+
+
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_leaf_maps_equal_numpy_chebyshev(shape):
+    """The cached maps give chebinterpolate's coefficients, chebint's
+    antiderivative from -1 and its value at 1 to 1e-15 of the largest
+    coefficient, for scalar and (n, 2)-valued integrands."""
+    cheb = np.polynomial.chebyshev
+    t, fit, integ = cheb_leaf_maps(CHEB_DEGREE + 1)
+    half = 0.15
+    g = lambda t: (np.exp(1j * t) / (1.3 - t)).reshape((-1,) + (1,) * len(shape)) * np.ones(shape)
+    ref = cheb.chebinterpolate(g, CHEB_DEGREE)
+    ref_anti = cheb.chebint(ref, lbnd=-1, scl=half)
+    coef = fit @ g(t)
+    anti = half * (integ @ coef)
+    for got, want in ((coef, ref), (anti, ref_anti), (anti.sum(axis=0), cheb.chebval(1.0, ref_anti))):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        fit[0, 0] = 0.0
+
+
+def _numpy_route(u, xs):
+    """u at xs through numpy's chebinterpolate, chebint and chebval on each
+    leaf u has built, chained from the basepoint."""
+    cheb = np.polynomial.chebyshev
+    out = []
+    for x in xs:
+        side = int(x > u._bp)
+        start = 0.0
+        for far, mid, half, *_ in u._leaves[side]:
+            coef = cheb.chebinterpolate(lambda t: u.integrand(mid + half * t), CHEB_DEGREE)
+            anti = cheb.chebint(coef, lbnd=-1, scl=half)
+            if (far - x) * (1 if side else -1) >= 0:
+                out.append(start + cheb.chebval((x - mid) / half, anti))
+                break
+            start = start + cheb.chebval(1.0, anti)
+    return np.array(out)
+
+
+def test_cumulative_matches_numpy_route(monkeypatch):
+    """u from the cached leaf maps matches numpy's polynomial route to
+    1e-14, leaf ends included, and calls none of chebinterpolate, chebint
+    or chebval once the maps exist."""
+    cheb_leaf_maps(CHEB_DEGREE + 1)
+    cheb = np.polynomial.chebyshev
+    for name in ("chebinterpolate", "chebint", "chebval"):
+        monkeypatch.setattr(cheb, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    cb = ConnectedBasis(A, B, C)
+    u = particular_solution(cb, lambda x, w: np.sin(3 * x) * w[..., 0, 0] / (x * (1 - x))).u
+    xs = np.array([0.01, 0.1, 0.2, 0.33, 0.5, 0.61, 0.8, 0.95, 0.999])
+    got = u(xs)
+    monkeypatch.undo()
+    want = _numpy_route(u, xs)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_forcing_pole_on_the_panel_raises():
