@@ -37,7 +37,7 @@ from .dyson import (
     matrix_to_json,
     windings_json,
 )
-from .errors import MonodeformError, NonIntegrableForcing, SchemaError
+from .errors import MonodeformError, NonIntegrableForcing, SchemaError, SingularPoint
 from .hypergeom import ConnectedBasis, hypergeometric_system, weight_omega
 from .odecore import (
     MeromorphicSystem,
@@ -47,10 +47,11 @@ from .odecore import (
     companion,
     exclusion_radius,
     perturbation_from_json,
+    poly_from_json,
     scalar_ode_from_json,
     system_from_json,
 )
-from .paths import line_path, loop_around, path_from_json, path_hash
+from .paths import line_path, loop_around, path_from_json, path_to_json
 from .schema import schema_json, semantic_diagnostics, validate_schema
 from .spectral import basis_for, builtin_profile, hierarchy_shift_residual
 from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monodromy, transport
@@ -197,7 +198,7 @@ def _task_dyson(spec, args, csv_dir) -> dict:
             "oracle_delta_vs_direct": delta,
             "rho": rho,
             "tol": num["tol"],
-            "path_hash": path_hash(path),
+            "path_hash": config_hash(path_to_json(path)),
             "transport_steps": direct.steps,
             "windings": windings_json(direct.branch, path.start),
         }),
@@ -264,15 +265,7 @@ def _f_profile(spec, params):
     fspec = spec.get("f", {"name": "one"})
     if "name" in fspec:
         return builtin_profile(fspec["name"], params), fspec["name"]
-    coeffs = [_j2c(p) for p in fspec["poly"]]
-
-    def poly(x: float) -> complex:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    return poly, "poly"
+    return poly_from_json(fspec["poly"]), "poly"
 
 
 def _task_eigenshift(spec, args, csv_dir) -> dict:
@@ -369,7 +362,6 @@ def _task_sample(spec, args, csv_dir) -> dict:
     sys, params = build_equation(spec)
     nsamp = int(spec.get("samples", 101))
     xs = np.linspace(0.02, 0.98, nsamp)
-    rows = []
     if params is not None:
         a, b, c = params
         y1, y2 = ConnectedBasis(a, b, c).matrix(xs)[:, 0].T
@@ -378,12 +370,11 @@ def _task_sample(spec, args, csv_dir) -> dict:
                                 abs(y1) ** 2 * w.real]).tolist()
         header = ["x", "re_y1", "im_y1", "re_y2", "im_y2", "omega", "density"]
     else:
-        for x in xs:
-            m = sys.evaluate(complex(x), guard=False)
-            row = [x]
-            for v in m.ravel():
-                row += [v.real, v.imag]
-            rows.append(row)
+        for s in sys.singularities:
+            if np.min(np.abs(xs - s)) < exclusion_radius(s):
+                raise SingularPoint(f"a sample point lies on the pole {s}")
+        m = sys.evaluate(xs).reshape(nsamp, -1)  # row-major entries, each as re, im
+        rows = np.column_stack([xs, np.stack([m.real, m.imag], axis=-1).reshape(nsamp, -1)])
         header = ["x"] + [f"{p}_A{i}{j}" for i in range(sys.dim)
                           for j in range(sys.dim) for p in ("re", "im")]
     if csv_dir:

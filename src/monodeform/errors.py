@@ -6,7 +6,7 @@ class MonodeformError(Exception):
 
 
 class SingularPoint(MonodeformError):
-    """Evaluation requested inside the exclusion radius of a pole."""
+    """A path or a sample point lies inside the exclusion radius of a pole."""
 
 
 class BranchRequired(MonodeformError):

@@ -172,18 +172,11 @@ def _w_matrix(v1, v2, d1, d2) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class LocalBasis:
-    """Solution pair (y1, y2) of the order-2 equation at an expansion point:
-    `matrix(x, arg=None)` is W(x) = [[y1, y2], [y1', y2']], with `arg` the tracked
-    argument of the local variable (x at 0, 1-x at 1), None for the principal branch.
-    An array of x (with an array of arguments) gives the stack of shape x.shape + (2, 2)."""
-
-    matrix: Callable[..., np.ndarray]
-
-
-def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
-    """Basis at 0: y1 = 2F1(a,b;c;x), y2 = x^(1-c) 2F1(a-c+1,b-c+1;2-c;x)."""
+def local_basis_0(a: complex, b: complex, c: complex) -> Callable[..., np.ndarray]:
+    """Basis at 0: y1 = 2F1(a,b;c;x), y2 = x^(1-c) 2F1(a-c+1,b-c+1;2-c;x), as the
+    function W(x, arg=None) = [[y1, y2], [y1', y2']], with `arg` the tracked argument
+    of the local variable (x at 0, 1-x at 1), None for the principal branch.  An array
+    of x (with an array of arguments) gives the stack of shape x.shape + (2, 2)."""
     if is_near_integer(c):
         raise DegenerateParams(f"c={c} is (near-)integer; the basis at 0 degenerates")
     p1 = HypergeomParams.f21(a, b, c)
@@ -197,11 +190,12 @@ def local_basis_0(a: complex, b: complex, c: complex) -> LocalBasis:
         d2 = front * (mu * f / x + df)
         return _w_matrix(v1, v2, d1, d2)
 
-    return LocalBasis(matrix)
+    return matrix
 
 
-def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
-    """Basis at 1 in w = 1-x: exponents 0 and c-a-b (needs c-a-b non-integer)."""
+def local_basis_1(a: complex, b: complex, c: complex) -> Callable[..., np.ndarray]:
+    """Basis at 1 in w = 1-x, the W of `local_basis_0` with exponents 0 and c-a-b
+    (needs c-a-b non-integer)."""
     if is_near_integer(c - a - b):
         raise DegenerateParams(f"c-a-b={c - a - b} is (near-)integer; the basis at 1 degenerates")
     p1 = HypergeomParams.f21(a, b, a + b - c + 1)
@@ -216,7 +210,7 @@ def local_basis_1(a: complex, b: complex, c: complex) -> LocalBasis:
         d2 = -front * (mu * g / w + dg)
         return _w_matrix(v1, v2, -d1, d2)
 
-    return LocalBasis(matrix)
+    return matrix
 
 
 ZONE_RADIUS = 0.88  # each local series is summed only this close to its point
@@ -246,7 +240,7 @@ class ConnectedBasis:
         self.a, self.b, self.c = complex(a), complex(b), complex(c)
         self.basis0 = local_basis_0(a, b, c)
         self.basis1 = local_basis_1(a, b, c)
-        self.connection = np.linalg.solve(self.basis1.matrix(0.5), self.basis0.matrix(0.5))
+        self.connection = np.linalg.solve(self.basis1(0.5), self.basis0(0.5))
         self._memo, self._held = {}, 0
 
     def matrix(self, x) -> np.ndarray:
@@ -259,7 +253,7 @@ class ConnectedBasis:
             return self._memo[key]
         near0 = _near0(x)
         w = np.empty(x.shape + (2, 2), dtype=complex)
-        for zone, evaluate in ((near0, self.basis0.matrix), (~near0, self._matrix1)):
+        for zone, evaluate in ((near0, self.basis0), (~near0, self._matrix1)):
             if zone.any():
                 w[zone] = evaluate(x[zone])
         w.flags.writeable = False
@@ -270,7 +264,7 @@ class ConnectedBasis:
         return w
 
     def _matrix1(self, x) -> np.ndarray:
-        w1 = self.basis1.matrix(x)
+        w1 = self.basis1(x)
         return (w1.reshape(-1, 2) @ self.connection).reshape(w1.shape)  # one product
 
     def along(self, x, arg0, arg1, point: int) -> np.ndarray:
@@ -288,7 +282,7 @@ class ConnectedBasis:
         for z, basis, arg in ((0, self.basis0, arg0), (1, self.basis1, arg1)):
             take = zone == z
             take[new] = True
-            w[z, take] = basis.matrix(x[take], np.broadcast_to(np.ravel(arg), x.shape)[take])
+            w[z, take] = basis(x[take], np.broadcast_to(np.ravel(arg), x.shape)[take])
         k = np.eye(2) if zone[0] == point else np.linalg.matrix_power(self.connection, 1 - 2 * point)
         out = np.empty(x.shape + (2, 2), dtype=complex)
         ends = [0, *new, x.size]

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BranchRequired, SingularPoint, UnsupportedKind
+from .errors import BranchRequired, UnsupportedKind
 from .ratfun import ComplexPoly, RationalFn
 
 DEDUP_TOL = 1e-9
@@ -30,7 +30,7 @@ KINDS = (KIND_MEROMORPHIC, KIND_POWER, KIND_LOG)
 
 
 def exclusion_radius(x: complex) -> float:
-    """Default guard radius around poles for evaluation at x."""
+    """Radius around a pole at x that paths and sample points keep clear of."""
     return 1e-6 * (1.0 + abs(x))
 
 
@@ -40,6 +40,23 @@ def _dedup(points: Sequence[complex]) -> list[complex]:
         if not any(abs(p - q) <= DEDUP_TOL * (1.0 + abs(p)) for q in out):
             out.append(p)
     return sorted(out, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+
+
+def _poles(grid) -> tuple[complex, ...]:
+    """The poles of a square grid of rational functions, deduplicated."""
+    return tuple(_dedup([p for row in grid for e in row for p in e.poles()]))
+
+
+def _evaluate(grid, x) -> np.ndarray:
+    """A square grid of rational functions at x: (dim, dim) at one point, in
+    Python complex arithmetic, or the stack x.shape + (dim, dim) over a node
+    array; zero entries are left at zero."""
+    out = np.zeros(getattr(x, "shape", ()) + (len(grid), len(grid)), dtype=complex)
+    for i, row in enumerate(grid):
+        for j, e in enumerate(row):
+            if not e.is_zero:
+                out[..., i, j] = e(x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,19 +93,11 @@ class MeromorphicSystem:
 
     @cached_property
     def singularities(self) -> tuple[complex, ...]:
-        pts: list[complex] = []
-        for row in self.entries:
-            for e in row:
-                pts.extend(e.poles())
-        return tuple(_dedup(pts))
+        return _poles(self.entries)
 
-    def evaluate(self, x: complex, guard: bool = True) -> np.ndarray:
-        if guard:
-            r = exclusion_radius(x)
-            for s in self.singularities:
-                if abs(x - s) < r:
-                    raise SingularPoint(f"x={x} within exclusion radius of pole {s}")
-        return np.array([[e(x) for e in row] for row in self.entries], dtype=complex)
+    def evaluate(self, x) -> np.ndarray:
+        """A(x); a node array of x gives the stack x.shape + (dim, dim)."""
+        return _evaluate(self.entries, x)
 
 
 @dataclass(frozen=True)
@@ -106,29 +115,16 @@ class PerturbationSpec:
             raise ValueError("power-weighted perturbation needs an exponent")
 
     @property
-    def dim(self) -> int:
-        return len(self.H)
-
-    @property
     def multivalued(self) -> bool:
         return self.kind in (KIND_POWER, KIND_LOG)
 
     @cached_property
     def poles(self) -> tuple[complex, ...]:
-        pts: list[complex] = []
-        for row in self.H:
-            for e in row:
-                pts.extend(e.poles())
-        return tuple(_dedup(pts))
+        return _poles(self.H)
 
     def h_matrix(self, x) -> np.ndarray:
-        """H(x); a 1-D array of x gives the (n, dim, dim) stack."""
-        h = np.zeros(getattr(x, "shape", ()) + (self.dim, self.dim), dtype=complex)
-        for i, row in enumerate(self.H):
-            for j, e in enumerate(row):
-                if not e.is_zero:
-                    h[..., i, j] = e(x)
-        return h
+        """H(x); a node array of x gives the stack x.shape + (dim, dim)."""
+        return _evaluate(self.H, x)
 
     def weight(self, x, branch=None):
         """The scalar factor at x: x^lam or log x on the tracked branch, 1 for

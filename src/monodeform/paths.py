@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -324,8 +322,3 @@ def path_from_json(data) -> PathSpec:
         else:
             raise ValueError(f"unknown segment {s}")
     return PathSpec(tuple(segs))
-
-
-def path_hash(path: PathSpec) -> str:
-    blob = json.dumps(path_to_json(path), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -2,7 +2,9 @@
 
 Coefficients are stored ascending in degree. Rational functions are kept
 reduced: common roots of numerator and denominator (matched within a root
-tolerance) are cancelled, and the denominator is normalized monic.
+tolerance) are cancelled, and the denominator is normalized monic.  Both
+evaluate at one point in Python complex arithmetic, or elementwise over a
+numpy array.
 """
 
 from __future__ import annotations
@@ -68,15 +70,6 @@ class ComplexPoly:
 
     def scale(self, z: complex) -> "ComplexPoly":
         return ComplexPoly.make([z * c for c in self.coeffs])
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return ComplexPoly.make([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + other.scale(-1.0)
 
     def __mul__(self, other: "ComplexPoly") -> "ComplexPoly":
         if self.is_zero or other.is_zero:
@@ -162,20 +155,5 @@ class RationalFn:
     def poles(self) -> list[complex]:
         return self.den.roots()
 
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + other.scale(-1.0)
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn.make(self.num * other.num, self.den * other.den)
-
     def scale(self, z: complex) -> "RationalFn":
         return RationalFn(self.num.scale(z), self.den)
-
-    def deriv(self) -> "RationalFn":
-        return RationalFn.make(
-            self.num.deriv() * self.den - self.num * self.den.deriv(),
-            self.den * self.den,
-        )

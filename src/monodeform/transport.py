@@ -20,10 +20,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParams, IllConditioned, NonFiniteValue, StepSizeUnderflow
+from .errors import (DegenerateParams, IllConditioned, NonFiniteValue, SingularPoint,
+                     StepSizeUnderflow)
 from .hypergeom import ConnectedBasis, check_zone, local_basis_0, local_basis_1
 from .odecore import MeromorphicSystem, PerturbationSpec, _dedup
-from .paths import ArgTracker, BranchState, PathSpec
+from .paths import ArgTracker, BranchState, PathSpec, validate_clearance
 
 COND_LIMIT = 1e12
 DEFAULT_TOL = 1e-10
@@ -91,14 +92,14 @@ def frobenius_basis(a: complex, b: complex, c: complex, point: int,
 
     def evaluator(z: complex, branch: Optional[BranchState] = None) -> np.ndarray:
         if branch is None:
-            return basis.matrix(z)
+            return basis(z)
         # arg(z-1) maps to arg(1-z) by -pi or +pi, principal at the first node;
         # arg(z) passes untouched (adding 0.0 would turn -0.0 into +0.0)
         arg1 = branch.arg(1.0)
         args = (branch.arg(0j), arg1 - math.copysign(math.pi, np.ravel(arg1)[0]))
         if zones is None:
             check_zone(np.asarray(z), point)
-            return basis.matrix(z, args[point])
+            return basis(z, args[point])
         return zones.along(z, *args, point)
 
     tag = "frobenius-at-0" if point == 0 else "frobenius-at-1"
@@ -247,7 +248,9 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     With K > 0 the state also carries C_k' = G C_{k-1} (C_0 = I,
     G = W^{-1} B W) for k = 1..K, and with want_plain the log-free integral
     of W^{-1} H W.  Returns one marker (W, [C_1..C_K], plain, branch) per
-    path, and the accepted step count."""
+    path, and the accepted step count.  A path that passes within the
+    exclusion radius of a singularity of sys raises SingularPoint before
+    its first step."""
     pts = tracked_points(sys, pert, paths)
     dim = w0.shape[0]
     n2 = dim * dim
@@ -260,6 +263,9 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     markers, steps = [], 0
     for path in paths:
         tracker = ArgTracker(path, pts, state)
+        clash = validate_clearance(path, sys.singularities)
+        if clash:
+            raise SingularPoint(clash[0])
         for i, seg in enumerate(path.segments):
 
             def rhs(t, yy, seg=seg, i=i):

@@ -56,6 +56,7 @@ class _Cumulative:
         # and the leaves outward as (far end, mid, signed half width, start, antiderivative)
         self._edge = [(self._bp, np.zeros_like(probe))] * 2
         self._leaves = ([], [])
+        self._stacks = [None, None]  # per side, the leaf fields as arrays
 
     def _build(self, side: int) -> None:
         t, fit, integ = cheb_leaf_maps(CHEB_DEGREE + 1)
@@ -74,6 +75,7 @@ class _Cumulative:
             else:
                 raise NonIntegrableForcing(f"quadrature for u_i failed to converge at x = {mid}")
         self._edge[side] = (far, start)
+        self._stacks[side] = tuple(map(np.array, zip(*self._leaves[side])))
 
     def __call__(self, x) -> np.ndarray:
         """Values at x, a point or a node array in (0, 1): the start value of
@@ -87,7 +89,7 @@ class _Cumulative:
             if on.any():
                 while np.max(sgn * flat[on]) > sgn * self._edge[side][0]:
                     self._build(side)
-                ends, mids, halves, starts, antis = map(np.array, zip(*self._leaves[side]))
+                ends, mids, halves, starts, antis = self._stacks[side]
                 k = np.searchsorted(sgn * ends, sgn * flat[on])
                 tau = (flat[on] - mids[k]) / halves[k]
                 vander = np.polynomial.chebyshev.chebvander(tau, CHEB_DEGREE + 1)
@@ -145,24 +147,17 @@ def particular_solution(
 
 
 @dataclass(frozen=True)
-class SeriesTerm:
-    k: int
-    fn: Callable[..., tuple]
-
-    def __call__(self, x) -> tuple:
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
 class SeriesSolution:
-    order: int
-    terms: tuple[SeriesTerm, ...]
+    """Terms y_0..y_K of the expansion in rho, each a solution callable."""
 
-    def term(self, k: int) -> SeriesTerm:
+    order: int
+    terms: tuple[Callable[..., tuple], ...]
+
+    def term(self, k: int) -> Callable[..., tuple]:
         return self.terms[k]
 
     def evaluate(self, x, rho: complex):
-        return sum(t(x)[0] * rho ** t.k for t in self.terms)
+        return sum(t(x)[0] * rho ** k for k, t in enumerate(self.terms))
 
 
 def hypergeometric_deformed_series(
@@ -188,13 +183,13 @@ def hypergeometric_deformed_series(
     cb = basis if basis is not None else ConnectedBasis(a, b, c)
 
     # level k reads y_{k-1} = coef(x) . (y1, y2): init_coeffs, then level k-1's u
-    terms = [SeriesTerm(0, lambda x: _combine(np.asarray(init_coeffs), cb.matrix(x)))]
+    terms = [lambda x: _combine(np.asarray(init_coeffs), cb.matrix(x))]
     coef = lambda x: np.asarray(init_coeffs)
     for k in range(1, K + 1):
         forcing = lambda x, w, coef=coef: (f(x) / (x * (1 - x))
                                            * np.sum(coef(x) * w[..., 0, :], axis=-1))
-        terms.append(SeriesTerm(k, particular_solution(cb, forcing, basepoint, tol)))
-        coef = terms[-1].fn.u
+        terms.append(particular_solution(cb, forcing, basepoint, tol))
+        coef = terms[-1].u
     return SeriesSolution(K, tuple(terms))
 
 

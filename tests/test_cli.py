@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from monodeform.cli import _emit, example_specs, main, run_spec
+from monodeform.cli import _emit, _ratfn_json, example_specs, main, run_spec
 from monodeform.errors import SchemaError
+from monodeform.odecore import system_from_json
 from monodeform.paths import loop_around, path_to_json
 from monodeform.schema import semantic_diagnostics, validate_schema
 from monodeform.spectral import basis_for
@@ -359,6 +360,33 @@ def test_sample_task_csv(tmp_path):
     lines = (csv_dir / "samples.csv").read_text().splitlines()
     assert lines[0] == "x,re_y1,im_y1,re_y2,im_y2,omega,density"
     assert len(lines) == 12
+
+
+def test_sample_task_on_a_system_equation():
+    # A(x) at every sample from one array evaluation: re, im of each entry
+    # row by row, equal to the entrywise rational-function calls
+    entries = [[_ratfn_json([0.3 - 0.2j], [1.0, 1.0]), _ratfn_json([1.0])],
+               [_ratfn_json([1j, 2.0], [0.5j, -2.0, 1.0]), _ratfn_json([])]]
+    spec = {"equation": {"system": {"dim": 2, "entries": entries}},
+            "task": "sample", "samples": 9}
+    rep = run_spec(spec)["results"]
+    assert rep["header"] == ["x", "re_A00", "im_A00", "re_A01", "im_A01",
+                             "re_A10", "im_A10", "re_A11", "im_A11"]
+    sys_ = system_from_json(spec["equation"]["system"])
+    assert [row[0] for row in rep["rows"]] == np.linspace(0.02, 0.98, 9).tolist()
+    for x, *parts in rep["rows"]:
+        got = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+        want = np.array([e(complex(x)) for row in sys_.entries for e in row])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_exit_code_3_on_sample_point_at_a_pole(tmp_path, capsys):
+    # samples 0.02, 0.5, 0.98: the middle one is the pole of 1/(x - 0.5)
+    spec = {"equation": {"system": {"dim": 1, "entries": [[_ratfn_json([1.0], [-0.5, 1.0])]]}},
+            "task": "sample", "samples": 3}
+    assert main(["run", "--spec", _write(tmp_path, "spec.json", spec), "--out", os.devnull]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: cli.run[sample]: SingularPoint: "), err
 
 
 def test_sweep_runs_sequentially(tmp_path):

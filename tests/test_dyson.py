@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from monodeform.cli import config_hash
 from monodeform.dyson import (
     PANEL_NODES,
     _panels_for_head,
@@ -39,7 +40,7 @@ from monodeform.paths import (
     PathSpec,
     line_path,
     loop_around,
-    path_hash,
+    path_to_json,
 )
 from monodeform.quadrature import cheb_cumulative, cheb_nodes
 from monodeform.ratfun import ComplexPoly, RationalFn
@@ -570,7 +571,7 @@ def test_correction_json_carries_metadata(hyp_system, frob0):
     corr = correction_C(hyp_system, TRIVIAL, frob0, path, tol=1e-11, route="ode")
     assert corr.path is path and corr.branch is not None
     assert matrix_to_json(corr.value)["dim"] == 2
-    assert isinstance(path_hash(corr.path), str) and len(path_hash(corr.path)) == 16
+    assert len(config_hash(path_to_json(corr.path))) == 16
     windings = windings_json(corr.branch, path.start)
     assert len(windings) >= 2
     assert all(w == 0 for w in windings.values())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from monodeform.cli import _ratfn_json
-from monodeform.errors import BranchRequired, SingularPoint
+from monodeform.errors import BranchRequired
 from monodeform.hypergeom import hypergeometric_ode, hypergeometric_system
 from monodeform.odecore import (
     MeromorphicSystem,
@@ -131,11 +131,6 @@ def test_perturbed_rhs_branch_required():
         pert = PerturbationSpec(kind, ((zero, zero), (one, zero)), lam=lam)
         with pytest.raises(BranchRequired):
             pert.weight(0.4, None)
-
-
-def test_singular_point_guard(hyp_system):
-    with pytest.raises(SingularPoint):
-        hyp_system.evaluate(1.0 + 1e-9)
 
 
 def test_companion_residual_on_transported_column(hyp_system, frob0):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from monodeform.cli import config_hash
 from monodeform.errors import PathThroughSingularity
 from monodeform.paths import (
     Arc,
@@ -13,7 +14,6 @@ from monodeform.paths import (
     line_path,
     loop_around,
     path_from_json,
-    path_hash,
     path_to_json,
     validate_clearance,
 )
@@ -61,7 +61,7 @@ def test_path_json_roundtrip_format():
     assert set(arc) == {"center", "r", "th0", "th1"}
     back = path_from_json(data)
     assert abs(back.start - loop.start) < 1e-15
-    assert path_hash(back) == path_hash(loop)
+    assert path_to_json(back) == path_to_json(loop)
 
 
 def test_branch_winding_exact_2pi():
@@ -164,8 +164,10 @@ def test_arc_distance():
 
 
 def test_path_hash_is_stable():
+    # a report's path_hash is the config hash of the path's JSON
     l1 = loop_around(0, 0.25, 0.5)
     l2 = loop_around(0, 0.25, 0.5)
+    path_hash = lambda p: config_hash(path_to_json(p))
     assert path_hash(l1) == path_hash(l2)
     l3 = loop_around(0, 0.26, 0.5)
     assert path_hash(l1) != path_hash(l3)

@@ -6,6 +6,7 @@ mutations of both."""
 import copy
 import importlib.util
 import itertools
+import json
 import os
 
 import jsonschema
@@ -15,16 +16,16 @@ from hypothesis import strategies as st
 
 from monodeform.cli import example_specs
 from monodeform.errors import SchemaError
-from monodeform.schema import PROBLEM_SCHEMA, _violations, validate_schema
+from monodeform.schema import PROBLEM_SCHEMA, _violations, schema_json, validate_schema
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCE = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
 HYP = {"hypergeometric": {"a": 0.3, "b": 0.7, "c": 0.4}}
 
 
 def _workload_specs() -> list[dict]:
     """Every problem spec in the first 5 rounds of each workload, seeds 1-3."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
     loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(workloads)
@@ -149,3 +150,10 @@ def test_seeded_mutations_match_draft_2020_12(data):
         else:
             spec = _with(spec, trail + ("unknown",), 1.0)
     _assert_parity(spec)
+
+
+def test_schema_doc_matches_the_program():
+    # README points users at docs/problem_schema.json: it must hold the
+    # schema that `monodeform schema` prints
+    with open(os.path.join(ROOT, "docs", "problem_schema.json")) as fh:
+        assert json.load(fh) == json.loads(schema_json())

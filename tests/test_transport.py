@@ -9,7 +9,7 @@ import monodeform.transport as transport_module
 from monodeform.dyson import dyson_expand
 from monodeform.errors import IllConditioned, MonodeformError, SingularPoint, StepSizeUnderflow
 from monodeform.odecore import MeromorphicSystem, PerturbationSpec
-from monodeform.paths import BranchState, line_path, loop_around
+from monodeform.paths import Arc, BranchState, PathSpec, line_path, loop_around
 from monodeform.ratfun import RationalFn
 from monodeform.transport import (
     FundamentalMatrix,
@@ -70,7 +70,7 @@ def test_frobenius_columns_are_local_solutions(frob0):
     from monodeform.hypergeom import local_basis_0
 
     basis = local_basis_0(A, B, C)
-    v1, d1 = basis.matrix(0.5)[:, 0]
+    v1, d1 = basis(0.5)[:, 0]
     assert abs(frob0.value[0, 0] - v1) < 1e-14
     assert abs(frob0.value[1, 0] - d1) < 1e-14
     assert abs(np.linalg.det(frob0.value)) > 1e-6
@@ -168,9 +168,17 @@ def test_ill_conditioned_basis_rejected(hyp_system):
         monodromy(hyp_system, w, loop, tol=1e-10)
 
 
-def test_transport_through_singularity_raises(hyp_system, frob0):
-    with pytest.raises(SingularPoint):
+def test_transport_through_singularity_raises(monkeypatch, hyp_system, frob0):
+    # a line through the pole at 1, and a circle round the pole at 0 whose
+    # radius is below the exclusion radius there: both raise before any step
+    calls = []
+    monkeypatch.setattr(transport_module, "_dop853", lambda *args: calls.append(1))
+    with pytest.raises(SingularPoint, match="singularity"):
         transport(hyp_system, None, 0, line_path(0.5, 1.5), frob0, tol=1e-10)
+    tiny = PathSpec((Arc(0j, 1e-7, 0.0, 2 * math.pi),))
+    with pytest.raises(SingularPoint, match="singularity"):
+        transport(hyp_system, None, 0, tiny, identity_basis(tiny.start, 2))
+    assert calls == []
 
 
 def test_gauge_equivalence_along_path(hyp_system, frob0):
@@ -287,10 +295,10 @@ class _NanPast(MeromorphicSystem):
 
     CUT = 0.5
 
-    def evaluate(self, x, guard=True):
+    def evaluate(self, x):
         if x.real > self.CUT:
             return np.full((self.dim, self.dim), np.nan, dtype=complex)
-        return super().evaluate(x, guard)
+        return super().evaluate(x)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
