@@ -40,13 +40,13 @@ from .errors import (
     ShapeMismatch,
     UnsupportedKind,
 )
+from .hypergeom import SERIES_TOL
 from .odecore import KIND_LOG, KIND_MEROMORPHIC, KIND_POWER, MeromorphicSystem, PerturbationSpec
 from .paths import ArgTracker, Arc, BranchState, PathSpec, line_path, loop_around
-from .quadrature import cheb_cumulative, cheb_nodes, estimate_endpoint_exponent
+from .quadrature import (GEOMETRIC_LEVELS, GEOMETRIC_RATIO, cheb_cumulative, cheb_nodes,
+                         estimate_endpoint_exponent, geometric_panels, geometric_tail)
 from .transport import FundamentalMatrix, _gauge_matrix, _integrate, tracked_points
 
-HEAD_RATIO = 0.25
-HEAD_LEVELS = 44
 PANEL_NODES = 32
 CONSTANCY_FRACTIONS = (0.3, 0.5, 0.7)
 
@@ -154,23 +154,23 @@ def _panels_for_path(path: PathSpec, points: Sequence[complex],
     return panels, tracker.end_state
 
 
-def _panels_for_head(end: complex, points: Sequence[complex]) -> list[_Panel]:
-    """One `_Panel` of geometric panels along the ray from 0 to `end`
+def _panels_for_head(end: complex, points: Sequence[complex], levels: int) -> list[_Panel]:
+    """One `_Panel` of `levels` geometric panels along the ray from 0 to `end`
     (innermost first), on the principal branch."""
     taus = cheb_nodes(PANEL_NODES)
     u = end / abs(end)
-    m = np.arange(HEAD_LEVELS - 1, -1, -1)[:, None]
-    hi = abs(end) * HEAD_RATIO**m
-    lo = abs(end) * HEAD_RATIO ** (m + 1)
+    lo, hi = (bound[::-1, None] for bound in geometric_panels(0.0, abs(end), 0.0, levels))
     zs = ((lo + 0.5 * (taus + 1.0) * (hi - lo)) * u).ravel()
     dz = np.repeat((u * 0.5 * (hi - lo)).ravel(), PANEL_NODES)
     return [_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points)))]
 
 
-def _running_integral(values: np.ndarray):
-    """Node and panel-end values of the integral over a stack of P panels: each
-    panel's local integral starts at the sum of the totals before it, in order."""
+def _running_integral(values: np.ndarray, closed: bool):
+    """Node and panel-end values of the integral over a stack of P panels, each starting where
+    the one before ends; the first at 0, or with `closed` at the tail closed from the first two."""
     local = cheb_cumulative(values, 1.0)
+    if closed:
+        local[0] += geometric_tail(local[1, -1], local[0, -1])
     ends = np.cumsum(local[:, -1], axis=0)
     starts = np.concatenate([np.zeros_like(ends[:1]), ends[:-1]])
     return starts[:, None] + local, ends
@@ -184,29 +184,29 @@ def _series_sweep(
     K: int,
     dim: int,
     want_plain: bool,
+    from_zero: bool,
 ):
     """Run the nested cumulative sweeps; returns per-group markers
     (W, [C_1..C_K], plain, branch) at each group boundary.
 
     The integrand is built once over every node of every group: one
     evaluator call gives the stack of W, and H, the gauge product and the
-    weight follow as arrays.  Each order is then one cumulative integral over
-    the stack of all panels, and C_k at the nodes feeds order k + 1."""
+    weight follow as arrays.  Each order is then one cumulative integral over the stack of all
+    panels (from a zero head's closed tail with from_zero); C_k at the nodes feeds order k + 1."""
     panels = [panel for group in panel_groups for panel in group]
     zs = np.concatenate([panel.zs for panel in panels])
     args = np.concatenate([panel.args for panel in panels])
     dz = np.concatenate([panel.dzdtau for panel in panels])
-    branch = BranchState(tuple(zip(points, args.T)))
-    w = evaluator(zs, branch)
-    pv = _gauge_matrix(w, np.einsum("nij,njk->nik", pert.h_matrix(zs), w)) * dz[:, None, None]
-    gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
+    w, pv, gv = _correction_integrand(evaluator, pert, zs,
+                                      BranchState(tuple(zip(points, args.T))), dz[:, None, None])
     stack = (-1, PANEL_NODES, dim * dim)
     ends = []  # panel-end values of C_1..C_K, then of the plain integral
     for k in range(K):
         integrand = gv if k == 0 else np.einsum("nij,njk->nik", gv, nodes.reshape(gv.shape))
-        nodes, ends_k = _running_integral(integrand.reshape(stack))
+        nodes, ends_k = _running_integral(integrand.reshape(stack), from_zero)
         ends.append(ends_k)
-    ends.append(_running_integral(pv.reshape(stack))[1] if want_plain else np.zeros_like(ends[0]))
+    ends.append(_running_integral(pv.reshape(stack), from_zero)[1] if want_plain
+                else np.zeros_like(ends[0]))
     group_ends = np.cumsum([sum(len(panel.zs) for panel in group) for group in panel_groups])
     at = np.stack(ends)[:, group_ends // PANEL_NODES - 1].reshape(K + 1, -1, dim, dim)
     return [(w[end - 1], list(at[:K, g]), at[K, g],
@@ -230,33 +230,41 @@ def _series_route_markers(
     if from_zero:
         if not (abs(start_z.imag) < 1e-12 and start_z.real > 0):
             raise SeriesRouteUnavailable("from-zero contours start on the positive real axis")
-        _check_endpoint_integrable(basis, pert, pts, start_z)
+        levels = _head_levels(basis, pert, pts, start_z)
     state = BranchState.principal(start_z, pts)
-    path_groups = []
-    for p in paths:
-        panels, state = _panels_for_path(p, pts, state)
-        path_groups.append(panels)
     # with from_zero the first marker is the end of the head piece (at the
     # contour start itself), followed by one marker per path
-    head = [_panels_for_head(start_z, pts)] if from_zero else []
-    return _series_sweep(basis.evaluator, pert, head + path_groups, pts, K, basis.dim, want_plain)
+    groups = [_panels_for_head(start_z, pts, levels)] if from_zero else []
+    for p in paths:
+        panels, state = _panels_for_path(p, pts, state)
+        groups.append(panels)
+    return _series_sweep(basis.evaluator, pert, groups, pts, K, basis.dim, want_plain, from_zero)
 
 
-def _check_endpoint_integrable(basis, pert, pts, start_z):
+def _correction_integrand(evaluator, pert, zs, branch, dz):
+    """W, W^{-1} H W dz and weight * W^{-1} H W dz at the nodes zs, each a stack over them."""
+    w = evaluator(zs, branch)
+    pv = _gauge_matrix(w, np.einsum("nij,njk->nik", pert.h_matrix(zs), w)) * dz
+    return w, pv, np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
+
+
+def _head_levels(basis, pert, pts, start_z) -> int:
+    """The least L, at most GEOMETRIC_LEVELS, with (GEOMETRIC_RATIO^L)^(p + e) <= SERIES_TOL for
+    the correction integrand's exponent e at 0: p = 1 under a log weight, else 2 (the closed
+    tail is exact on a pure power).  Raises NonIntegrableEndpoint for e <= -1."""
     u = start_z / abs(start_z)
 
     def probe(s: np.ndarray):
         z = s * u
-        br = BranchState.principal(z, pts)
-        w = basis.evaluator(z, br)
-        hw = np.einsum("nij,njk->nik", pert.h_matrix(z), w)
-        return np.reshape(pert.weight(z, br), (-1, 1, 1)) * _gauge_matrix(w, hw)
+        return _correction_integrand(basis.evaluator, pert, z, BranchState.principal(z, pts), u)[2]
 
     expo = estimate_endpoint_exponent(probe, 0.0, +1.0, probe=1e-5 * abs(start_z))
     if expo <= -0.999:
         raise NonIntegrableEndpoint(
             f"correction integrand has endpoint exponent {expo:.3f} <= -1 at 0"
         )
+    levels = math.log(SERIES_TOL, GEOMETRIC_RATIO) / (expo + (1 if pert.kind == KIND_LOG else 2))
+    return min(max(math.ceil(levels), 2), GEOMETRIC_LEVELS)
 
 
 # --- augmented ODE route ------------------------------------------------------

@@ -102,6 +102,19 @@ def estimate_endpoint_exponent(f: Callable, end: float, side: float, probe: floa
     return float(np.min(slopes)) if seen.any() else 0.0
 
 
+def geometric_panels(a: float, b: float, singular_at: float, levels: int):
+    """(lo, hi) of the `levels` panels of [a, b] shrinking by GEOMETRIC_RATIO toward singular_at."""
+    cuts = GEOMETRIC_RATIO ** np.arange(levels + 1.0) * (b - a)
+    return (a + cuts[1:], a + cuts[:-1]) if singular_at == a else (b - cuts[:-1], b - cuts[1:])
+
+
+def geometric_tail(prev, last):
+    """Sum of the panels past `last` at the per-component ratio of the last two (exact on x^e)."""
+    decays = np.abs(last) < 0.9 * np.abs(prev)
+    r = np.where(decays, last / np.where(decays, prev, 1), 0)
+    return last * r / (1.0 - r)
+
+
 def geometric_endpoint_integral(
     f: Callable,
     a: float,
@@ -126,8 +139,7 @@ def geometric_endpoint_integral(
         raise NonIntegrableEndpoint(
             f"measured endpoint exponent {expo:.3f} <= -1 at t={singular_at}"
         )
-    cuts = GEOMETRIC_RATIO ** np.arange(GEOMETRIC_LEVELS + 1.0) * length
-    lo, hi = (a + cuts[1:], a + cuts[:-1]) if toward_left else (b - cuts[:-1], b - cuts[1:])
+    lo, hi = geometric_panels(a, b, singular_at, GEOMETRIC_LEVELS)
     # the panels before the first that collapses onto the singular endpoint in float
     kept = (lo < hi) & ((lo > a) if toward_left else (hi < b))
     parts = np.stack([lo, hi], axis=1)[: kept.size if kept.all() else np.argmin(kept)]
@@ -137,12 +149,7 @@ def geometric_endpoint_integral(
     quiet = np.flatnonzero((mags[1:] < GEOMETRIC_ATOL) & (mags[1:] < mags[:-1]))
     count = quiet[0] + 2 if quiet.size else len(parts)
     acc = pieces[:count].sum(axis=0)
-    if count > 1:  # close the tail assuming per-component geometric decay
-        prev, last = pieces[count - 2], pieces[count - 1]
-        decays = np.abs(last) < 0.9 * np.abs(prev)
-        r = np.where(decays, last / np.where(decays, prev, 1), 0)
-        acc = acc + last * r / (1.0 - r)
-    return acc
+    return acc + geometric_tail(pieces[count - 2], pieces[count - 1]) if count > 1 else acc
 
 
 def adaptive_subdivision_01(f: Callable, nodes: int):

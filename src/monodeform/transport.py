@@ -249,8 +249,8 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     G = W^{-1} B W) for k = 1..K, and with want_plain the log-free integral
     of W^{-1} H W.  Returns one marker (W, [C_1..C_K], plain, branch) per
     path, and the accepted step count.  A path that passes within the
-    exclusion radius of a singularity of sys raises SingularPoint before
-    its first step."""
+    exclusion radius of a singularity of sys, or of a pole of H when the
+    right-hand side evaluates H, raises SingularPoint before its first step."""
     pts = tracked_points(sys, pert, paths)
     dim = w0.shape[0]
     n2 = dim * dim
@@ -263,7 +263,7 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     markers, steps = [], 0
     for path in paths:
         tracker = ArgTracker(path, pts, state)
-        clash = validate_clearance(path, sys.singularities)
+        clash = validate_clearance(path, sys.singularities + (pert.poles if weighted else ()))
         if clash:
             raise SingularPoint(clash[0])
         for i, seg in enumerate(path.segments):

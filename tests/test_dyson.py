@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from monodeform import dyson as dyson_module
 from monodeform.cli import config_hash
 from monodeform.dyson import (
     PANEL_NODES,
@@ -42,7 +43,7 @@ from monodeform.paths import (
     loop_around,
     path_to_json,
 )
-from monodeform.quadrature import cheb_cumulative, cheb_nodes
+from monodeform.quadrature import cheb_cumulative, cheb_nodes, geometric_tail
 from monodeform.ratfun import ComplexPoly, RationalFn
 from monodeform.transport import (
     FundamentalMatrix,
@@ -259,6 +260,35 @@ def test_from_zero_correction_batches_evaluator_calls(hyp_system, frob0):
     # the loop adds hundreds of nodes and no evaluator call
     assert counts["loop"][1] > counts[None][1] + 100
     assert counts["loop"][0] == counts[None][0] == 2
+    # the head alone: the two nodes of the exponent probe, then at most 12 levels
+    assert counts[None][1] <= 2 + 12 * PANEL_NODES
+
+
+@pytest.mark.parametrize("c", [0.15, 0.3, 0.6, 1.3, 1.72, 1.85])
+def test_zero_anchored_meromorphic_jump_is_constant(c):
+    # the integrand grows like x^-|1-c| at 0; the head's depth follows it
+    sys = hypergeometric_system(0.35, 0.25, c)
+    basis = frobenius_basis(0.35, 0.25, c, 0, 0.5)
+    jump = cocycle_jump(sys, TRIVIAL, basis, 0j, 0.5, from_zero=True)
+    assert jump.constancy_residual <= 1e-9
+
+
+def test_head_depth_is_converged(monkeypatch, hyp_system, frob0):
+    # a 100 times tighter target changes neither the power kind's C_1, C_2
+    # nor the log kind's log-free integral beyond 1e-13
+    power = _pert("power", ONE, 0.4)
+    log = _pert("log", ONE)
+
+    def run():
+        terms = dyson_expand(hyp_system, power, 2, None, frob0, from_zero=True).terms
+        plain = deformation_delta(hyp_system, log, frob0, 0.5, [loop_around(0, 0.25, 0.5)],
+                                  from_zero=True)[3]
+        return list(terms) + [plain]
+
+    base = run()
+    monkeypatch.setattr(dyson_module, "SERIES_TOL", dyson_module.SERIES_TOL / 100)
+    for got, want in zip(base, run()):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_closed_form_jump_values():
@@ -512,10 +542,12 @@ def test_cheb_cumulative_stack_equals_per_panel_calls():
         assert np.array_equal(panel, cheb_cumulative(vals, half))
 
 
-def _nested_reference_sweep(evaluator, pert, panel_groups, points, K, dim, want_plain):
-    """The sweep panel by panel and order by order: each panel's C_k starts
-    at the value the panel before it ended with.  Returns the markers
-    (W, [C_1..C_K], plain, tracked arguments) at each group end."""
+def _nested_reference_sweep(evaluator, pert, panel_groups, points, K, dim, want_plain, from_zero):
+    """The sweep order by order and panel by panel: each panel's integral
+    starts at the value the panel before it ended with, and the first panel
+    at 0, or with from_zero at the tail closed from the first two panels.
+    Returns the markers (W, [C_1..C_K], plain, tracked arguments) at each
+    group end."""
     panels = [panel for group in panel_groups for panel in group]
     zs = np.concatenate([panel.zs for panel in panels])
     args = np.concatenate([panel.args for panel in panels])
@@ -525,24 +557,21 @@ def _nested_reference_sweep(evaluator, pert, panel_groups, points, K, dim, want_
     pv = _gauge_matrix(w, np.einsum("nij,njk->nik", pert.h_matrix(zs), w)) * dz[:, None, None]
     gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
     n = PANEL_NODES
-    c_vals = [np.zeros((dim, dim), dtype=complex) for _ in range(K)]
-    d_val = np.zeros((dim, dim), dtype=complex)
-    markers = []
-    end = 0
-    for group in panel_groups:
-        for _ in range(sum(len(panel.zs) for panel in group) // n):
-            rows = slice(end, end + n)
-            end += n
-            prev = None
-            for k in range(K):
-                integrand = gv[rows] if k == 0 else np.einsum("nij,njk->nik", gv[rows], prev)
-                prev = c_vals[k][None] + cheb_cumulative(integrand.reshape(n, dim * dim),
-                                                         1.0).reshape(n, dim, dim)
-                c_vals[k] = prev[-1]
-            if want_plain:
-                d_val = d_val + cheb_cumulative(pv[rows].reshape(n, dim * dim), 1.0)[-1].reshape(dim, dim)
-        markers.append((w[end - 1], list(c_vals), d_val, args[end - 1]))
-    return markers
+    ends = []  # per order, then the plain integral: the value at each panel end
+    for k in range(K + 1):
+        integrand = pv if k == K else gv if k == 0 else np.einsum("nij,njk->nik", gv, nodes)
+        local = [cheb_cumulative(integrand[j:j + n].reshape(n, dim * dim), 1.0)
+                 for j in range(0, len(zs), n)]
+        value = geometric_tail(local[1][-1], local[0][-1]) if from_zero else 0.0
+        nodes = []
+        for panel in local:
+            nodes.append(value + panel)
+            value = nodes[-1][-1]
+        nodes = np.concatenate(nodes).reshape(-1, dim, dim)
+        ends.append(nodes[n - 1::n] if k < K or want_plain else np.zeros_like(nodes[n - 1::n]))
+    group_ends = np.cumsum([sum(len(panel.zs) for panel in group) for group in panel_groups])
+    return [(w[end - 1], [ends[k][end // n - 1] for k in range(K)], ends[K][end // n - 1],
+             args[end - 1]) for end in group_ends]
 
 
 def test_batched_sweep_equals_nested_panel_sweep(hyp_system, frob0):
@@ -551,13 +580,13 @@ def test_batched_sweep_equals_nested_panel_sweep(hyp_system, frob0):
     pert = _pert("power", ONE, 0.4)
     paths = [line_path(0.5, 0.6), loop_around(1.0, 0.2, 0.6)]
     pts = tracked_points(hyp_system, pert, paths)
-    groups = [_panels_for_head(0.5, pts)]
+    groups = [_panels_for_head(0.5, pts, 10)]
     state = BranchState.principal(0.5, pts)
     for p in paths:
         group, state = _panels_for_path(p, pts, state)
         groups.append(group)
-    got = _series_sweep(frob0.evaluator, pert, groups, pts, 3, 2, True)
-    want = _nested_reference_sweep(frob0.evaluator, pert, groups, pts, 3, 2, True)
+    got = _series_sweep(frob0.evaluator, pert, groups, pts, 3, 2, True, True)
+    want = _nested_reference_sweep(frob0.evaluator, pert, groups, pts, 3, 2, True, True)
     assert len(got) == len(want) == 3
     for (w, cs, d, branch), (w_ref, cs_ref, d_ref, args_ref) in zip(got, want):
         assert np.array_equal(w, w_ref) and np.array_equal(d, d_ref)

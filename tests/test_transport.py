@@ -169,8 +169,9 @@ def test_ill_conditioned_basis_rejected(hyp_system):
 
 
 def test_transport_through_singularity_raises(monkeypatch, hyp_system, frob0):
-    # a line through the pole at 1, and a circle round the pole at 0 whose
-    # radius is below the exclusion radius there: both raise before any step
+    # a line through the pole at 1, a circle round the pole at 0 whose
+    # radius is below the exclusion radius there, and lines through and onto
+    # a pole of H at 0.6: all raise before any step
     calls = []
     monkeypatch.setattr(transport_module, "_dop853", lambda *args: calls.append(1))
     with pytest.raises(SingularPoint, match="singularity"):
@@ -178,6 +179,12 @@ def test_transport_through_singularity_raises(monkeypatch, hyp_system, frob0):
     tiny = PathSpec((Arc(0j, 1e-7, 0.0, 2 * math.pi),))
     with pytest.raises(SingularPoint, match="singularity"):
         transport(hyp_system, None, 0, tiny, identity_basis(tiny.start, 2))
+    zero = RationalFn.zero()
+    h21 = RationalFn.from_coeffs([1.0], [-0.6, 1.0])
+    pert = PerturbationSpec("meromorphic", ((zero, zero), (h21, zero)))
+    for end in (0.7, 0.6):
+        with pytest.raises(SingularPoint, match="singularity"):
+            transport(hyp_system, pert, 1e-3, line_path(0.5, end), frob0)
     assert calls == []
 
 
