@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     InconsistentBasepoint,
-    NonIntegrableEndpoint,
     SeriesRouteUnavailable,
     ShapeMismatch,
     UnsupportedKind,
@@ -43,8 +42,8 @@ from .errors import (
 from .hypergeom import SERIES_TOL
 from .odecore import KIND_LOG, KIND_MEROMORPHIC, KIND_POWER, MeromorphicSystem, PerturbationSpec
 from .paths import ArgTracker, Arc, BranchState, PathSpec, line_path, loop_around
-from .quadrature import (GEOMETRIC_LEVELS, GEOMETRIC_RATIO, cheb_cumulative, cheb_nodes,
-                         estimate_endpoint_exponent, geometric_panels, geometric_tail)
+from .quadrature import (cheb_cumulative, cheb_nodes, geometric_levels, geometric_panels,
+                         geometric_tail)
 from .transport import FundamentalMatrix, _gauge_matrix, _integrate, tracked_points
 
 PANEL_NODES = 32
@@ -159,7 +158,7 @@ def _panels_for_head(end: complex, points: Sequence[complex], levels: int) -> li
     (innermost first), on the principal branch."""
     taus = cheb_nodes(PANEL_NODES)
     u = end / abs(end)
-    lo, hi = (bound[::-1, None] for bound in geometric_panels(0.0, abs(end), 0.0, levels))
+    lo, hi = (bound[::-1, None] for bound in geometric_panels(abs(end), levels))
     zs = ((lo + 0.5 * (taus + 1.0) * (hi - lo)) * u).ravel()
     dz = np.repeat((u * 0.5 * (hi - lo)).ravel(), PANEL_NODES)
     return [_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points)))]
@@ -248,23 +247,27 @@ def _correction_integrand(evaluator, pert, zs, branch, dz):
     return w, pv, np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
 
 
+def _endpoint_exponent(f: Callable, probe: float) -> float:
+    """Smallest per-component growth exponent at 0 of f (values with the points on the
+    leading axis): the slope of log|f| between s = probe and probe/4, from one call of f."""
+    v1, v2 = np.abs(np.asarray(f(probe / np.array([1.0, 4.0])), dtype=complex)).reshape(2, -1)
+    seen = np.maximum(v1, v2) >= 1e-13 * max(np.max(v1), np.max(v2), 1e-300)
+    slopes = np.log(np.maximum(v1[seen], 1e-300) / np.maximum(v2[seen], 1e-300)) / math.log(4.0)
+    return float(np.min(slopes)) if seen.any() else 0.0
+
+
 def _head_levels(basis, pert, pts, start_z) -> int:
-    """The least L, at most GEOMETRIC_LEVELS, with (GEOMETRIC_RATIO^L)^(p + e) <= SERIES_TOL for
-    the correction integrand's exponent e at 0: p = 1 under a log weight, else 2 (the closed
-    tail is exact on a pure power).  Raises NonIntegrableEndpoint for e <= -1."""
+    """`geometric_levels` for the correction integrand's exponent e at 0, measured, since
+    entries of W^{-1} H W cancel: the next exponent is e + 1, or e under a log weight."""
     u = start_z / abs(start_z)
 
     def probe(s: np.ndarray):
         z = s * u
         return _correction_integrand(basis.evaluator, pert, z, BranchState.principal(z, pts), u)[2]
 
-    expo = estimate_endpoint_exponent(probe, 0.0, +1.0, probe=1e-5 * abs(start_z))
-    if expo <= -0.999:
-        raise NonIntegrableEndpoint(
-            f"correction integrand has endpoint exponent {expo:.3f} <= -1 at 0"
-        )
-    levels = math.log(SERIES_TOL, GEOMETRIC_RATIO) / (expo + (1 if pert.kind == KIND_LOG else 2))
-    return min(max(math.ceil(levels), 2), GEOMETRIC_LEVELS)
+    expo = _endpoint_exponent(probe, 1e-5 * abs(start_z))
+    return geometric_levels(expo, expo + (1 if pert.kind == KIND_LOG else 2), SERIES_TOL,
+                            "correction integrand", 0)
 
 
 # --- augmented ODE route ------------------------------------------------------

@@ -172,43 +172,29 @@ def _w_matrix(v1, v2, d1, d2) -> np.ndarray:
     return w
 
 
-def local_basis_0(a: complex, b: complex, c: complex) -> Callable[..., np.ndarray]:
-    """Basis at 0: y1 = 2F1(a,b;c;x), y2 = x^(1-c) 2F1(a-c+1,b-c+1;2-c;x), as the
-    function W(x, arg=None) = [[y1, y2], [y1', y2']], with `arg` the tracked argument
-    of the local variable (x at 0, 1-x at 1), None for the principal branch.  An array
-    of x (with an array of arguments) gives the stack of shape x.shape + (2, 2)."""
-    if is_near_integer(c):
-        raise DegenerateParams(f"c={c} is (near-)integer; the basis at 0 degenerates")
-    p1 = HypergeomParams.f21(a, b, c)
-    p2 = HypergeomParams.f21(a - c + 1, b - c + 1, 2 - c)
-    mu = 1 - c
+def local_basis(a: complex, b: complex, c: complex, point: int) -> Callable[..., np.ndarray]:
+    """Basis at `point` (0 or 1) in its local variable u (x at 0, w = 1-x at 1), as the
+    function W(u, arg=None) = [[y1, y2], [y1', y2']] with x-derivatives and `arg` the
+    tracked argument of u, None for the principal branch.  At 0, y1 = 2F1(a,b;c;x) and
+    y2 = x^(1-c) 2F1(a-c+1,b-c+1;2-c;x); at 1, y1 = 2F1(a,b;a+b-c+1;w) and
+    y2 = w^(c-a-b) 2F1(c-a,c-b;c-a-b+1;w).  c (at 0) or c-a-b (at 1) must not be
+    (near-)integer.  An array of u (with an array of arguments) gives the stack of
+    shape u.shape + (2, 2)."""
+    if point == 0:
+        p1, p2 = HypergeomParams.f21(a, b, c), HypergeomParams.f21(a - c + 1, b - c + 1, 2 - c)
+        name, value, mu = "c", c, 1 - c
+    else:
+        p1 = HypergeomParams.f21(a, b, a + b - c + 1)
+        p2 = HypergeomParams.f21(c - a, c - b, c - a - b + 1)
+        name, value, mu = "c-a-b", c - a - b, c - a - b
+    if is_near_integer(value):
+        raise DegenerateParams(f"{name}={value} is (near-)integer; the basis at {point} degenerates")
 
-    def matrix(x, arg=None) -> np.ndarray:
-        (v1, d1), (f, df) = _pfq_nodes((p1, p2), x, SERIES_TOL)
-        front = _power(x, arg, mu)
-        v2 = front * f
-        d2 = front * (mu * f / x + df)
-        return _w_matrix(v1, v2, d1, d2)
-
-    return matrix
-
-
-def local_basis_1(a: complex, b: complex, c: complex) -> Callable[..., np.ndarray]:
-    """Basis at 1 in w = 1-x, the W of `local_basis_0` with exponents 0 and c-a-b
-    (needs c-a-b non-integer)."""
-    if is_near_integer(c - a - b):
-        raise DegenerateParams(f"c-a-b={c - a - b} is (near-)integer; the basis at 1 degenerates")
-    p1 = HypergeomParams.f21(a, b, a + b - c + 1)
-    p2 = HypergeomParams.f21(c - a, c - b, c - a - b + 1)
-    mu = c - a - b
-
-    def matrix(x, arg=None) -> np.ndarray:
-        w = 1 - x
-        (v1, d1), (g, dg) = _pfq_nodes((p1, p2), w, SERIES_TOL)
-        front = _power(w, arg, mu)
-        v2 = front * g
-        d2 = -front * (mu * g / w + dg)
-        return _w_matrix(v1, v2, -d1, d2)
+    def matrix(u, arg=None) -> np.ndarray:
+        (v1, d1), (g, dg) = _pfq_nodes((p1, p2), u, SERIES_TOL)
+        front = _power(u, arg, mu)
+        lead = -front if point else front  # dw/dx = -1
+        return _w_matrix(v1, front * g, -d1 if point else d1, lead * (mu * g / u + dg))
 
     return matrix
 
@@ -238,24 +224,27 @@ class ConnectedBasis:
 
     def __init__(self, a: complex, b: complex, c: complex):
         self.a, self.b, self.c = complex(a), complex(b), complex(c)
-        self.basis0 = local_basis_0(a, b, c)
-        self.basis1 = local_basis_1(a, b, c)
+        self.basis0 = local_basis(a, b, c, 0)
+        self.basis1 = local_basis(a, b, c, 1)
         self.connection = np.linalg.solve(self.basis1(0.5), self.basis0(0.5))
         self._memo, self._held = {}, 0
 
-    def matrix(self, x) -> np.ndarray:
+    def matrix(self, x, side: int = 0) -> np.ndarray:
         """W(x) = [[y1, y2], [y1', y2']] of the basis-at-0 pair: (2, 2) at one point, the
-        (n, 2, 2) stack over a node array; read-only, kept per node set (dtype, shape, bytes)
-        within MEMO_BYTES: 256 KiB a basis, 8 MiB over the 32 spectral.basis_for keeps."""
+        (n, 2, 2) stack over a node array; with side=1, W at the points 1 - x, x their
+        distance to 1, on which the basis at 1 sums its series.  Read-only, kept per node set
+        (dtype, shape, bytes, side) within MEMO_BYTES: 256 KiB a basis, 8 MiB over the 32
+        spectral.basis_for keeps."""
         x = np.asarray(x)
-        key = (x.dtype.str, x.shape, x.tobytes())
+        key = (x.dtype.str, x.shape, x.tobytes(), side)
         if key in self._memo:
             return self._memo[key]
-        near0 = _near0(x)
+        at0, at1 = (x, 1 - x) if side == 0 else (1 - x, x)
+        near0 = _near0(at0)
         w = np.empty(x.shape + (2, 2), dtype=complex)
-        for zone, evaluate in ((near0, self.basis0), (~near0, self._matrix1)):
+        for zone, u, evaluate in ((near0, at0, self.basis0), (~near0, at1, self._matrix1)):
             if zone.any():
-                w[zone] = evaluate(x[zone])
+                w[zone] = evaluate(u[zone])
         w.flags.writeable = False
         self._memo[key], self._held = w, self._held + len(key[2]) + w.nbytes
         while self._held > MEMO_BYTES:  # oldest first, so a stack above the bound last
@@ -263,8 +252,8 @@ class ConnectedBasis:
             self._held -= len(old[2]) + self._memo.pop(old).nbytes
         return w
 
-    def _matrix1(self, x) -> np.ndarray:
-        w1 = self.basis1(x)
+    def _matrix1(self, w) -> np.ndarray:
+        w1 = self.basis1(w)
         return (w1.reshape(-1, 2) @ self.connection).reshape(w1.shape)  # one product
 
     def along(self, x, arg0, arg1, point: int) -> np.ndarray:
@@ -282,7 +271,8 @@ class ConnectedBasis:
         for z, basis, arg in ((0, self.basis0, arg0), (1, self.basis1, arg1)):
             take = zone == z
             take[new] = True
-            w[z, take] = basis(x[take], np.broadcast_to(np.ravel(arg), x.shape)[take])
+            u = x[take] if z == 0 else 1 - x[take]
+            w[z, take] = basis(u, np.broadcast_to(np.ravel(arg), x.shape)[take])
         k = np.eye(2) if zone[0] == point else np.linalg.matrix_power(self.connection, 1 - 2 * point)
         out = np.empty(x.shape + (2, 2), dtype=complex)
         ends = [0, *new, x.size]
@@ -341,10 +331,12 @@ def hypergeometric_system(a: complex, b: complex, c: complex) -> MeromorphicSyst
     return companion(hypergeometric_ode(a, b, c))
 
 
-def weight_omega(a: complex, b: complex, c: complex, x):
-    """Weight x^(c-1) (1-x)^(a+b-c) at x, a point or a node array of the
-    real interval (0, 1)."""
+def weight_omega(a: complex, b: complex, c: complex, x, side: int = 0):
+    """Weight x^(c-1) (1-x)^(a+b-c) at x, a point or a node array of the real interval
+    (0, 1); with side=1 at the points 1 - x, x their distance to 1, as in
+    ConnectedBasis.matrix."""
     x = np.asarray(x, dtype=float)
     if not np.all((0.0 < x) & (x < 1.0)):
         raise ValueError("weight is defined on the open interval (0, 1)")
-    return np.exp((c - 1) * np.log(x + 0j) + (a + b - c) * np.log(1.0 - x + 0j))
+    near0, near1 = (x, 1.0 - x) if side == 0 else (1.0 - x, x)
+    return np.exp((c - 1) * np.log(near0 + 0j) + (a + b - c) * np.log(near1 + 0j))

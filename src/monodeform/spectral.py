@@ -11,14 +11,17 @@ parameters, so the shift is reported both raw and normalized by the measured
 <y1, y1>_omega; tests and bounds target the normalized value.
 
 Every inner product uses one rule: geometric subdivision toward both ends
-of [0, 1] with `nodes` Gauss-Legendre points per panel.  Integrands
-containing y1 carry (1-x)^(c-a-b)-type endpoint families that no single
-Jacobi weight absorbs (node-doubling stalls near 1e-5 relative), and the
-geometric rule resolves any integrable endpoint algebra to near machine
-precision.  The Gauss-Jacobi rule with the weight's own exponents only lays
-the nodes at which the hierarchy residual is sampled.  Profiles f are
-called once per side of [0, 1], on the node array of all its panels, and
-one pass gives every moment the shift, its bound and the Gram matrix need.
+of [0, 1] with `nodes` Gauss-Legendre points per panel, on the distance t to
+each end, so that W and omega near 1 are summed on t itself, not on a 1 - x
+that rounds.  The endpoint exponents of each integrand are exact functions
+of (a, b, c): omega has x^(c-1) and (1-x)^(a+b-c), y1 and y2 have the Gauss
+exponents {0, 1-c} at 0 and {0, c-a-b} at 1.  They set the verdict and, per
+(triple, end), the number of panels, so every pass over a triple lays the
+same node sets and the W memo serves them.  A profile f is bounded on
+[0, 1] unless it carries `endpoint_exponents`, as `density` and
+`normalized_density_profile` do.  Profiles are called once per side of
+[0, 1], on the node array of all its panels, and one pass gives every
+moment the shift, its bound and the Gram matrix need.
 """
 
 from __future__ import annotations
@@ -31,14 +34,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonIntegrableWeight
-from .hypergeom import ConnectedBasis, weight_omega
-from .quadrature import adaptive_subdivision_01, gauss_jacobi_01
+from .hypergeom import SERIES_TOL, ConnectedBasis, weight_omega
+from .quadrature import (LEAST_EXPONENT, gauss_legendre_panels, geometric_endpoint_integral,
+                         geometric_levels)
 from .varpar import particular_solution
 
 # the hierarchy residual is sampled on this part of (0, 1), with y11''
 # from Richardson differences of y11' at this step
 RESIDUAL_WINDOW = (0.05, 0.95)
 RESIDUAL_FD_STEP = 1e-3
+COLUMNS = ("f|y1|^2 omega", "|y1|^2 omega", "|y1|^4 omega", "y1 conj(y2) omega", "|y2|^2 omega")
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,37 @@ def basis_for(a: float, b: float, c: float) -> ConnectedBasis:
     return ConnectedBasis(a, b, c)
 
 
+def _levels(params: tuple[float, float, float], f: Callable, gram: bool) -> list[int]:
+    """Panels toward 0 and toward 1.  Each of COLUMNS is a sum of series in t, the distance
+    to the end, that start at the powers `cols` lists: at 1 some of (a+b-c) + k (c-a-b).  The
+    verdict comes from the least power of the columns computed (the first three, all five
+    with `gram`), the depth from the next power of every column whose tail closes, so that
+    passes with and without `gram` share nodes."""
+    a, b, c = params
+    s = c - a - b
+    pair = (-s, 0.0, s)  # y_i conj(y_j) omega at 1
+    levels = []
+    for end, fe in enumerate(getattr(f, "endpoint_exponents", (0.0, 0.0))):
+        cols = ([(fe + c - 1,), (c - 1,), (c - 1,), (0.0,), (1 - c,)] if end == 0 else
+                [tuple(fe + e for e in pair), pair, (-s, 0.0, s, 2 * s, 3 * s), pair, pair])
+        least, what = min((min(col), name) for col, name in zip(cols[: 5 if gram else 3], COLUMNS))
+        nexts = [sorted({*col, *(e + 1 for e in col)})[1] for col in cols
+                 if min(col) > LEAST_EXPONENT]
+        levels.append(geometric_levels(least, 1 + min(nexts, default=0.0), SERIES_TOL, what, end))
+    return levels
+
+
+def _profile(f: Callable, t, side: int):
+    """f at the points t (side 0) or 1 - t (side 1), on t itself if f carries its exponents."""
+    return f(t) if side == 0 else f(t, 1) if hasattr(f, "endpoint_exponents") else f(1 - t)
+
+
+def _two_sided(integrand: Callable, levels: list[int], nodes: int):
+    """int_0^1 of integrand(t, side), t the distance to the side's end: two geometric passes."""
+    return sum(geometric_endpoint_integral(lambda t: integrand(t, side), 0.5, levels[side], nodes)
+               for side in (0, 1))
+
+
 def _moments(f: Callable, params: tuple[float, float, float], nodes: int,
              gram: bool) -> np.ndarray:
     """The omega-moments (f|y1|^2, |y1|^2, |y1|^4) and, with `gram`, the
@@ -74,17 +110,18 @@ def _moments(f: Callable, params: tuple[float, float, float], nodes: int,
     _check_integrable(a, b, c)
     cb = basis_for(a, b, c)
 
-    def integrand(x):
-        w = cb.matrix(x)
+    def integrand(t, side):
+        w = cb.matrix(t, side)
         y1, y2 = w[..., 0, 0], w[..., 0, 1]
-        om = weight_omega(a, b, c, x)
+        om = weight_omega(a, b, c, t, side)
         y1sq = abs(y1) ** 2
-        cols = [f(x) * y1 * np.conj(y1) * om, y1 * np.conj(y1) * om, y1sq * y1sq * om]
+        cols = [_profile(f, t, side) * y1 * np.conj(y1) * om, y1 * np.conj(y1) * om,
+                y1sq * y1sq * om]
         if gram:
             cols += [y1 * np.conj(y2) * om, y2 * np.conj(y2) * om]
         return np.stack(cols, axis=-1)
 
-    return adaptive_subdivision_01(integrand, nodes)
+    return _two_sided(integrand, _levels(params, f, gram), nodes)
 
 
 def _shift_result(moments) -> ShiftResult:
@@ -112,17 +149,30 @@ def shift_bound(params: tuple[float, float, float], nodes: int = 24) -> float:
 
 
 def density(params: tuple[float, float, float]) -> Callable:
-    """The shift functional's density |y1(x)|^2 omega(x)."""
+    """The shift functional's density |y1(x)|^2 omega(x), at the points 1 - x with
+    side=1 as in ConnectedBasis.matrix; it carries its endpoint exponents."""
     a, b, c = params
     cb = basis_for(a, b, c)
-    return lambda x: abs(cb.matrix(x)[..., 0, 0]) ** 2 * weight_omega(a, b, c, x).real
+
+    def profile(x, side=0):
+        return abs(cb.matrix(x, side)[..., 0, 0]) ** 2 * weight_omega(a, b, c, x, side).real
+
+    profile.endpoint_exponents = (c - 1, -abs(c - a - b))
+    return profile
 
 
 def normalized_density_profile(params: tuple[float, float, float]) -> Callable:
-    """f = |y1|^2 / ||y1^2||_omega, the omega-normalized equality case."""
-    cb = basis_for(*params)
+    """f = |y1|^2 / ||y1^2||_omega, the omega-normalized equality case, at the points
+    1 - x with side=1; it carries its endpoint exponents."""
+    a, b, c = params
+    cb = basis_for(a, b, c)
     bound = shift_bound(params)
-    return lambda x: abs(cb.matrix(x)[..., 0, 0]) ** 2 / bound
+
+    def profile(x, side=0):
+        return abs(cb.matrix(x, side)[..., 0, 0]) ** 2 / bound
+
+    profile.endpoint_exponents = (0.0, min(0.0, 2 * (c - a - b)))
+    return profile
 
 
 def orthonormality_report(params: tuple[float, float, float], nodes: int = 24) -> dict:
@@ -163,23 +213,22 @@ def hierarchy_shift_residual(
 
     y11 = particular_solution(cb, forcing)
 
-    # y11 at x + h/2, x - h/2, x + h, x - h and x for each window node x, in
-    # one call
-    x, wts = gauss_jacobi_01(nodes, a + b - c, c - 1.0)
-    keep = (RESIDUAL_WINDOW[0] <= x) & (x <= RESIDUAL_WINDOW[1])
-    x, wts = x[keep], wts[keep]
-    h = RESIDUAL_FD_STEP
-    v, d = y11(np.stack([x + h / 2, x - h / 2, x + h, x - h, x], axis=-1))
-    ypp = (4.0 * (d[:, 0] - d[:, 1]) / h - (d[:, 2] - d[:, 3]) / (2 * h)) / 3.0
-    lhs = x * (1 - x) * ypp + (c - (a + b + 1) * x) * d[:, 4] - a * b * v[:, 4]
-    resid = lhs - (lam - f(x)) * cb.matrix(x)[..., 0, 0]
-    acc = float(np.sum(wts * abs(resid) ** 2))
+    def weighted_square(x):
+        # y11 at x + h/2, x - h/2, x + h, x - h and x for each node x, in one call
+        h = RESIDUAL_FD_STEP
+        v, d = y11(np.stack([x + h / 2, x - h / 2, x + h, x - h, x], axis=-1))
+        ypp = (4.0 * (d[:, 0] - d[:, 1]) / h - (d[:, 2] - d[:, 3]) / (2 * h)) / 3.0
+        lhs = x * (1 - x) * ypp + (c - (a + b + 1) * x) * d[:, 4] - a * b * v[:, 4]
+        resid = lhs - (lam - f(x)) * cb.matrix(x)[..., 0, 0]
+        return abs(resid) ** 2 * weight_omega(a, b, c, x).real
 
-    def rhs_integrand(t):
-        y1 = cb.matrix(t)[..., 0, 0]
-        return (lam - f(t)) * y1 * np.conj(y1) * weight_omega(a, b, c, t)
+    acc = float(gauss_legendre_panels(weighted_square, [RESIDUAL_WINDOW], nodes)[0])
 
-    rhs_orth = complex(adaptive_subdivision_01(rhs_integrand, nodes))
+    def rhs_integrand(t, side):
+        y1 = cb.matrix(t, side)[..., 0, 0]
+        return (lam - _profile(f, t, side)) * y1 * np.conj(y1) * weight_omega(a, b, c, t, side)
+
+    rhs_orth = complex(_two_sided(rhs_integrand, _levels(params, f, True), nodes))
     return {
         "residual_l2": math.sqrt(acc),
         "rhs_orthogonality": abs(rhs_orth),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateParams, IllConditioned, NonFiniteValue, SingularPoint,
                      StepSizeUnderflow)
-from .hypergeom import ConnectedBasis, check_zone, local_basis_0, local_basis_1
+from .hypergeom import ConnectedBasis, check_zone, local_basis
 from .odecore import MeromorphicSystem, PerturbationSpec, _dedup
 from .paths import ArgTracker, BranchState, PathSpec, validate_clearance
 
@@ -84,22 +84,22 @@ def frobenius_basis(a: complex, b: complex, c: complex, point: int,
     """
     if point not in (0, 1):
         raise ValueError("Frobenius bases are built at the points 0 or 1")
-    basis = local_basis_0(a, b, c) if point == 0 else local_basis_1(a, b, c)
+    basis = local_basis(a, b, c, point)
     try:
         zones = ConnectedBasis(a, b, c)
     except DegenerateParams:  # at the other point: W keeps to this basis's zone
         zones = None
 
     def evaluator(z: complex, branch: Optional[BranchState] = None) -> np.ndarray:
-        if branch is None:
-            return basis(z)
+        if branch is None:  # the basis takes its local variable, z or 1 - z
+            return basis(1 - z if point else z)
         # arg(z-1) maps to arg(1-z) by -pi or +pi, principal at the first node;
         # arg(z) passes untouched (adding 0.0 would turn -0.0 into +0.0)
         arg1 = branch.arg(1.0)
         args = (branch.arg(0j), arg1 - math.copysign(math.pi, np.ravel(arg1)[0]))
         if zones is None:
             check_zone(np.asarray(z), point)
-            return basis(z, args[point])
+            return basis(1 - z if point else z, args[point])
         return zones.along(z, *args, point)
 
     tag = "frobenius-at-0" if point == 0 else "frobenius-at-1"

@@ -286,7 +286,7 @@ def test_exit_code_3_on_non_integrable_profile_moment(tmp_path, capsys):
         err = capsys.readouterr().err
         if code == 3:
             assert err.startswith("numeric failure: cli.run[eigenshift]: NonIntegrableEndpoint: "
-                                  "measured endpoint exponent -1.300 <= -1 at t=0.0"), err
+                                  "f|y1|^2 omega has endpoint exponent -1.300 <= -1 at 0"), err
 
 
 def test_exit_code_2_on_unreadable_file(tmp_path):

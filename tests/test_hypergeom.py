@@ -19,8 +19,7 @@ from monodeform.hypergeom import (
     ghe_coefficient_polys,
     ghe_operator,
     hypergeometric_system,
-    local_basis_0,
-    local_basis_1,
+    local_basis,
     pochhammer,
     stirling2,
     weight_omega,
@@ -294,13 +293,13 @@ def _series_second_derivative(params: HypergeomParams, x, front_mu=0.0):
 
 
 def test_local_basis_0_unit_value():
-    basis = local_basis_0(A, B, C)
+    basis = local_basis(A, B, C, 0)
     v = basis(1e-30)[0, 0]
     assert abs(v - 1) < 1e-12
 
 
 def test_local_basis_0_second_member_residual():
-    basis = local_basis_0(A, B, C)
+    basis = local_basis(A, B, C, 0)
     x = 0.3
     v, d = basis(x)[:, 1]
     p2 = HypergeomParams.f21(A - C + 1, B - C + 1, 2 - C)
@@ -310,7 +309,7 @@ def test_local_basis_0_second_member_residual():
 
 def test_local_basis_0_exponents():
     # y1 -> 1 and y2 / x^(1-c) -> 1 as x -> 0
-    basis = local_basis_0(A, B, C)
+    basis = local_basis(A, B, C, 0)
     for x in (1e-10, 1e-12j):
         y1, y2 = basis(x)[0]
         assert abs(y1 - 1) < 1e-9
@@ -319,24 +318,25 @@ def test_local_basis_0_exponents():
 
 def test_local_basis_degenerate_params():
     with pytest.raises(DegenerateParams):
-        local_basis_0(0.3, 0.7, 1.0)
+        local_basis(0.3, 0.7, 1.0, 0)
     with pytest.raises(DegenerateParams):
-        local_basis_1(0.3, 0.7, 1.0)  # c - a - b = 0
+        local_basis(0.3, 0.7, 1.0, 1)  # c - a - b = 0
 
 
 def test_local_basis_1_exponents_and_value():
     # y1 -> 1 and y2 / (1-x)^(c-a-b) -> 1 as x -> 1
-    basis = local_basis_1(A, B, C)
-    v = basis(1.0 - 1e-15)[0, 0]
+    basis = local_basis(A, B, C, 1)  # in w = 1 - x
+    v = basis(1e-15)[0, 0]
     assert abs(v - 1) < 1e-12
-    for w in (2.0**-30, 1e-12j):  # 1 - (1 - w) == w exactly
-        y2 = basis(1 - w)[0, 1]
+    for w in (2.0**-30, 1e-12j, 1e-30):  # w itself, never 1 - (1 - w)
+        y2 = basis(w)[0, 1]
         assert abs(y2 / w ** (C - A - B) - 1) < 1e-9
 
 
 @pytest.mark.parametrize("point", [0, 1])
 def test_local_basis_residuals_20_points(point):
-    basis = local_basis_0(A, B, C) if point == 0 else local_basis_1(A, B, C)
+    local = local_basis(A, B, C, point)
+    basis = local if point == 0 else (lambda x: local(1 - x))
     xs = np.linspace(0.05, 0.55, 20) if point == 0 else np.linspace(0.45, 0.95, 20)
     for x in xs:
         for j in (0, 1):
@@ -354,13 +354,13 @@ def test_local_basis_residuals_20_points(point):
 def test_local_basis_matrix_on_node_arrays(point):
     # the (n, 2, 2) stack of one array call equals the scalar calls node for node
     if point == 0:
-        basis = local_basis_0(A, B, C)
+        basis = local_basis(A, B, C, 0)
         xs = np.array([1e-25, 1e-25j, 0.88j, 0.5, complex(0.3, -0.0), -0.4 + 0.2j, 0.8 + 0.3j])
         args = np.angle(xs)
     else:
-        basis = local_basis_1(A, B, C)
-        xs = np.array([1 - 1e-15, 1 + 1e-3j, 0.95 - 0.05j, 0.4, complex(0.7, -0.0), 1.3 - 0.2j])
-        args = np.angle(1 - xs)
+        basis = local_basis(A, B, C, 1)  # in w = 1 - x
+        xs = np.array([1e-15, -1e-3j, 0.05 + 0.05j, 0.6, complex(0.3, -0.0), -0.3 + 0.2j])
+        args = np.angle(xs)
     args[-1] += 2 * math.pi  # one node on the next sheet
     assert args[4] == 0.0 and math.copysign(1.0, xs[4].imag) == -1.0
     for arr_args, scalar_args in ((args, args), (None, [None] * len(xs))):
@@ -373,7 +373,7 @@ def test_local_basis_matrix_on_node_arrays(point):
 def test_connected_basis_seam_continuity(connected_basis):
     # both evaluation routes agree where the zones overlap
     direct = connected_basis.basis0(0.55)
-    connected = connected_basis.basis1(0.55) @ connected_basis.connection
+    connected = connected_basis.basis1(0.45) @ connected_basis.connection
     assert np.max(np.abs(direct - connected)) < 1e-11
 
 

@@ -1,21 +1,21 @@
-import itertools
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_legendre
 
-from monodeform import spectral
-from monodeform.errors import NonIntegrableWeight
-from monodeform.hypergeom import weight_omega
+from monodeform import hypergeom, spectral
+from monodeform.cli import main
+from monodeform.errors import NonIntegrableEndpoint, NonIntegrableWeight
+from monodeform.hypergeom import ConnectedBasis, weight_omega
 from monodeform.quadrature import (
-    GEOMETRIC_LEVELS,
     _gl_rule,
-    adaptive_subdivision_01,
-    gauss_jacobi_01,
     gauss_legendre_panels,
     geometric_endpoint_integral,
+    geometric_levels,
+    geometric_panels,
 )
 from monodeform.spectral import (
     builtin_profile,
@@ -33,9 +33,16 @@ ONE = lambda x: 1.0
 
 
 def _omega_integral(g, params, nodes=24):
-    """int_0^1 g omega dx by the geometric rule of the spectral moments."""
+    """int_0^1 g omega dx by the two-sided geometric rule of the spectral moments, on
+    their panels; g(t, side) is given the distance t to the side's end, as
+    ConnectedBasis.matrix is."""
     a, b, c = params
-    return complex(adaptive_subdivision_01(lambda x: g(x) * weight_omega(a, b, c, x), nodes))
+    return complex(spectral._two_sided(lambda t, side: g(t, side) * weight_omega(a, b, c, t, side),
+                                       spectral._levels(params, ONE, False), nodes))
+
+
+def _point(t, side):
+    return t if side == 0 else 1 - t
 
 
 def test_quadrature_spec_validation():
@@ -55,19 +62,14 @@ def test_inner_product_zero():
 
 def test_inner_product_unit_weight():
     # a + b = c and c = 1: omega == 1, so <1,1> = 1
-    val = _omega_integral(ONE, (0.4, 0.6, 1.0))
+    val = _omega_integral(lambda t, side: 1.0, (0.4, 0.6, 1.0))
     assert abs(val - 1.0) < 1e-12
 
 
 def test_inner_product_beta_value_two_rules():
-    # the geometric rule against the Gauss-Jacobi rule with omega's exponents
-    a, b, c = PARAMS
+    # the geometric rule against <1, 1> in closed form
     exact = math.gamma(1.2) * math.gamma(0.8) / math.gamma(2.0)  # B(c, a+b-c+1)
-    gj = float(np.sum(gauss_jacobi_01(64, a + b - c, c - 1.0)[1]))
-    ad = _omega_integral(ONE, PARAMS)
-    assert abs(gj - exact) < 1e-12
-    assert abs(ad - exact) < 1e-10
-    assert abs(gj - ad) < 1e-8 * abs(gj)
+    assert abs(_omega_integral(lambda t, side: 1.0, PARAMS) - exact) < 1e-13
 
 
 def test_inner_product_integrability_guard():
@@ -78,37 +80,6 @@ def test_inner_product_integrability_guard():
             orthonormality_report(params)
         with pytest.raises(NonIntegrableWeight):
             hierarchy_shift_residual(ONE, params)
-
-
-JACOBI_EXPONENTS = (-0.9, -0.3, 0.0, 0.25, 0.8)
-
-
-@pytest.mark.parametrize("n", [1, 2, 8, 24, 64])
-def test_gauss_jacobi_rule(n):
-    # every (alpha, beta) pair of the grid, so alpha = beta and alpha + beta = 0
-    # are both covered; x on [0, 1] is (1 + t) / 2 for the rule on [-1, 1]
-    for alpha, beta in itertools.product(JACOBI_EXPONENTS, repeat=2):
-        x, w = gauss_jacobi_01(n, alpha, beta)
-        t, wt = 2.0 * x - 1.0, w * 2.0 ** (alpha + beta + 1.0)
-        t_ref, _ = roots_jacobi(n, alpha, beta)
-        assert np.max(np.abs(t - t_ref)) <= 1e-15
-        # Christoffel numbers in closed form, at 30 digits
-        with mpmath.workdps(30):
-            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
-            const = (mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
-                     / (mpmath.gamma(n + a + b + 1) * mpmath.factorial(n)) * 2 ** (a + b + 1))
-            for ti, wi in zip(t, wt):
-                tm = mpmath.mpf(ti)
-                dp = (n + a + b + 1) / 2 * mpmath.jacobi(n - 1, a + 1, b + 1, tm)
-                exact = const / ((1 - tm * tm) * dp * dp)
-                assert abs(wi - exact) <= 1e-10 * exact
-        # x^k against B(alpha+1, beta+k+1), relative: at alpha = -0.9 the
-        # moments are near 10, and even the correctly rounded 64-node rule
-        # misses them by 1.2e-12 absolute
-        for k in range(2 * n):
-            moment = math.exp(math.lgamma(alpha + 1) + math.lgamma(beta + k + 1)
-                              - math.lgamma(alpha + beta + k + 2))
-            assert abs(np.sum(w * x**k) - moment) <= 1e-12 * moment
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16, 20, 24, 64])
@@ -144,22 +115,31 @@ def test_gauss_legendre_panels_equal_per_panel_sums(shape):
 
 
 def test_geometric_rule_one_integrand_call_per_side():
-    # one call on both exponent probes, then one call on the nodes of every
-    # panel the side can lay out: all levels toward 0, fewer toward 1, where
-    # a panel collapses onto 1 in float
+    # one call of f on the nodes of the panels asked for, no probe; the closed tail is
+    # exact on a pure power at any depth
     sizes = []
 
-    def f(x):
-        sizes.append(np.size(x))
-        return np.asarray(x, dtype=float) ** -0.5
+    def f(t):
+        sizes.append(np.size(t))
+        return np.asarray(t) ** -0.5
 
-    got = geometric_endpoint_integral(f, 0.0, 0.5, 0.0, 24)
-    assert sizes == [2, 24 * GEOMETRIC_LEVELS]
-    assert abs(got - math.sqrt(2.0)) < 1e-14
-    sizes.clear()
-    geometric_endpoint_integral(lambda x: f(1.0 - np.asarray(x)), 0.5, 1.0, 1.0, 24)
-    assert sizes[0] == 2 and len(sizes) == 2
-    assert sizes[1] % 24 == 0 and sizes[1] < 24 * GEOMETRIC_LEVELS
+    for levels in (2, geometric_levels(-0.5, 1.5, 1e-14, "t^-1/2", 0)):
+        sizes.clear()
+        got = geometric_endpoint_integral(f, 0.5, levels, 24)
+        assert sizes == [24 * levels]
+        assert abs(got - math.sqrt(2.0)) < 1e-14
+
+
+def test_geometric_levels_verdict_and_depth():
+    # (1/4^L)^power <= tol, capped; exponents at or below LEAST_EXPONENT = -0.924 raise,
+    # because their panels shrink too slowly for the tail to close
+    assert geometric_levels(0.0, 1.0, 1e-14, "t", 0) == 24
+    assert geometric_levels(0.0, 2.0, 1e-14, "t", 0) == 12
+    assert geometric_levels(-0.5, 0.01, 1e-14, "t", 0) == 48
+    assert geometric_levels(-0.9, 0.1, 1e-14, "t", 1) == 48
+    for least, words in ((-0.95, "-0.950 too close to -1"), (-1.3, "-1.300 <= -1")):
+        with pytest.raises(NonIntegrableEndpoint, match=f"g has endpoint exponent {words}"):
+            geometric_levels(least, least + 1, 1e-14, "g", 1)
 
 
 def test_shift_zero_profile():
@@ -190,7 +170,7 @@ def test_shift_positivity():
 def test_saturation_at_equality_case():
     feq = normalized_density_profile(PARAMS)
     # the profile is omega-normalized
-    assert abs(_omega_integral(lambda x: feq(x) ** 2, PARAMS) - 1.0) < 1e-10
+    assert abs(_omega_integral(lambda t, side: feq(t, side) ** 2, PARAMS) - 1.0) < 1e-10
     s = eigenvalue_shift(feq, PARAMS)
     assert abs(s.saturation - 1.0) < 1e-6
 
@@ -203,7 +183,7 @@ def test_saturation_strict_for_random_profiles():
         def f(x, c=coeffs):
             return c[0] + c[1] * x + c[2] * x * (1 - x)
 
-        norm = math.sqrt(abs(_omega_integral(lambda x: f(x) ** 2, PARAMS)))
+        norm = math.sqrt(abs(_omega_integral(lambda t, side: f(_point(t, side)) ** 2, PARAMS)))
         g = lambda x: f(x) / norm
         s = eigenvalue_shift(g, PARAMS)
         assert s.saturation <= 1.0 + 1e-8
@@ -219,8 +199,7 @@ def test_quadrature_node_doubling():
 def test_bound_matches_y1_fourth_moment():
     bound = shift_bound(PARAMS)
     cb = basis_for(*PARAMS)
-    y1sq = lambda x: abs(cb.matrix(x)[..., 0, 0]) ** 2
-    val = _omega_integral(lambda x: y1sq(x) ** 2, PARAMS)
+    val = _omega_integral(lambda t, side: abs(cb.matrix(t, side)[..., 0, 0]) ** 4, PARAMS)
     assert abs(bound - math.sqrt(val.real)) < 1e-12
 
 
@@ -260,19 +239,21 @@ def test_moments_match_mpmath():
 
 
 def test_hierarchy_residual_runs_two_geometric_passes(monkeypatch):
+    # the moments pass and the rhs check, on the same panels
     passes = []
-    rule = spectral.adaptive_subdivision_01
+    rule = spectral._two_sided
 
-    def counted(f, nodes):
-        passes.append(nodes)
-        return rule(f, nodes)
+    def counted(integrand, levels, nodes):
+        passes.append((tuple(levels), nodes))
+        return rule(integrand, levels, nodes)
 
-    monkeypatch.setattr(spectral, "adaptive_subdivision_01", counted)
+    monkeypatch.setattr(spectral, "_two_sided", counted)
     rep = hierarchy_shift_residual(lambda x: x, PARAMS)
-    assert passes == [24, 24]
-    # the shift and the Gram matrix come from the moments pass
+    assert len(passes) == 2 and passes[0] == passes[1] and passes[0][1] == 24
+    # the shift and the Gram matrix come from the moments pass, on the same panels
     shift = eigenvalue_shift(lambda x: x, PARAMS)
     gram = orthonormality_report(PARAMS)
+    assert passes[2:] == passes[:2]
     assert abs(rep["shift"].lambda1 - shift.lambda1) <= 1e-14 * abs(shift.lambda1)
     for key in ("<y1,y1>", "<y1,y2>", "<y2,y2>"):
         assert abs(rep["orthonormality"][key] - gram[key]) <= 1e-14 * abs(gram[key])
@@ -300,3 +281,117 @@ def test_builtin_profiles():
     assert d(0.5) == pytest.approx(density(PARAMS)(0.5))
     with pytest.raises(ValueError):
         builtin_profile("nope", PARAMS)
+
+
+def _pair_near(params, end, t):
+    """y1, y2 and omega at the point t (end 0) or 1 - t (end 1) in mpmath, from t itself:
+    near 1 each 2F1 is continued by its closed-form connection (DLMF 15.8.4), so that
+    1 - t is never formed where it would round."""
+    a, b, c = params
+    hyp, gam = mpmath.hyp2f1, mpmath.gamma
+    if end == 0:
+        y2 = t ** (1 - c) * hyp(a - c + 1, b - c + 1, 2 - c, t)
+        return hyp(a, b, c, t), y2, t ** (c - 1) * mpmath.exp((a + b - c) * mpmath.log1p(-t))
+
+    def at_one(a, b, c):  # 2F1(a, b; c; 1 - t)
+        s = c - a - b
+        return (gam(c) * gam(s) / (gam(c - a) * gam(c - b)) * hyp(a, b, 1 - s, t)
+                + t ** s * gam(c) * gam(-s) / (gam(a) * gam(b)) * hyp(c - a, c - b, 1 + s, t))
+
+    x_1c = mpmath.exp((1 - c) * mpmath.log1p(-t))  # x^(1-c)
+    return at_one(a, b, c), x_1c * at_one(a - c + 1, b - c + 1, 2 - c), t ** (a + b - c) / x_1c
+
+
+def _lifted_moments(params, f):
+    """The five omega-moments of the spectral pass (f|y1|^2, |y1|^2, |y1|^4, y1 y2, y2^2)
+    at 20 digits by mpmath.quad, each end lifted by t = u^(1/(1+e)) with e the column's
+    least exponent there, which leaves a bounded integrand in u."""
+    a, b, c = params
+    s = c - a - b
+    least = [(c - 1, -abs(s))] * 2 + [(c - 1, min(-s, 3 * s)), (0.0, -abs(s)), (1 - c, -abs(s))]
+    columns = [lambda x, y1, y2: f(x) * y1 ** 2, lambda x, y1, y2: y1 ** 2,
+               lambda x, y1, y2: y1 ** 4, lambda x, y1, y2: y1 * y2, lambda x, y1, y2: y2 ** 2]
+    out = []
+    with mpmath.workdps(20):
+        mp = tuple(mpmath.mpf(v) for v in params)
+        for column, exponents in zip(columns, least):
+            total = 0
+            for end, e in enumerate(exponents):
+                q = 1 / (1 + mpmath.mpf(e))
+
+                def lifted(u, end=end, q=q):
+                    t = u ** q
+                    y1, y2, om = _pair_near(mp, end, t)
+                    return column(t if end == 0 else 1 - t, y1, y2) * om * q * u ** (q - 1)
+
+                total += mpmath.quad(lifted, [0, mpmath.mpf(0.5) ** (1 + mpmath.mpf(e))])
+            out.append(float(total))
+    return out
+
+
+def _spectral_triples(seed):
+    """Seeded (a, b, c), one with c - a - b in each of [-0.23, 0), [0, 0.3), [0.3, 0.6) and
+    [0.6, 0.9), and c and c - a - b at least 0.1 from the integers."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for lo, hi in ((-0.23, 0.0), (0.0, 0.3), (0.3, 0.6), (0.6, 0.9)):
+        while True:
+            a, b, c = (round(float(v), 4) for v in rng.uniform([0.1, 0.1, 0.15], [0.9, 0.9, 1.85]))
+            s = c - a - b
+            if lo <= s < hi and min(abs(c - round(c)), abs(s - round(s))) >= 0.1:
+                found.append((a, b, c))
+                break
+    return found
+
+
+@pytest.mark.parametrize("params", [(0.2, 0.1, 1.2), (0.2, 0.9, 0.8)] + _spectral_triples(21))
+def test_moments_match_lifted_mpmath_reference(params):
+    # a + b - c = -0.9 puts omega ~ (1-x)^-0.9 at 1, where a panel at x = 1 - t collapses
+    # in float; (0.2, 0.9, 0.8) puts |y1|^4 omega at (1-x)^-0.9 and caps its depth
+    f = lambda x: 0.3 + 0.1 * x - 0.4 * x * x
+    got = spectral._moments(f, params, 24, gram=True)
+    for k, want in enumerate(_lifted_moments(params, f)):
+        assert abs(got[k] - want) <= 1e-10 * abs(want), (params, k)
+
+
+@pytest.mark.parametrize("params", [(0.2, 0.15, 1.3), (0.06, 0.05, 0.05)])
+def test_exponent_near_minus_one_raises(params):
+    # (1-x)^-0.95 or x^-0.95: panels shrink by 0.93, too slowly to close the tail
+    with pytest.raises(NonIntegrableEndpoint, match="-0.950 too close to -1"):
+        eigenvalue_shift(ONE, params)
+
+
+def test_workload_profile_with_a_near_zero_at_one_returns_its_shift(tmp_path):
+    # spectral-profiles seed 934, op 3,988: f(1) = -1e-6, which a two-point probe of the
+    # endpoint exponent read as non-integrable
+    params = (0.447579, 0.858306, 1.820768)
+    coef = (0.296328, 0.140949, -0.437278)
+    spec = {"equation": {"hypergeometric": dict(zip("abc", params))}, "task": "eigenshift",
+            "f": {"poly": [[v, 0.0] for v in coef]}, "numerics": {"nodes": 24}}
+    spec_file, out = tmp_path / "op3988.json", tmp_path / "report.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 0
+    raw = json.loads(out.read_text())["results"]["lambda1_raw"]
+    want = _lifted_moments(params, lambda x: coef[0] + coef[1] * x + coef[2] * x * x)[0]
+    assert abs(complex(*raw) - want) <= 1e-12
+
+
+def test_warm_pass_keeps_the_bits_of_a_cold_basis(monkeypatch):
+    # the memo tells the t-array of the side at 1 from the same bytes as an x-array, and a
+    # warm pass sums no series and returns the bits of a cold ConnectedBasis
+    params = (0.35, 0.45, 1.3)
+    basis_for.cache_clear()
+    cold = spectral._moments(ONE, params, 24, gram=True)
+    calls = []
+    kernel = hypergeom._pfq_nodes
+    monkeypatch.setattr(hypergeom, "_pfq_nodes", lambda *args: calls.append(1) or kernel(*args))
+    warm = spectral._moments(ONE, params, 24, gram=True)
+    assert calls == [] and np.array_equal(warm, cold)
+    basis_for.cache_clear()
+    assert np.array_equal(spectral._moments(ONE, params, 24, gram=True), cold) and calls
+    t = np.concatenate(geometric_panels(0.5, 12))
+    at0, at1 = basis_for(*params).matrix(t), basis_for(*params).matrix(t, 1)
+    fresh = ConnectedBasis(*params)
+    assert np.array_equal(at1, fresh.matrix(t, 1)) and np.array_equal(at0, fresh.matrix(t))
+    assert np.max(np.abs(at1 - fresh.matrix(1 - t))) <= 1e-12 * np.max(np.abs(at1))
+    assert not np.allclose(at0, at1)

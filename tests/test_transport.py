@@ -67,9 +67,9 @@ def test_transport_det_liouville_constant_trace():
 
 
 def test_frobenius_columns_are_local_solutions(frob0):
-    from monodeform.hypergeom import local_basis_0
+    from monodeform.hypergeom import local_basis
 
-    basis = local_basis_0(A, B, C)
+    basis = local_basis(A, B, C, 0)
     v1, d1 = basis(0.5)[:, 0]
     assert abs(frob0.value[0, 0] - v1) < 1e-14
     assert abs(frob0.value[1, 0] - d1) < 1e-14
