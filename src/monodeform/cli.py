@@ -6,7 +6,8 @@ Subcommands:
     examples  write ready-to-run spec files for the worked cases
     schema    print the problem-spec JSON schema
 
-Exit codes: 0 success, 2 schema failure, 3 numeric failure.  Reports are
+Exit codes: 0 success, 2 for any fault of the spec (`schema.decode` refuses
+it, under `run` and `validate` alike), 3 numeric failure.  Reports are
 deterministic for a fixed spec and version: no timestamps, no seeds, sorted
 keys.
 """
@@ -21,7 +22,8 @@ import json
 import math
 import os
 import sys as _sys
-from typing import Any, Optional
+from dataclasses import asdict
+from typing import Optional
 
 import numpy as np
 
@@ -30,44 +32,35 @@ from .dyson import (
     closed_form_jump,
     cocycle_identity_residual,
     cocycle_jump,
-    default_loop_radius,
+    default_loop,
     deformation_delta,
     dyson_expand,
     evaluate_dyson,
-    matrix_to_json,
-    windings_json,
 )
 from .errors import MonodeformError, NonIntegrableForcing, SchemaError, SingularPoint
-from .hypergeom import ConnectedBasis, hypergeometric_system, weight_omega
-from .odecore import (
-    MeromorphicSystem,
-    PerturbationSpec,
-    _c2j,
-    _j2c,
-    companion,
-    exclusion_radius,
-    perturbation_from_json,
-    poly_from_json,
-    scalar_ode_from_json,
-    system_from_json,
-)
-from .paths import line_path, loop_around, path_from_json, path_to_json
-from .schema import schema_json, semantic_diagnostics, validate_schema
+from .hypergeom import ConnectedBasis, weight_omega
+from .odecore import _c2j, exclusion_radius
+from .paths import BranchState, line_path, path_to_json
+from .schema import Problem, decode, schema_json, semantic_diagnostics
 from .spectral import basis_for, builtin_profile, hierarchy_shift_residual
 from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monodromy, transport
 from .varpar import hypergeometric_deformed_series, series_to_csv
 
 
 def _jsonable(obj):
+    """The one report encoder: a complex number as [re, im], a square matrix as
+    {"dim", "data": [[re, im], ...] row by row}, a complex dict key as "re+imj"."""
     if isinstance(obj, complex):
         return _c2j(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return matrix_to_json(obj) if obj.ndim == 2 else [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        return {"dim": int(obj.shape[0]),
+                "data": [[float(z.real), float(z.imag)] for z in obj.astype(complex).ravel()]}
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {f"{k.real:g}{k.imag:+g}j" if isinstance(k, complex) else str(k): _jsonable(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     return obj
 
@@ -75,51 +68,6 @@ def _jsonable(obj):
 def config_hash(spec) -> str:
     blob = json.dumps(spec, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-# --- spec -> objects ---------------------------------------------------------
-
-
-def build_equation(spec) -> tuple[MeromorphicSystem, Optional[tuple[float, float, float]]]:
-    eq = spec["equation"]
-    if "hypergeometric" in eq:
-        h = eq["hypergeometric"]
-        return hypergeometric_system(*(_j2c(h[k]) for k in "abc")), _real_triple(h)
-    if "scalar" in eq:
-        return companion(scalar_ode_from_json(eq["scalar"])), None
-    return system_from_json(eq["system"]), None
-
-
-def _real_triple(h) -> Optional[tuple[float, float, float]]:
-    """(a, b, c) when the hypergeometric parameters `h` are all real, else None."""
-    a, b, c = (_j2c(h[k]) for k in "abc")
-    return (a.real, b.real, c.real) if max(abs(a.imag), abs(b.imag), abs(c.imag)) < 1e-14 else None
-
-
-def build_basis(spec, sys: MeromorphicSystem) -> FundamentalMatrix:
-    b = spec.get("basis", {"type": "frobenius0"} if "hypergeometric" in spec["equation"]
-                 else {"type": "identity"})
-    basepoint = _j2c(b.get("basepoint", 0.5))
-    kind = b["type"]
-    if kind in ("frobenius0", "frobenius1"):
-        h = spec["equation"].get("hypergeometric")
-        if h is None:
-            raise SchemaError("Frobenius bases need a hypergeometric equation", "$.basis")
-        a, bb, c = (_j2c(h[k]) for k in ("a", "b", "c"))
-        return frobenius_basis(a, bb, c, 0 if kind == "frobenius0" else 1, basepoint)
-    if kind == "identity":
-        return identity_basis(basepoint, sys.dim)
-    m = np.array([[_j2c(p) for p in row] for row in b["matrix"]])
-    return FundamentalMatrix(basepoint, m, "explicit")
-
-
-def build_perturbation(spec) -> tuple[Optional[PerturbationSpec], complex]:
-    p = spec.get("perturbation")
-    if p is None:
-        return None, 0j
-    pert = perturbation_from_json({k: v for k, v in p.items() if k != "rho"})
-    rho = _j2c(p.get("rho", 1e-3))
-    return pert, rho
 
 
 def _numerics(spec, args) -> dict:
@@ -132,87 +80,66 @@ def _numerics(spec, args) -> dict:
             "nodes": int(n.get("nodes", 64))}
 
 
-def _loops_for_centers(spec, sys, basis, centers):
-    loops = []
-    if spec.get("paths"):
-        for pj in spec["paths"]:
-            loops.append(path_from_json(pj))
-        return loops
-    for ctr in centers:
-        r = default_loop_radius(ctr, sys, basis.basepoint)
-        loops.append(loop_around(ctr, r, basis.basepoint, avoid=sys.singularities))
-    return loops
+def _basis(problem: Problem) -> FundamentalMatrix:
+    if problem.basis_type in ("frobenius0", "frobenius1"):
+        point = 0 if problem.basis_type == "frobenius0" else 1
+        return frobenius_basis(*problem.hypergeometric, point, problem.basepoint)
+    if problem.basis_type == "identity":
+        return identity_basis(problem.basepoint, problem.system.dim)
+    return FundamentalMatrix(problem.basepoint, problem.basis_matrix, "explicit")
 
 
-# --- task runners -------------------------------------------------------------
+def _dyson_and_direct(sys, pert, rho, K, path, basis, tol, direct_from):
+    """W (I + sum rho^k C_k) at the path end, C_1..C_K on the ODE route, and the direct
+    perturbed transport of direct_from along the path: the Dyson expansion and its oracle."""
+    exp = dyson_expand(sys, pert, K, path, basis, tol, route="ode")
+    w_end = transport(sys, None, 0, path, basis, tol).w.value
+    return exp, evaluate_dyson(w_end, exp, rho), transport(sys, pert, rho, path, direct_from, tol)
 
 
-def _task_monodromy(spec, args, csv_dir) -> dict:
-    sys, _ = build_equation(spec)
-    basis = build_basis(spec, sys)
-    pert, rho = build_perturbation(spec)
-    num = _numerics(spec, args)
-    centers = [_j2c(c) for c in spec.get("centers", [])] or list(sys.singularities)
-    loops = _loops_for_centers(spec, sys, basis, centers)
+# --- task runners: a decoded problem in, (results, diagnostics) of plain values out
+
+
+def _task_monodromy(problem: Problem, num, csv_dir):
+    sys, pert, rho = problem.system, problem.pert, problem.rho
+    basis = _basis(problem)
+    loops = problem.paths or [default_loop(c, sys, basis.basepoint) for c in problem.centers]
     results, diags = [], []
-    for ctr, loop in zip(centers, loops):
+    for ctr, loop in zip(problem.centers, loops):
         datum = monodromy(sys, basis, loop, num["tol"])
-        entry = {
-            "center": ctr,
-            "matrix": matrix_to_json(datum.matrix),
-            "eigenvalues": [_c2j(e) for e in datum.eigenvalues],
-        }
+        entry = {"center": ctr, "matrix": datum.matrix, "eigenvalues": datum.eigenvalues}
         diag = {"center": ctr, "basis_condition": basis.cond, "rk_steps": datum.steps}
         if pert is not None:
             pdatum = monodromy(sys, basis, loop, num["tol"], pert=pert, rho=rho)
-            entry["perturbed_matrix"] = matrix_to_json(pdatum.matrix)
-            entry["perturbed_eigenvalues"] = [_c2j(e) for e in pdatum.eigenvalues]
+            entry["perturbed_matrix"] = pdatum.matrix
+            entry["perturbed_eigenvalues"] = pdatum.eigenvalues
             diag["perturbed_rk_steps"] = pdatum.steps
         results.append(entry)
         diags.append(diag)
-    return {"results": {"monodromies": _jsonable(results)},
-            "diagnostics": _jsonable({"per_loop": diags, "tol": num["tol"]})}
+    return {"monodromies": results}, {"per_loop": diags, "tol": num["tol"]}
 
 
-def _task_dyson(spec, args, csv_dir) -> dict:
-    sys, _ = build_equation(spec)
-    basis = build_basis(spec, sys)
-    pert, rho = build_perturbation(spec)
-    num = _numerics(spec, args)
-    if spec.get("paths"):
-        path = path_from_json(spec["paths"][0])
-    else:
-        path = line_path(basis.basepoint, basis.basepoint + 0.25)
-    exp = dyson_expand(sys, pert, num["K"], path, basis, num["tol"], route="ode")
-    w_end = transport(sys, None, 0, path, basis, num["tol"])
-    approx = evaluate_dyson(w_end.w.value, exp, rho)
-    direct = transport(sys, pert, rho, path, basis, num["tol"])
-    delta = float(np.max(np.abs(approx - direct.w.value)))
-    return {
-        "results": {
-            "terms": [matrix_to_json(t) for t in exp.terms],
-            "endpoint": _c2j(exp.endpoint),
-            "w_rho_truncated": matrix_to_json(approx),
-        },
-        "diagnostics": _jsonable({
-            "oracle_delta_vs_direct": delta,
-            "rho": rho,
-            "tol": num["tol"],
-            "path_hash": config_hash(path_to_json(path)),
-            "transport_steps": direct.steps,
-            "windings": windings_json(direct.branch, path.start),
-        }),
+def _task_dyson(problem: Problem, num, csv_dir):
+    sys, pert, rho = problem.system, problem.pert, problem.rho
+    basis = _basis(problem)
+    path = problem.paths[0] if problem.paths else line_path(basis.basepoint, basis.basepoint + 0.25)
+    exp, approx, direct = _dyson_and_direct(sys, pert, rho, num["K"], path, basis, num["tol"],
+                                            basis)
+    start = BranchState.principal(path.start, [p for p, _ in direct.branch.args])
+    return {"terms": exp.terms, "endpoint": exp.endpoint, "w_rho_truncated": approx}, {
+        "oracle_delta_vs_direct": float(np.max(np.abs(approx - direct.w.value))),
+        "rho": rho,
+        "tol": num["tol"],
+        "path_hash": config_hash(path_to_json(path)),
+        "transport_steps": direct.steps,
+        "windings": {p: direct.branch.winding(p, start) for p, _ in direct.branch.args},
     }
 
 
-def _task_cocycle(spec, args, csv_dir) -> dict:
-    sys, _ = build_equation(spec)
-    basis = build_basis(spec, sys)
-    pert, rho = build_perturbation(spec)
-    num = _numerics(spec, args)
-    centers = [_j2c(c) for c in spec.get("centers", [])] or list(sys.singularities)
-    results = {"jumps": []}
-    diags: dict[str, Any] = {}
+def _task_cocycle(problem: Problem, num, csv_dir):
+    sys, pert, centers = problem.system, problem.pert, problem.centers
+    basis = _basis(problem)
+    jumps, diags = [], {"tol": num["tol"]}
     probe = basis.basepoint
     for ctr in centers:
         # meromorphic jumps around 0 anchor at 0 itself when the integral
@@ -230,12 +157,8 @@ def _task_cocycle(spec, args, csv_dir) -> dict:
         if jump is None:
             jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"])
             anchor = "zero" if pert.multivalued else "basepoint"
-        entry = {
-            "center": ctr,
-            "anchor": anchor,
-            "delta": matrix_to_json(jump.delta),
-            "monodromy": matrix_to_json(jump.monodromy),
-        }
+        entry = {"center": ctr, "anchor": anchor, "delta": jump.delta,
+                 "monodromy": jump.monodromy}
         if reason is not None:
             entry["anchor_reason"] = reason
         if not pert.multivalued:
@@ -247,52 +170,30 @@ def _task_cocycle(spec, args, csv_dir) -> dict:
                 rel = float(np.max(np.abs(d - pred)) / max(np.max(np.abs(pred)), 1e-300))
                 comparisons.append({"probe": p, "closed_form_rel_err": rel})
             entry["closed_form"] = comparisons
-        results["jumps"].append(entry)
-    if pert is not None and not pert.multivalued and len(centers) >= 2:
-        a_c, b_c = centers[0], centers[1]
-        la = _loops_for_centers({}, sys, basis, [a_c])[0]
-        lb = _loops_for_centers({}, sys, basis, [b_c])[0]
+        jumps.append(entry)
+    if not pert.multivalued and len(centers) >= 2:
+        la, lb = (default_loop(c, sys, probe) for c in centers[:2])
         da, ma, _, _ = deformation_delta(sys, pert, basis, probe, [la], num["tol"])
-        db, mb, _, _ = deformation_delta(sys, pert, basis, probe, [lb], num["tol"])
+        db, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb], num["tol"])
         dab, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb, la], num["tol"])
-        resid = cocycle_identity_residual({"a": da, "b": db, ("a", "b"): dab}, {"a": ma}, ("a", "b"))
-        diags["cocycle_identity_residual"] = resid
-    diags["tol"] = num["tol"]
-    return {"results": _jsonable(results), "diagnostics": _jsonable(diags)}
+        diags["cocycle_identity_residual"] = cocycle_identity_residual(
+            {"a": da, "b": db, ("a", "b"): dab}, {"a": ma}, ("a", "b"))
+    return {"jumps": jumps}, diags
 
 
-def _f_profile(spec, params):
-    fspec = spec.get("f", {"name": "one"})
-    if "name" in fspec:
-        return builtin_profile(fspec["name"], params), fspec["name"]
-    return poly_from_json(fspec["poly"]), "poly"
-
-
-def _task_eigenshift(spec, args, csv_dir) -> dict:
-    eq = spec["equation"]
-    params = _real_triple(eq["hypergeometric"]) if "hypergeometric" in eq else None
-    if params is None:
-        raise SchemaError("eigenshift needs real hypergeometric parameters", "$.equation")
-    num = _numerics(spec, args)
+def _task_eigenshift(problem: Problem, num, csv_dir):
+    params = problem.params
     # `nodes` is the per-panel Gauss-Legendre order of the geometric rule
     nodes = min(num["nodes"], 48)
-    f, fname = _f_profile(spec, params)
+    if isinstance(problem.profile, str):
+        f, fname = builtin_profile(problem.profile, params), problem.profile
+    else:
+        f, fname = problem.profile, "poly"
     hier = hierarchy_shift_residual(f, params, nodes)
-    shift = hier["shift"]
-    return {
-        "results": _jsonable({
-            "f": fname,
-            "lambda1": shift.lambda1,
-            "lambda1_raw": shift.lambda1_raw,
-            "norm_y1": shift.norm_y1,
-            "bound": shift.bound,
-            "saturation": shift.saturation,
-        }),
-        "diagnostics": _jsonable({
-            "orthonormality": hier["orthonormality"],
-            "hierarchy_residual_l2": hier["residual_l2"],
-            "hierarchy_rhs_orthogonality": hier["rhs_orthogonality"],
-        }),
+    return {"f": fname, **asdict(hier["shift"])}, {
+        "orthonormality": hier["orthonormality"],
+        "hierarchy_residual_l2": hier["residual_l2"],
+        "hierarchy_rhs_orthogonality": hier["rhs_orthogonality"],
     }
 
 
@@ -301,66 +202,43 @@ def _task_eigenshift(spec, args, csv_dir) -> dict:
 SERIES_RANGE = (0.2, 0.8)
 
 
-def _series_coupling(spec, sys) -> tuple:
-    """For the series task the perturbation must live in the companion corner
-    B[n-1][0]; the scalar coupling is f(x) = B21(x) * x(1-x) for the
-    hypergeometric case, and B21 may have no pole on SERIES_RANGE."""
-    pert, rho = build_perturbation(spec)
-    n = sys.dim
-    for i, row in enumerate(pert.H):
-        for j, e in enumerate(row):
-            if (i, j) != (n - 1, 0) and not e.is_zero:
-                raise SchemaError(
-                    "series task needs the perturbation in the companion corner "
-                    f"(found H[{i}][{j}] nonzero)", "$.perturbation.H")
+def _task_series(problem: Problem, num, csv_dir):
+    """The coupling is f(x) = B21(x) x(1 - x), from the companion corner of H, which
+    may have no pole on SERIES_RANGE."""
+    sys, pert, rho = problem.system, problem.pert, problem.rho
+    a, b, c = problem.params
+    b21 = pert.H[sys.dim - 1][0]
     lo, hi = SERIES_RANGE
-    for p in pert.H[n - 1][0].poles():
+    for p in b21.poles():
         if abs(p - min(max(p.real, lo), hi)) < exclusion_radius(p):
             raise NonIntegrableForcing(
                 f"forcing pole {p:.6g} lies on the series range [{lo}, {hi}]")
-    return pert, rho
-
-
-def _task_series(spec, args, csv_dir) -> dict:
-    sys, params = build_equation(spec)
-    if params is None:
-        raise SchemaError("series task needs real hypergeometric parameters", "$.equation")
-    a, b, c = params
-    num = _numerics(spec, args)
-    pert, rho = _series_coupling(spec, sys)
-    b21 = pert.H[sys.dim - 1][0]
     f = lambda x: b21(x) * x * (1 - x)
     series = hypergeometric_deformed_series(a, b, c, f, num["K"], basepoint=0.5,
                                             tol=max(num["tol"], 1e-12), basis=basis_for(a, b, c))
-    nsamp = int(spec.get("samples", 13))
-    xs = list(np.linspace(*SERIES_RANGE, nsamp))
-    samples = [{"x": x, "terms": [_c2j(series.term(k)(x)[0]) for k in range(num["K"] + 1)],
-                "value": _c2j(series.evaluate(x, rho))} for x in xs]
+    xs = list(np.linspace(*SERIES_RANGE, problem.samples or 13))
+    samples = [{"x": x, "terms": [series.term(k)(x)[0] for k in range(num["K"] + 1)],
+                "value": series.evaluate(x, rho)} for x in xs]
     basis = frobenius_basis(a, b, c, 0, 0.5)
+    column = FundamentalMatrix(0.5, np.column_stack([basis.value[:, 0], [0.0, 1.0]]), "column")
     triangle = []
     for x in (0.3, 0.7):
-        path = line_path(0.5, x)
-        exp = dyson_expand(sys, pert, num["K"], path, basis, num["tol"], route="ode")
-        wx = transport(sys, None, 0, path, basis, num["tol"]).w.value
-        dyson_val = evaluate_dyson(wx, exp, rho)[0, 0]
-        psi0 = np.asarray(basis.value) @ np.array([1.0, 0.0])
-        col = np.column_stack([psi0, [0.0, 1.0]])
-        direct = transport(sys, pert, rho, path, FundamentalMatrix(0.5, col, "column"),
-                           num["tol"]).w.value[0, 0]
+        _, approx, direct = _dyson_and_direct(sys, pert, rho, num["K"], line_path(0.5, x), basis,
+                                              num["tol"], column)
+        dyson_val, direct_val = approx[0, 0], direct.w.value[0, 0]
         vp = series.evaluate(x, rho)
         triangle.append({"x": x, "varpar_vs_dyson": abs(vp - dyson_val),
-                         "varpar_vs_direct": abs(vp - direct),
-                         "dyson_vs_direct": abs(dyson_val - direct)})
+                         "varpar_vs_direct": abs(vp - direct_val),
+                         "dyson_vs_direct": abs(dyson_val - direct_val)})
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
         series_to_csv(series, xs, os.path.join(csv_dir, "series_terms.csv"))
-    return {"results": _jsonable({"rho": rho, "samples": samples}),
-            "diagnostics": _jsonable({"oracle_triangle": triangle})}
+    return {"rho": rho, "samples": samples}, {"oracle_triangle": triangle}
 
 
-def _task_sample(spec, args, csv_dir) -> dict:
-    sys, params = build_equation(spec)
-    nsamp = int(spec.get("samples", 101))
+def _task_sample(problem: Problem, num, csv_dir):
+    sys, params = problem.system, problem.params
+    nsamp = problem.samples or 101
     xs = np.linspace(0.02, 0.98, nsamp)
     if params is not None:
         a, b, c = params
@@ -374,7 +252,8 @@ def _task_sample(spec, args, csv_dir) -> dict:
             if np.min(np.abs(xs - s)) < exclusion_radius(s):
                 raise SingularPoint(f"a sample point lies on the pole {s}")
         m = sys.evaluate(xs).reshape(nsamp, -1)  # row-major entries, each as re, im
-        rows = np.column_stack([xs, np.stack([m.real, m.imag], axis=-1).reshape(nsamp, -1)])
+        parts = np.stack([m.real, m.imag], axis=-1).reshape(nsamp, -1)
+        rows = np.column_stack([xs, parts]).tolist()
         header = ["x"] + [f"{p}_A{i}{j}" for i in range(sys.dim)
                           for j in range(sys.dim) for p in ("re", "im")]
     if csv_dir:
@@ -383,9 +262,8 @@ def _task_sample(spec, args, csv_dir) -> dict:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows([[f"{v:.16g}" for v in r] for r in rows])
-        return {"results": {"csv": "samples.csv", "count": len(rows)}, "diagnostics": {}}
-    return {"results": {"header": header, "rows": [[float(v) for v in r] for r in rows[:200]]},
-            "diagnostics": {}}
+        return {"csv": "samples.csv", "count": len(rows)}, {}
+    return {"header": header, "rows": rows[:200]}, {}
 
 
 _TASKS = {
@@ -399,20 +277,19 @@ _TASKS = {
 
 
 def run_spec(spec, args=None, csv_dir=None) -> dict:
-    """Dispatch one validated problem spec; returns the full report dict."""
-    validate_schema(spec)
-    task = spec["task"]
-    stage = f"cli.run[{task}]"
+    """Decode one problem spec, run its task and return the full report dict."""
+    problem = decode(spec)
+    stage = f"cli.run[{problem.task}]"
     try:
-        body = _TASKS[task](spec, args, csv_dir)
+        results, diagnostics = _TASKS[problem.task](problem, _numerics(spec, args), csv_dir)
     except MonodeformError as exc:
         raise MonodeformError(f"{stage}: {type(exc).__name__}: {exc}") from exc
     return {
         "version": __version__,
         "config_hash": config_hash(spec),
         "inputs": spec,
-        "results": body["results"],
-        "diagnostics": body["diagnostics"],
+        "results": _jsonable(results),
+        "diagnostics": _jsonable(diagnostics),
     }
 
 
@@ -580,7 +457,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if "sweep" in spec:
             entries = spec["sweep"]
             for e in entries:
-                validate_schema(e)
+                decode(e)
             payloads = [(e, args.csv) for e in entries]
             if args.jobs > 1:
                 with _sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs) as pool:

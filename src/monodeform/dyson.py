@@ -41,10 +41,12 @@ from .errors import (
 )
 from .hypergeom import SERIES_TOL
 from .odecore import KIND_LOG, KIND_MEROMORPHIC, KIND_POWER, MeromorphicSystem, PerturbationSpec
-from .paths import ArgTracker, Arc, BranchState, PathSpec, line_path, loop_around
+from .paths import (POINT_MATCH_TOL, ArgTracker, Arc, BranchState, PathSpec, line_path,
+                    loop_around)
 from .quadrature import (cheb_cumulative, cheb_nodes, geometric_levels, geometric_panels,
                          geometric_tail)
-from .transport import FundamentalMatrix, _gauge_matrix, _integrate, tracked_points
+from .transport import (FundamentalMatrix, _check_clearance, _gauge_matrix, _integrate,
+                        tracked_points)
 
 PANEL_NODES = 32
 CONSTANCY_FRACTIONS = (0.3, 0.5, 0.7)
@@ -122,12 +124,14 @@ def _line_pieces(z0: complex, z1: complex, obstacles: Sequence[complex]) -> list
     return out
 
 
-def _panels_for_path(path: PathSpec, points: Sequence[complex],
-                     start: BranchState) -> tuple[list[_Panel], BranchState]:
+def _panels_for_path(path: PathSpec, points: Sequence[complex], start: BranchState,
+                     poles: Sequence[complex]) -> tuple[list[_Panel], BranchState]:
     """One `_Panel` per path segment, its arguments tracked from `start`;
-    returns them and the branch state at the path end."""
+    returns them and the branch state at the path end.  The path must clear
+    the poles, as on the ODE route."""
     taus = cheb_nodes(PANEL_NODES)
     tracker = ArgTracker(path, points, start)
+    _check_clearance(path, poles)
     panels: list[_Panel] = []
     for i, seg in enumerate(path.segments):
         if isinstance(seg, Arc):
@@ -234,9 +238,12 @@ def _series_route_markers(
     # with from_zero the first marker is the end of the head piece (at the
     # contour start itself), followed by one marker per path
     groups = [_panels_for_head(start_z, pts, levels)] if from_zero else []
+    poles = sys.singularities + pert.poles
     for p in paths:
-        panels, state = _panels_for_path(p, pts, state)
+        panels, state = _panels_for_path(p, pts, state, poles)
         groups.append(panels)
+    if from_zero:  # the head's ray ends at 0 by design, and clears every other pole
+        _check_clearance(line_path(0j, start_z), [p for p in poles if abs(p) > POINT_MATCH_TOL])
     return _series_sweep(basis.evaluator, pert, groups, pts, K, basis.dim, want_plain, from_zero)
 
 
@@ -368,10 +375,14 @@ def perturbed_monodromy_first_order(
     return m0, coeff
 
 
-def default_loop_radius(center: complex, sys: MeromorphicSystem, probe: complex) -> float:
+def default_loop(center: complex, sys: MeromorphicSystem, basepoint: complex) -> PathSpec:
+    """The loop from the basepoint round the center that cocycle jumps and the CLI take: its
+    radius is half the distance to the nearest other singularity, at most 3/4 of the
+    distance to the basepoint."""
     others = [s for s in sys.singularities if abs(s - center) > 1e-9 * (1 + abs(s))]
     d_other = min((abs(s - center) for s in others), default=math.inf)
-    return min(0.5 * d_other, 0.75 * abs(probe - center))
+    radius = min(0.5 * d_other, 0.75 * abs(basepoint - center))
+    return loop_around(center, radius, basepoint, avoid=sys.singularities)
 
 
 def deformation_delta(
@@ -440,10 +451,8 @@ def cocycle_jump(
         constancy_probes = [center + f * d_other * direction for f in CONSTANCY_FRACTIONS]
 
     def one(p: complex):
-        r = default_loop_radius(center, sys, p)
-        loop = loop_around(center, r, p, avoid=sys.singularities)
-        d, m, c_x, d_x = deformation_delta(sys, pert, basis, p, [loop], tol,
-                                           from_zero, route)
+        d, m, c_x, d_x = deformation_delta(sys, pert, basis, p, [default_loop(center, sys, p)],
+                                           tol, from_zero, route)
         ref = d_x if pert.kind == KIND_LOG else c_x
         return d, m, ref
 
@@ -497,21 +506,3 @@ def cocycle_identity_residual(deltas: dict, monodromies: dict, pair) -> float:
     ma = np.asarray(monodromies[a], dtype=complex)
     r = da - dab + ma @ db @ np.linalg.inv(ma)
     return _maxabs(r)
-
-
-# --- JSON ----------------------------------------------------------------------
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }
-
-
-def windings_json(branch: BranchState, start: complex) -> dict:
-    """Turns of each tracked argument from the principal branch at `start`
-    to `branch`, keyed by branch point."""
-    ref = BranchState.principal(start, [p for p, _ in branch.args])
-    return {f"{p.real:g}{p.imag:+g}j": branch.winding(p, ref) for p, _ in branch.args}

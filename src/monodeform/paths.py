@@ -16,6 +16,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -229,29 +230,36 @@ def _bracket(nodes: Sequence[float], t):
 
 
 class ArgTracker:
-    """Per-segment tables of accumulated arguments along a path.  A segment
-    that starts within the exclusion radius of a tracked point (other than
-    its own arc centre) raises PathThroughSingularity."""
+    """Per-segment tables of accumulated arguments along a path, built on first
+    use.  A segment that starts within the exclusion radius of a tracked point
+    (other than its own arc centre) raises PathThroughSingularity at once, so a
+    caller can check the path's clearance before an arc close to a point lays
+    its many table nodes."""
 
     def __init__(self, path: PathSpec, points: Sequence[complex],
                  start: Optional[BranchState] = None):
         self.path = path
         self.points = list(points)
-        if start is None:
-            start = BranchState.principal(path.start, self.points)
-        # tables[i][j] = (t_nodes, z_nodes, arg_nodes) for segment i, point j
-        self.tables: list[list[tuple[list[float], list[complex], list[float]]]] = []
-        current = [start.arg(p) for p in self.points]
+        self._start = BranchState.principal(path.start, self.points) if start is None else start
         for i, seg in enumerate(path.segments):
+            z0 = seg.point(0.0)
+            for p in self.points:
+                if not _centered_on(seg, p) and abs(z0 - p) < exclusion_radius(p):
+                    raise PathThroughSingularity(
+                        f"segment {i} starts at {z0}, on the tracked point {p}")
+
+    @cached_property
+    def tables(self) -> list[list[tuple[list[float], list[complex], list[float]]]]:
+        """tables[i][j] = (t_nodes, z_nodes, arg_nodes) for segment i, point j."""
+        tables = []
+        current = [self._start.arg(p) for p in self.points]
+        for seg in self.path.segments:
             row = []
             for j, p in enumerate(self.points):
                 nodes = _arc_nodes(seg, p) if isinstance(seg, Arc) else [0.0, 1.0]
                 zs = [seg.point(t) for t in nodes]
                 args = [current[j]]
                 centered = _centered_on(seg, p)
-                if not centered and abs(zs[0] - p) < exclusion_radius(p):
-                    raise PathThroughSingularity(
-                        f"segment {i} starts at {zs[0]}, on the tracked point {p}")
                 for t_prev, t_next, z_prev, z_next in zip(nodes, nodes[1:], zs, zs[1:]):
                     if centered:
                         inc = seg.angle(t_next) - seg.angle(t_prev)
@@ -260,8 +268,8 @@ class ArgTracker:
                     args.append(args[-1] + inc)
                 row.append((nodes, zs, args))
                 current[j] = args[-1]
-            self.tables.append(row)
-        self._final = BranchState(tuple(zip(self.points, current)))
+            tables.append(row)
+        return tables
 
     def arg(self, seg_index: int, t: float, point: complex) -> float:
         j = next(
@@ -292,7 +300,8 @@ class ArgTracker:
 
     @property
     def end_state(self) -> BranchState:
-        return self._final
+        return BranchState(tuple((p, args[-1]) for p, (_, _, args)
+                                 in zip(self.points, self.tables[-1])))
 
 
 # --- JSON ------------------------------------------------------------------

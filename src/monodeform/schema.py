@@ -1,21 +1,32 @@
-"""Problem-specification schema and semantic validation for the CLI.
+"""Problem-specification schema, the one spec decoder, and semantic validation for the CLI.
 
 `PROBLEM_SCHEMA` is a JSON Schema (Draft 2020-12).  `validate_schema` checks
 it in-repo, keyword for keyword as Draft 2020-12 defines the ten keywords it
 uses, so a spec gets the same verdict and the same first error location as
-from a general-purpose validator, without one on the import path.
+from a general-purpose validator, without one on the import path.  `decode`
+runs it, builds the equation, perturbation, paths, centers and basis
+description once, and applies every rule across fields; it is the one place
+that refuses a spec, always as SchemaError at a JSON path, and both
+`monodeform run` and `monodeform validate` go through it.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Optional, Union
+
+import numpy as np
 
 from .errors import SchemaError
-from .hypergeom import is_near_integer
-from .odecore import _dedup, _j2c, perturbation_from_json, system_from_json
-from .paths import path_from_json, validate_clearance
+from .hypergeom import hypergeometric_system, is_near_integer
+from .odecore import (MeromorphicSystem, PerturbationSpec, _dedup, _j2c, companion,
+                      perturbation_from_json, poly_from_json, scalar_ode_from_json,
+                      system_from_json)
+from .paths import PathSpec, path_from_json, validate_clearance
+from .ratfun import ComplexPoly
+from .transport import BASEPOINT_TOL
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 _CNUM = {"oneOf": [{"type": "number"}, _PAIR]}
@@ -244,69 +255,145 @@ def validate_schema(spec: Any) -> None:
              or next(_non_finite(spec, "$"), None))
     if first is not None:
         path, message = first
-        raise SchemaError(f"{message} (at {path})", path)
+        _refuse(message, path)
     task = spec["task"]
     if task in TASKS_NEEDING_PERTURBATION and "perturbation" not in spec:
-        raise SchemaError(f"task {task!r} requires a perturbation", "$.perturbation")
+        _refuse(f"task {task!r} requires a perturbation", "$.perturbation")
     if task == "eigenshift" and "hypergeometric" not in spec["equation"]:
-        raise SchemaError("eigenshift needs a hypergeometric equation", "$.equation")
+        _refuse("eigenshift needs a hypergeometric equation", "$.equation")
     if "perturbation" in spec:
         p = spec["perturbation"]
         if p["kind"] == "power" and "lambda" not in p:
-            raise SchemaError("power kind requires lambda", "$.perturbation.lambda")
+            _refuse("power kind requires lambda", "$.perturbation.lambda")
+
+
+def _refuse(message: str, pointer: str):
+    raise SchemaError(f"{message} (at {pointer})", pointer)
+
+
+def _built(pointer: str, make: Callable, *args):
+    """make(*args), with a constructor's ValueError or ZeroDivisionError refused at pointer."""
+    try:
+        return make(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        _refuse(str(exc), pointer)
+
+
+# --- spec -> objects ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Problem:
+    """A spec decoded into the objects the task runners compute with."""
+
+    task: str
+    system: MeromorphicSystem
+    hypergeometric: Optional[tuple[complex, complex, complex]]  # (a, b, c)
+    params: Optional[tuple[float, float, float]]  # (a, b, c) when all are real
+    pert: Optional[PerturbationSpec]
+    rho: complex
+    basis_type: str  # frobenius0 | frobenius1 | identity | explicit
+    basepoint: complex
+    basis_matrix: Optional[np.ndarray]  # the value of an explicit basis
+    paths: tuple[PathSpec, ...]
+    centers: tuple[complex, ...]  # as given, else the system's singularities
+    profile: Union[str, ComplexPoly]  # the name of a built-in eigenshift profile, or a poly
+    samples: Optional[int]
+
+
+def _square(grid, dim: int) -> bool:
+    return len(grid) == dim and all(len(row) == dim for row in grid)
+
+
+def decode(spec: Any) -> Problem:
+    """The spec as a Problem, or SchemaError at the JSON path of its first fault: the schema
+    first, then field by field each constructor, shape and rule across fields."""
+    validate_schema(spec)
+    task, eq = spec["task"], spec["equation"]
+    abc = params = None
+    if "hypergeometric" in eq:
+        abc = tuple(_j2c(eq["hypergeometric"][k]) for k in "abc")
+        system = hypergeometric_system(*abc)
+        if max(abs(v.imag) for v in abc) < 1e-14:
+            params = tuple(v.real for v in abc)
+    elif "scalar" in eq:
+        system = companion(_built("$.equation.scalar", scalar_ode_from_json, eq["scalar"]))
+    else:
+        system = _built("$.equation.system", system_from_json, eq["system"])
+    pert, rho = None, 0j
+    if "perturbation" in spec:
+        p = spec["perturbation"]
+        pert = _built("$.perturbation", perturbation_from_json, p)
+        rho = _j2c(p.get("rho", 1e-3))
+        if not _square(p["H"], system.dim):
+            _refuse(f"H must be {system.dim} x {system.dim}, the size of the system",
+                    "$.perturbation.H")
+    b = spec.get("basis", {"type": "frobenius0" if abc is not None else "identity"})
+    basepoint, matrix = _j2c(b.get("basepoint", 0.5)), None
+    if b["type"].startswith("frobenius") and abc is None:
+        _refuse("Frobenius bases need a hypergeometric equation", "$.basis.type")
+    if b["type"] == "explicit":
+        if not _square(b.get("matrix", ()), system.dim):
+            _refuse(f"an explicit basis needs a {system.dim} x {system.dim} matrix",
+                    "$.basis.matrix")
+        matrix = np.array([[_j2c(v) for v in row] for row in b["matrix"]])
+    paths = tuple(_built(f"$.paths[{i}]", path_from_json, pj)
+                  for i, pj in enumerate(spec.get("paths", [])))
+    centers = tuple(_j2c(c) for c in spec.get("centers", []))
+    f = spec.get("f", {"name": "one"})
+    profile = f["name"] if "name" in f else poly_from_json(f["poly"])
+
+    if task in ("eigenshift", "series") and params is None:
+        _refuse(f"task {task!r} needs real hypergeometric parameters",
+                "$.equation.hypergeometric" if abc is not None else "$.equation")
+    if task == "series":
+        for i, row in enumerate(pert.H):
+            for j, e in enumerate(row):
+                if (i, j) != (system.dim - 1, 0) and not e.is_zero:
+                    _refuse("the series task takes the perturbation in the companion corner "
+                            f"H[{system.dim - 1}][0] only", f"$.perturbation.H[{i}][{j}]")
+    if task == "monodromy" and paths:
+        for i, path in enumerate(paths):
+            if not path.is_closed:
+                _refuse("a monodromy path must be a closed loop", f"$.paths[{i}]")
+            if abs(path.start - basepoint) > BASEPOINT_TOL:
+                _refuse(f"a monodromy loop must start at the basepoint {basepoint}",
+                        f"$.paths[{i}]")
+        if len(centers) != len(paths):
+            _refuse(f"{len(paths)} monodromy paths need one center each, "
+                    f"not {len(centers)}", "$.centers")
+    if task == "dyson" and paths and abs(paths[0].start - basepoint) > BASEPOINT_TOL:
+        _refuse(f"the dyson path must start at the basepoint {basepoint}", "$.paths[0]")
+    return Problem(task, system, abc, params, pert, rho, b["type"], basepoint, matrix, paths,
+                   centers or system.singularities, profile,
+                   int(spec["samples"]) if "samples" in spec else None)
 
 
 def semantic_diagnostics(spec: Any) -> list[dict]:
-    """Genericity / integrability / path-clearance checks without numerics;
-    paths keep clear of the equation's singularities and the perturbation's poles."""
-    out: list[dict] = []
+    """The first spec fault that `decode` refuses, else genericity, integrability and
+    path-clearance checks without numerics; paths keep clear of the equation's
+    singularities and the perturbation's poles."""
     try:
-        validate_schema(spec)
+        problem = decode(spec)
     except SchemaError as e:
         return [{"level": "error", "where": e.pointer, "message": str(e)}]
-    eq = spec["equation"]
-    singularities: list[complex] = []
-    if "hypergeometric" in eq:
-        a = _j2c(eq["hypergeometric"]["a"])
-        b = _j2c(eq["hypergeometric"]["b"])
-        c = _j2c(eq["hypergeometric"]["c"])
-        singularities = [0j, 1 + 0j]
+    found = []  # (level, where, message)
+    if problem.hypergeometric is not None:
+        a, b, c = problem.hypergeometric
         if is_near_integer(c):
-            out.append({
-                "level": "warning", "where": "$.equation.hypergeometric.c",
-                "message": f"c={c} is within 1e-8 of an integer; the power-type "
-                           "local solution at 0 degenerates and Frobenius bases fail",
-            })
+            found.append(("warning", "$.equation.hypergeometric.c",
+                          f"c={c} is within 1e-8 of an integer; the power-type local solution "
+                          "at 0 degenerates and Frobenius bases fail"))
         if is_near_integer(c - a - b):
-            out.append({
-                "level": "warning", "where": "$.equation.hypergeometric",
-                "message": f"c-a-b={c - a - b} is within 1e-8 of an integer; the "
-                           "local basis at 1 degenerates",
-            })
-        if spec["task"] == "eigenshift":
-            if c.real <= 0 or (a + b - c).real <= -1:
-                out.append({
-                    "level": "error", "where": "$.equation.hypergeometric",
-                    "message": "weight exponents (c-1, a+b-c) violate endpoint "
-                               "integrability on [0,1]",
-                })
-    elif "system" in eq:
-        try:
-            singularities = list(system_from_json(eq["system"]).singularities)
-        except Exception as exc:
-            out.append({"level": "error", "where": "$.equation.system", "message": str(exc)})
-    if "perturbation" in spec:
-        try:
-            pert = perturbation_from_json(spec["perturbation"])
-            singularities = _dedup(singularities + list(pert.poles))
-        except Exception as exc:
-            out.append({"level": "error", "where": "$.perturbation", "message": str(exc)})
-    for i, pj in enumerate(spec.get("paths", [])):
-        try:
-            path = path_from_json(pj)
-        except Exception as exc:
-            out.append({"level": "error", "where": f"$.paths[{i}]", "message": str(exc)})
-            continue
-        for msg in validate_clearance(path, singularities, skip=path.arc_centers()):
-            out.append({"level": "error", "where": f"$.paths[{i}]", "message": msg})
-    return out
+            found.append(("warning", "$.equation.hypergeometric",
+                          f"c-a-b={c - a - b} is within 1e-8 of an integer; the local basis "
+                          "at 1 degenerates"))
+        if problem.task == "eigenshift" and (c.real <= 0 or (a + b - c).real <= -1):
+            found.append(("error", "$.equation.hypergeometric", "weight exponents (c-1, a+b-c) "
+                          "violate endpoint integrability on [0,1]"))
+    poles = _dedup([*problem.system.singularities, *(problem.pert.poles if problem.pert else ())])
+    for i, path in enumerate(problem.paths):
+        found += [("error", f"$.paths[{i}]", message)
+                  for message in validate_clearance(path, poles, skip=path.arc_centers())]
+    return [{"level": level, "where": where, "message": message}
+            for level, where, message in found]

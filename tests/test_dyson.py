@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from monodeform import dyson as dyson_module
-from monodeform.cli import config_hash
 from monodeform.dyson import (
     PANEL_NODES,
     _panels_for_head,
@@ -15,13 +14,11 @@ from monodeform.dyson import (
     cocycle_identity_residual,
     cocycle_jump,
     correction_C,
-    default_loop_radius,
+    default_loop,
     deformation_delta,
     dyson_expand,
     evaluate_dyson,
-    matrix_to_json,
     perturbed_monodromy_first_order,
-    windings_json,
 )
 from monodeform.errors import (
     InconsistentBasepoint,
@@ -29,6 +26,7 @@ from monodeform.errors import (
     NonIntegrableEndpoint,
     SeriesRouteUnavailable,
     ShapeMismatch,
+    SingularPoint,
     UnsupportedKind,
 )
 from monodeform.hypergeom import hypergeometric_system
@@ -41,7 +39,6 @@ from monodeform.paths import (
     PathSpec,
     line_path,
     loop_around,
-    path_to_json,
 )
 from monodeform.quadrature import cheb_cumulative, cheb_nodes, geometric_tail
 from monodeform.ratfun import ComplexPoly, RationalFn
@@ -228,6 +225,24 @@ def test_ode_route_from_zero_raises_typed_error(hyp_system, frob0):
     pert = _pert("power", ONE, 0.5)
     with pytest.raises(MonodeformError):
         cocycle_jump(hyp_system, pert, frob0, 0j, 0.5, route="ode")
+
+
+@pytest.mark.parametrize("pole", [0.4, 0.4 + 1e-7j])
+def test_both_routes_refuse_a_path_by_a_pole_of_h(hyp_system, frob0, pole):
+    # H21 = 1/(x - p) on the line 0.5 -> 0.3, and 1e-7 beside it: the series route
+    # returned NaN on the pole and a number beside it
+    pert = _pert("meromorphic", RationalFn.from_coeffs([1.0], [-pole, 1.0]))
+    for route in ("series", "ode"):
+        with pytest.raises(SingularPoint):
+            correction_C(hyp_system, pert, frob0, line_path(0.5, 0.3), route=route)
+
+
+def test_zero_head_refuses_a_pole_on_its_ray(hyp_system, frob0):
+    # a power-weight jump from 0 at the probes 0.45 and 0.55: the head from 0 to each
+    # probe runs through the pole of H21 = 1/(x - 0.3)
+    pert = _pert("power", RationalFn.from_coeffs([1.0], [-0.3, 1.0]), 0.5)
+    with pytest.raises(SingularPoint):
+        cocycle_jump(hyp_system, pert, frob0, 0.0, 0.45, constancy_probes=[0.55])
 
 
 def test_from_zero_correction_batches_evaluator_calls(hyp_system, frob0):
@@ -420,8 +435,7 @@ def test_two_zone_series_route_matches_ode(hyp_system, point, center, probe):
     # loops around the other point leave the zone of the basis and continue
     # W through the other local basis
     basis = frobenius_basis(A, B, C, point, 0.5)
-    loop = loop_around(center, default_loop_radius(center, hyp_system, probe), probe,
-                       avoid=hyp_system.singularities)
+    loop = default_loop(center, hyp_system, probe)
     ser, ode = _routes(hyp_system, basis, probe, [loop])
     for s, o in zip(ser, ode):
         assert np.max(np.abs(s - o)) <= 1e-9
@@ -433,16 +447,14 @@ def test_two_zone_series_route_below_the_axis(hyp_system, point, x0):
     # principal connection times the basis there, on the principal branch
     basis = frobenius_basis(A, B, C, point, x0)
     for center in (0, 1):
-        loop = loop_around(center, default_loop_radius(center, hyp_system, x0), x0,
-                           avoid=hyp_system.singularities)
+        loop = default_loop(center, hyp_system, x0)
         ser, ode = _routes(hyp_system, basis, x0, [loop])
         for s, o in zip(ser, ode):
             assert np.max(np.abs(s - o)) <= 1e-9, center
 
 
 def test_two_zone_series_route_composites(hyp_system, frob0):
-    la, lb = (loop_around(ctr, default_loop_radius(ctr, hyp_system, 0.5), 0.5,
-                          avoid=hyp_system.singularities) for ctr in (0, 1))
+    la, lb = (default_loop(ctr, hyp_system, 0.5) for ctr in (0, 1))
     deltas, monos = {}, {}
     for key, loops in (("a", [la]), ("b", [lb]), (("a", "b"), [lb, la]), (("b", "a"), [la, lb])):
         ser, ode = _routes(hyp_system, frob0, 0.5, loops)
@@ -506,17 +518,6 @@ def test_carried_basis_takes_the_ode_route(hyp_system):
     ode = deformation_delta(hyp_system, TRIVIAL, carried, 0.5, [loop1], route="ode")
     for got, want in zip(auto, ode):
         assert np.array_equal(got, want)
-
-
-def test_matrix_json_roundtrip():
-    m = np.array([[1 + 2j, 3.5], [0.0, -1j]], dtype=complex)
-    blob = matrix_to_json(m)
-    assert blob == {
-        "dim": 2,
-        "data": [[1.0, 2.0], [3.5, 0.0], [0.0, 0.0], [0.0, -1.0]],
-    }
-    back = np.array([complex(re, im) for re, im in blob["data"]]).reshape(blob["dim"], -1)
-    assert np.max(np.abs(back - m)) < 1e-15
 
 
 def test_cheb_cumulative_exact_on_polynomials():
@@ -583,7 +584,7 @@ def test_batched_sweep_equals_nested_panel_sweep(hyp_system, frob0):
     groups = [_panels_for_head(0.5, pts, 10)]
     state = BranchState.principal(0.5, pts)
     for p in paths:
-        group, state = _panels_for_path(p, pts, state)
+        group, state = _panels_for_path(p, pts, state, hyp_system.singularities)
         groups.append(group)
     got = _series_sweep(frob0.evaluator, pert, groups, pts, 3, 2, True, True)
     want = _nested_reference_sweep(frob0.evaluator, pert, groups, pts, 3, 2, True, True)
@@ -593,14 +594,3 @@ def test_batched_sweep_equals_nested_panel_sweep(hyp_system, frob0):
         assert all(np.array_equal(c, c_ref) for c, c_ref in zip(cs, cs_ref))
         assert np.array_equal([a for _, a in branch.args], args_ref)
     assert np.max(np.abs(got[-1][1][2])) > 1e-6 and np.max(np.abs(got[-1][2])) > 1e-3
-
-
-def test_correction_json_carries_metadata(hyp_system, frob0):
-    path = line_path(0.5, 0.7)
-    corr = correction_C(hyp_system, TRIVIAL, frob0, path, tol=1e-11, route="ode")
-    assert corr.path is path and corr.branch is not None
-    assert matrix_to_json(corr.value)["dim"] == 2
-    assert len(config_hash(path_to_json(corr.path))) == 16
-    windings = windings_json(corr.branch, path.start)
-    assert len(windings) >= 2
-    assert all(w == 0 for w in windings.values())

@@ -37,8 +37,10 @@ def _omega_integral(g, params, nodes=24):
     their panels; g(t, side) is given the distance t to the side's end, as
     ConnectedBasis.matrix is."""
     a, b, c = params
-    return complex(spectral._two_sided(lambda t, side: g(t, side) * weight_omega(a, b, c, t, side),
-                                       spectral._levels(params, ONE, False), nodes))
+    levels = spectral._levels(params, ONE, False)
+    return complex(sum(geometric_endpoint_integral(
+        lambda t, side=side: g(t, side) * weight_omega(a, b, c, t, side), 0.5, levels[side], nodes)
+        for side in (0, 1)))
 
 
 def _point(t, side):
@@ -238,22 +240,24 @@ def test_moments_match_mpmath():
     assert abs(shift.norm_y1 - ref["<y1,y1>"]) <= 1e-10 * abs(ref["<y1,y1>"])
 
 
-def test_hierarchy_residual_runs_two_geometric_passes(monkeypatch):
-    # the moments pass and the rhs check, on the same panels
-    passes = []
-    rule = spectral._two_sided
+def test_hierarchy_residual_runs_one_geometric_pass(monkeypatch):
+    # the moments pass, one geometric integral per side; the rhs check reads its moments
+    calls = []
+    rule = spectral.geometric_endpoint_integral
 
-    def counted(integrand, levels, nodes):
-        passes.append((tuple(levels), nodes))
-        return rule(integrand, levels, nodes)
+    def counted(f, half, levels, nodes):
+        calls.append((levels, nodes))
+        return rule(f, half, levels, nodes)
 
-    monkeypatch.setattr(spectral, "_two_sided", counted)
+    monkeypatch.setattr(spectral, "geometric_endpoint_integral", counted)
     rep = hierarchy_shift_residual(lambda x: x, PARAMS)
-    assert len(passes) == 2 and passes[0] == passes[1] and passes[0][1] == 24
+    assert len(calls) == 2 and all(nodes == 24 for _, nodes in calls)
+    raw = rep["shift"].lambda1_raw
+    assert rep["rhs_orthogonality"] <= 1e-15 * abs(raw)
     # the shift and the Gram matrix come from the moments pass, on the same panels
     shift = eigenvalue_shift(lambda x: x, PARAMS)
     gram = orthonormality_report(PARAMS)
-    assert passes[2:] == passes[:2]
+    assert calls[2:4] == calls[:2] and calls[4:] == calls[:2]
     assert abs(rep["shift"].lambda1 - shift.lambda1) <= 1e-14 * abs(shift.lambda1)
     for key in ("<y1,y1>", "<y1,y2>", "<y2,y2>"):
         assert abs(rep["orthonormality"][key] - gram[key]) <= 1e-14 * abs(gram[key])

@@ -74,3 +74,23 @@ def test_no_dataclass_field_without_a_reader():
                 if isinstance(item, ast.AnnAssign) and item.target.id not in read:
                     unread.append(f"{os.path.basename(path)}: {node.name}.{item.target.id}")
     assert not unread, "dataclass fields never read as attributes: " + ", ".join(unread)
+
+
+def test_one_spec_decoder_and_one_report_encoder():
+    # schema refuses specs; the task runners and dyson compute and encode nothing:
+    # run_spec encodes every report through cli._jsonable
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            text = fh.read()
+        module = os.path.basename(path)
+        trees[module] = ast.parse(text)
+        if module != "schema.py":
+            assert not re.search(r"\braise SchemaError\b", text), module
+    dyson_defs = [node.name for node in ast.walk(trees["dyson.py"]) if isinstance(node, _DEFS)]
+    assert not [name for name in dyson_defs if "json" in name.lower()], dyson_defs
+    for node in trees["cli.py"].body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_task_"):
+            called = {getattr(call.func, "id", None) for call in ast.walk(node)
+                      if isinstance(call, ast.Call)}
+            assert not called & {"_c2j", "_jsonable", "matrix_to_json"}, node.name
