@@ -6,9 +6,10 @@
 PARENT and CHANGE are each a git revision of this repository or a directory
 holding a checkout.  Each is exported into a fresh directory: a revision by
 `git archive`, a directory as a copy of its `src`, `perfbench` and
-`BENCHMARK.json`, in both cases without `__pycache__`.  Every run sets
-PYTHONDONTWRITEBYTECODE=1, so both sides compile the package from source at
-each launch, in the same bytecode state.
+`BENCHMARK.json`, in both cases without `__pycache__`.  Each exported tree
+is then byte-compiled once (`compileall`), so every launch of either side
+loads valid bytecode and `setup_s` measures import, not compilation (which
+would favour the side with fewer lines).
 
 For each seed N from A to B the two sides run one after the other, each its
 own `perfbench/run.py --workload W --seed N --seconds S --trace 0`, where S
@@ -29,6 +30,7 @@ Exits 1 if a run fails.
 """
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -62,6 +64,12 @@ def _export(side: str, dest: str) -> str:
     return f"git archive of {rev}"
 
 
+def _compile(tree: str) -> None:
+    """Byte-compile every module of the exported tree once, before its first run."""
+    if not compileall.compile_dir(tree, quiet=1):
+        raise SystemExit(f"compileall failed in {tree}")
+
+
 def _content_id(tree: str) -> str:
     """SHA-256 over the relative paths and bytes of what the benchmark runs."""
     digest = hashlib.sha256()
@@ -78,10 +86,9 @@ def _content_id(tree: str) -> str:
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, env=env, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise SystemExit(f"run failed in {tree} (seed {seed}): {proc.stderr.strip()[-500:]}")
@@ -133,6 +140,8 @@ def main() -> int:
         trees = {side: os.path.join(work, side) for side in ("parent", "change")}
         taken = {side: _export(getattr(args, side), tree) for side, tree in trees.items()}
         ids = {side: _content_id(tree) for side, tree in trees.items()}
+        for tree in trees.values():
+            _compile(tree)
         with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
             bench = json.load(fh)
         seconds = bench["run_seconds"]
@@ -147,7 +156,8 @@ def main() -> int:
         record["protocol"] = {
             "command": f"python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {seconds:g} --trace 0",
-            "exports": taken, "env": "PYTHONDONTWRITEBYTECODE=1",
+            "exports": taken,
+            "bytecode": "each exported tree byte-compiled once by compileall before its runs",
             "order": "odd seeds run the parent first, even seeds the change first"}
         record["environment"] = {"cores": os.cpu_count(), "python": platform.python_version(),
                                  "numpy": version("numpy")}

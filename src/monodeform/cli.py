@@ -41,7 +41,7 @@ from .errors import MonodeformError, NonIntegrableForcing, SchemaError, Singular
 from .hypergeom import ConnectedBasis, weight_omega
 from .odecore import _c2j, exclusion_radius
 from .paths import BranchState, line_path, path_to_json
-from .schema import Problem, decode, schema_json, semantic_diagnostics
+from .schema import Problem, decode, schema_json, semantic_diagnostics, sweep_entries
 from .spectral import basis_for, builtin_profile, hierarchy_shift_residual
 from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monodromy, transport
 from .varpar import hypergeometric_deformed_series, series_to_csv
@@ -70,16 +70,6 @@ def config_hash(spec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _numerics(spec, args) -> dict:
-    n = dict(spec.get("numerics", {}))
-    if args is not None and args.tol is not None:
-        n["tol"] = args.tol
-    if args is not None and args.order is not None:
-        n["K"] = args.order
-    return {"tol": float(n.get("tol", 1e-10)), "K": int(n.get("K", 2)),
-            "nodes": int(n.get("nodes", 64))}
-
-
 def _basis(problem: Problem) -> FundamentalMatrix:
     if problem.basis_type in ("frobenius0", "frobenius1"):
         point = 0 if problem.basis_type == "frobenius0" else 1
@@ -100,46 +90,46 @@ def _dyson_and_direct(sys, pert, rho, K, path, basis, tol, direct_from):
 # --- task runners: a decoded problem in, (results, diagnostics) of plain values out
 
 
-def _task_monodromy(problem: Problem, num, csv_dir):
+def _task_monodromy(problem: Problem, csv_dir):
     sys, pert, rho = problem.system, problem.pert, problem.rho
     basis = _basis(problem)
     loops = problem.paths or [default_loop(c, sys, basis.basepoint) for c in problem.centers]
     results, diags = [], []
     for ctr, loop in zip(problem.centers, loops):
-        datum = monodromy(sys, basis, loop, num["tol"])
+        datum = monodromy(sys, basis, loop, problem.tol)
         entry = {"center": ctr, "matrix": datum.matrix, "eigenvalues": datum.eigenvalues}
         diag = {"center": ctr, "basis_condition": basis.cond, "rk_steps": datum.steps}
         if pert is not None:
-            pdatum = monodromy(sys, basis, loop, num["tol"], pert=pert, rho=rho)
+            pdatum = monodromy(sys, basis, loop, problem.tol, pert=pert, rho=rho)
             entry["perturbed_matrix"] = pdatum.matrix
             entry["perturbed_eigenvalues"] = pdatum.eigenvalues
             diag["perturbed_rk_steps"] = pdatum.steps
         results.append(entry)
         diags.append(diag)
-    return {"monodromies": results}, {"per_loop": diags, "tol": num["tol"]}
+    return {"monodromies": results}, {"per_loop": diags, "tol": problem.tol}
 
 
-def _task_dyson(problem: Problem, num, csv_dir):
+def _task_dyson(problem: Problem, csv_dir):
     sys, pert, rho = problem.system, problem.pert, problem.rho
     basis = _basis(problem)
     path = problem.paths[0] if problem.paths else line_path(basis.basepoint, basis.basepoint + 0.25)
-    exp, approx, direct = _dyson_and_direct(sys, pert, rho, num["K"], path, basis, num["tol"],
+    exp, approx, direct = _dyson_and_direct(sys, pert, rho, problem.K, path, basis, problem.tol,
                                             basis)
     start = BranchState.principal(path.start, [p for p, _ in direct.branch.args])
     return {"terms": exp.terms, "endpoint": exp.endpoint, "w_rho_truncated": approx}, {
         "oracle_delta_vs_direct": float(np.max(np.abs(approx - direct.w.value))),
         "rho": rho,
-        "tol": num["tol"],
+        "tol": problem.tol,
         "path_hash": config_hash(path_to_json(path)),
         "transport_steps": direct.steps,
         "windings": {p: direct.branch.winding(p, start) for p, _ in direct.branch.args},
     }
 
 
-def _task_cocycle(problem: Problem, num, csv_dir):
+def _task_cocycle(problem: Problem, csv_dir):
     sys, pert, centers = problem.system, problem.pert, problem.centers
     basis = _basis(problem)
-    jumps, diags = [], {"tol": num["tol"]}
+    jumps, diags = [], {"tol": problem.tol}
     probe = basis.basepoint
     for ctr in centers:
         # meromorphic jumps around 0 anchor at 0 itself when the integral
@@ -149,13 +139,13 @@ def _task_cocycle(problem: Problem, num, csv_dir):
         jump = reason = None
         if not pert.multivalued and abs(ctr) < 1e-9 and basis.evaluator is not None:
             try:
-                jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"],
+                jump = cocycle_jump(sys, pert, basis, ctr, probe, problem.tol,
                                     from_zero=True)
                 anchor = "zero"
             except MonodeformError as exc:
                 reason = f"{type(exc).__name__}: {exc}"
         if jump is None:
-            jump = cocycle_jump(sys, pert, basis, ctr, probe, num["tol"])
+            jump = cocycle_jump(sys, pert, basis, ctr, probe, problem.tol)
             anchor = "zero" if pert.multivalued else "basepoint"
         entry = {"center": ctr, "anchor": anchor, "delta": jump.delta,
                  "monodromy": jump.monodromy}
@@ -173,18 +163,18 @@ def _task_cocycle(problem: Problem, num, csv_dir):
         jumps.append(entry)
     if not pert.multivalued and len(centers) >= 2:
         la, lb = (default_loop(c, sys, probe) for c in centers[:2])
-        da, ma, _, _ = deformation_delta(sys, pert, basis, probe, [la], num["tol"])
-        db, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb], num["tol"])
-        dab, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb, la], num["tol"])
+        da, ma, _, _ = deformation_delta(sys, pert, basis, probe, [la], problem.tol)
+        db, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb], problem.tol)
+        dab, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb, la], problem.tol)
         diags["cocycle_identity_residual"] = cocycle_identity_residual(
             {"a": da, "b": db, ("a", "b"): dab}, {"a": ma}, ("a", "b"))
     return {"jumps": jumps}, diags
 
 
-def _task_eigenshift(problem: Problem, num, csv_dir):
+def _task_eigenshift(problem: Problem, csv_dir):
     params = problem.params
     # `nodes` is the per-panel Gauss-Legendre order of the geometric rule
-    nodes = min(num["nodes"], 48)
+    nodes = min(problem.nodes, 48)
     if isinstance(problem.profile, str):
         f, fname = builtin_profile(problem.profile, params), problem.profile
     else:
@@ -202,7 +192,7 @@ def _task_eigenshift(problem: Problem, num, csv_dir):
 SERIES_RANGE = (0.2, 0.8)
 
 
-def _task_series(problem: Problem, num, csv_dir):
+def _task_series(problem: Problem, csv_dir):
     """The coupling is f(x) = B21(x) x(1 - x), from the companion corner of H, which
     may have no pole on SERIES_RANGE."""
     sys, pert, rho = problem.system, problem.pert, problem.rho
@@ -214,17 +204,17 @@ def _task_series(problem: Problem, num, csv_dir):
             raise NonIntegrableForcing(
                 f"forcing pole {p:.6g} lies on the series range [{lo}, {hi}]")
     f = lambda x: b21(x) * x * (1 - x)
-    series = hypergeometric_deformed_series(a, b, c, f, num["K"], basepoint=0.5,
-                                            tol=max(num["tol"], 1e-12), basis=basis_for(a, b, c))
+    series = hypergeometric_deformed_series(a, b, c, f, problem.K, basepoint=0.5,
+                                            tol=max(problem.tol, 1e-12), basis=basis_for(a, b, c))
     xs = list(np.linspace(*SERIES_RANGE, problem.samples or 13))
-    samples = [{"x": x, "terms": [series.term(k)(x)[0] for k in range(num["K"] + 1)],
+    samples = [{"x": x, "terms": [series.term(k)(x)[0] for k in range(problem.K + 1)],
                 "value": series.evaluate(x, rho)} for x in xs]
     basis = frobenius_basis(a, b, c, 0, 0.5)
     column = FundamentalMatrix(0.5, np.column_stack([basis.value[:, 0], [0.0, 1.0]]), "column")
     triangle = []
     for x in (0.3, 0.7):
-        _, approx, direct = _dyson_and_direct(sys, pert, rho, num["K"], line_path(0.5, x), basis,
-                                              num["tol"], column)
+        _, approx, direct = _dyson_and_direct(sys, pert, rho, problem.K, line_path(0.5, x), basis,
+                                              problem.tol, column)
         dyson_val, direct_val = approx[0, 0], direct.w.value[0, 0]
         vp = series.evaluate(x, rho)
         triangle.append({"x": x, "varpar_vs_dyson": abs(vp - dyson_val),
@@ -236,7 +226,7 @@ def _task_series(problem: Problem, num, csv_dir):
     return {"rho": rho, "samples": samples}, {"oracle_triangle": triangle}
 
 
-def _task_sample(problem: Problem, num, csv_dir):
+def _task_sample(problem: Problem, csv_dir):
     sys, params = problem.system, problem.params
     nsamp = problem.samples or 101
     xs = np.linspace(0.02, 0.98, nsamp)
@@ -276,12 +266,12 @@ _TASKS = {
 }
 
 
-def run_spec(spec, args=None, csv_dir=None) -> dict:
+def run_spec(spec, csv_dir=None) -> dict:
     """Decode one problem spec, run its task and return the full report dict."""
     problem = decode(spec)
     stage = f"cli.run[{problem.task}]"
     try:
-        results, diagnostics = _TASKS[problem.task](problem, _numerics(spec, args), csv_dir)
+        results, diagnostics = _TASKS[problem.task](problem, csv_dir)
     except MonodeformError as exc:
         raise MonodeformError(f"{stage}: {type(exc).__name__}: {exc}") from exc
     return {
@@ -397,7 +387,7 @@ def __getattr__(name: str):
 
 def _run_one(payload):
     spec, csv_dir = payload
-    return run_spec(spec, None, csv_dir)
+    return run_spec(spec, csv_dir)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -439,26 +429,22 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         with open(args.spec) as fh:
-            spec = json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read spec: {exc}", file=_sys.stderr)
         return 2
 
     if args.command == "validate":
-        if "sweep" in spec:
-            diags = [d for entry in spec["sweep"] for d in semantic_diagnostics(entry)]
-        else:
-            diags = semantic_diagnostics(spec)
-        _emit(diags, args.out)
+        _emit(semantic_diagnostics(doc), args.out)
         return 0
 
-    # run
+    # run: --tol and --order go into every spec before it is decoded
     try:
-        if "sweep" in spec:
-            entries = spec["sweep"]
-            for e in entries:
-                decode(e)
-            payloads = [(e, args.csv) for e in entries]
+        entries = sweep_entries(doc, args.tol, args.order)
+        if isinstance(doc, dict) and "sweep" in doc:
+            for at, spec in entries:
+                decode(spec, at)
+            payloads = [(spec, args.csv) for _, spec in entries]
             if args.jobs > 1:
                 with _sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs) as pool:
                     reports = list(pool.map(_run_one, payloads))
@@ -466,7 +452,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 reports = [_run_one(p) for p in payloads]
             report = {"version": __version__, "sweep": reports}
         else:
-            report = run_spec(spec, args, args.csv)
+            report = run_spec(entries[0][1], args.csv)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)
         return 2

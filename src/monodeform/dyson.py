@@ -41,8 +41,8 @@ from .errors import (
 )
 from .hypergeom import SERIES_TOL
 from .odecore import KIND_LOG, KIND_MEROMORPHIC, KIND_POWER, MeromorphicSystem, PerturbationSpec
-from .paths import (POINT_MATCH_TOL, ArgTracker, Arc, BranchState, PathSpec, line_path,
-                    loop_around)
+from .paths import (POINT_MATCH_TOL, ArgTracker, Arc, BranchState, PathSpec, Segment,
+                    _centered_on, line_path, loop_around)
 from .quadrature import (cheb_cumulative, cheb_nodes, geometric_levels, geometric_panels,
                          geometric_tail)
 from .transport import (FundamentalMatrix, _check_clearance, _gauge_matrix, _integrate,
@@ -107,20 +107,22 @@ class _Panel:
     args: np.ndarray  # (len(zs), len(points)) tracked arguments of zs - p
 
 
-def _line_pieces(z0: complex, z1: complex, obstacles: Sequence[complex]) -> list[tuple[complex, complex]]:
-    """Split a chord into pieces short relative to their pole distance."""
-    out = []
-    stack = [(z0, z1)]
+def _pieces(seg: Segment, cuts: Sequence[float], points: Sequence[complex]) -> list[float]:
+    """The parameter cuts of seg, each piece halved while its length exceeds half the
+    distance from its midpoint to the nearest tracked point (an arc's own centre is
+    skipped), down to length 1e-9.  A Chebyshev panel on such a piece converges at about
+    rho = 8 per node (the Bernstein-ellipse bound, Trefethen, ATAP Thm 8.2)."""
+    speed = abs(seg.velocity(0.0))
+    others = [p for p in points if not _centered_on(seg, p)]
+    out, stack = [cuts[0]], list(zip(cuts[:-1], cuts[1:]))[::-1]
     while stack:
         a, b = stack.pop()
-        mid = 0.5 * (a + b)
-        dist = min((abs(mid - p) for p in obstacles), default=math.inf)
-        if abs(b - a) <= max(0.5 * dist, 1e-4) or abs(b - a) < 1e-9:
-            out.append((a, b))
+        mid, length = 0.5 * (a + b), speed * (b - a)
+        if length < 1e-9 or length <= 0.5 * min((abs(seg.point(mid) - p) for p in others),
+                                                default=math.inf):
+            out.append(b)
         else:
-            stack.append((mid, b))
-            stack.append((a, mid))
-    out.sort(key=lambda ab: abs(ab[0] - z0))
+            stack += [(mid, b), (a, mid)]
     return out
 
 
@@ -128,28 +130,22 @@ def _panels_for_path(path: PathSpec, points: Sequence[complex], start: BranchSta
                      poles: Sequence[complex]) -> tuple[list[_Panel], BranchState]:
     """One `_Panel` per path segment, its arguments tracked from `start`;
     returns them and the branch state at the path end.  The path must clear
-    the poles, as on the ODE route."""
+    the poles, as on the ODE route.  A line starts from one piece and an arc from
+    uniform pieces of at most pi/4, and of at most half its distance to the nearest
+    tracked point where that is above 0.05 rad; `_pieces` grades both."""
     taus = cheb_nodes(PANEL_NODES)
     tracker = ArgTracker(path, points, start)
     _check_clearance(path, poles)
     panels: list[_Panel] = []
     for i, seg in enumerate(path.segments):
+        cuts = [0.0, 1.0]
         if isinstance(seg, Arc):
-            dists = [seg.radius]
-            for p in points:
-                if abs(p - seg.center) > 1e-12 * (1 + abs(p)):
-                    dists.append(abs(abs(p - seg.center) - seg.radius))
-            min_dist = min(dists)
-            dtheta_max = max(0.5 * min_dist / seg.radius, 0.05)
-            n_pieces = max(1, math.ceil(abs(seg.theta1 - seg.theta0) / min(dtheta_max, math.pi / 4)))
-            cuts = [j / n_pieces for j in range(n_pieces + 1)]
-        else:
-            pieces = _line_pieces(seg.z0, seg.z1, points)
-            total = abs(seg.z1 - seg.z0)
-            cuts = [0.0]
-            for a, b in pieces:
-                cuts.append(cuts[-1] + abs(b - a) / total if total > 0 else 1.0)
-            cuts[-1] = 1.0
+            dists = [seg.radius] + [abs(abs(p - seg.center) - seg.radius) for p in points
+                                    if not _centered_on(seg, p)]
+            dtheta = min(max(0.5 * min(dists) / seg.radius, 0.05), math.pi / 4)
+            n = max(1, math.ceil(abs(seg.theta1 - seg.theta0) / dtheta))
+            cuts = [j / n for j in range(n + 1)]
+        cuts = _pieces(seg, cuts, points)
         t0, width = np.array(cuts[:-1])[:, None], np.diff(cuts)[:, None]
         ts = (t0 + 0.5 * (taus + 1.0) * width).ravel()
         dz = seg.velocity(ts) * 0.5 * np.repeat(width.ravel(), PANEL_NODES)

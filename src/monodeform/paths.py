@@ -2,21 +2,19 @@
 
 A path is a chain of Line and Arc segments, each parameterized on t in [0,1]
 at constant speed (`point` and `velocity` take one t or an array of them).
-For every tracked branch point p, the argument of z - p is accumulated
-continuously along the path: straight segments change the argument by less
-than pi (so a single principal-phase increment is exact), and arcs are
-subdivided finely enough that the same holds per piece.  Arcs centered on a
-tracked point accumulate their parameter sweep exactly, so a full positive
-circle contributes exactly 2*pi.
+For every tracked branch point p, the argument of z - p is continued along
+the path in closed form, segment by segment, with no per-node table: a line
+turns by one principal phase (less than pi), and an arc by the change of a
+bracket that stays in the right half-plane (`_turn`).  An arc centred on a
+tracked point turns by exactly its parameter sweep, so a full positive circle
+contributes exactly 2*pi.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -209,99 +207,68 @@ class BranchState:
         return (self.arg(point) - reference.arg(point)) / (2 * math.pi)
 
 
-def _arc_nodes(seg: Arc, p: complex) -> list[float]:
-    """Parameter nodes fine enough that each piece turns < pi/2 seen from p."""
-    if _centered_on(seg, p):
-        return [0.0, 1.0]
-    d_min = abs(abs(p - seg.center) - seg.radius)
-    if d_min <= 1e-12 * (1 + abs(p)):
+def _turn(seg: Segment, p: complex, t):
+    """The continuous change of arg(z - p) from the start of seg to its parameter t (one t
+    or an array).  A line turns by less than pi seen from p, so one principal phase is
+    exact.  On an arc with q = p - center, arg(z - p) is b(theta) plus a constant, with
+    b = theta + Arg(r - q e^{-i theta}) when |q| < r and b = Arg(1 - (r/q) e^{i theta})
+    when |q| > r: either bracket keeps in the right half-plane, so its principal argument
+    is continuous.  An arc centred on p turns by exactly theta(t) - theta0."""
+    phase, exp = (np.angle, np.exp) if isinstance(t, np.ndarray) else (cmath.phase, cmath.exp)
+    if isinstance(seg, Line):
+        return phase((seg.point(t) - p) / (seg.z0 - p))
+    r, q = seg.radius, 0j if _centered_on(seg, p) else p - seg.center
+    if abs(abs(q) - r) <= 1e-12 * (1 + abs(p)):
         raise PathThroughSingularity(f"arc passes through tracked point {p}")
-    sweep = abs(seg.theta1 - seg.theta0)
-    n = max(1, math.ceil(sweep * max(1.0, seg.radius / d_min) / (0.5 * math.pi)))
-    return [i / n for i in range(n + 1)]
-
-
-def _bracket(nodes: Sequence[float], t):
-    """Index of the last table node at or below t, for one parameter or an
-    array of them; every table starts at parameter 0."""
-    if isinstance(t, np.ndarray):
-        return np.searchsorted(nodes, t + 1e-15, side="right") - 1
-    return bisect.bisect_right(nodes, t + 1e-15) - 1
+    if abs(q) < r:
+        b = lambda th: th + phase(r - q * exp(-1j * th))
+    else:
+        b = lambda th: phase(1 - r / q * exp(1j * th))
+    return b(seg.angle(t)) - b(seg.theta0)
 
 
 class ArgTracker:
-    """Per-segment tables of accumulated arguments along a path, built on first
-    use.  A segment that starts within the exclusion radius of a tracked point
-    (other than its own arc centre) raises PathThroughSingularity at once, so a
-    caller can check the path's clearance before an arc close to a point lays
-    its many table nodes."""
+    """Continuous arguments of z - p along a path for every tracked point p: the argument
+    where each segment starts, one row per segment computed here, plus the segment's
+    closed-form `_turn`; there is no per-node table.  A segment that starts within the
+    exclusion radius of a tracked point (other than its own arc centre) raises
+    PathThroughSingularity, and so does an arc through one."""
 
     def __init__(self, path: PathSpec, points: Sequence[complex],
                  start: Optional[BranchState] = None):
         self.path = path
         self.points = list(points)
-        self._start = BranchState.principal(path.start, self.points) if start is None else start
         for i, seg in enumerate(path.segments):
             z0 = seg.point(0.0)
             for p in self.points:
                 if not _centered_on(seg, p) and abs(z0 - p) < exclusion_radius(p):
                     raise PathThroughSingularity(
                         f"segment {i} starts at {z0}, on the tracked point {p}")
-
-    @cached_property
-    def tables(self) -> list[list[tuple[list[float], list[complex], list[float]]]]:
-        """tables[i][j] = (t_nodes, z_nodes, arg_nodes) for segment i, point j."""
-        tables = []
-        current = [self._start.arg(p) for p in self.points]
-        for seg in self.path.segments:
-            row = []
-            for j, p in enumerate(self.points):
-                nodes = _arc_nodes(seg, p) if isinstance(seg, Arc) else [0.0, 1.0]
-                zs = [seg.point(t) for t in nodes]
-                args = [current[j]]
-                centered = _centered_on(seg, p)
-                for t_prev, t_next, z_prev, z_next in zip(nodes, nodes[1:], zs, zs[1:]):
-                    if centered:
-                        inc = seg.angle(t_next) - seg.angle(t_prev)
-                    else:
-                        inc = cmath.phase((z_next - p) / (z_prev - p))
-                    args.append(args[-1] + inc)
-                row.append((nodes, zs, args))
-                current[j] = args[-1]
-            tables.append(row)
-        return tables
+        start = BranchState.principal(path.start, self.points) if start is None else start
+        self._starts = [[start.arg(p) for p in self.points]]
+        for seg in path.segments:
+            self._starts.append([a + _turn(seg, p, 1.0)
+                                 for a, p in zip(self._starts[-1], self.points)])
 
     def arg(self, seg_index: int, t: float, point: complex) -> float:
         j = next(
             i for i, p in enumerate(self.points)
             if abs(p - point) <= POINT_MATCH_TOL * (1 + abs(point))
         )
-        nodes, zs, args = self.tables[seg_index][j]
-        seg = self.path.segments[seg_index]
-        k = _bracket(nodes, t)
-        if _centered_on(seg, point):
-            return args[k] + (seg.angle(t) - seg.angle(nodes[k]))
-        return args[k] + cmath.phase((seg.point(t) - point) / (zs[k] - point))
+        return self._starts[seg_index][j] + _turn(self.path.segments[seg_index], point, t)
 
     def args_at(self, seg_index: int, ts: np.ndarray) -> np.ndarray:
         """The array form of `arg`: the tracked argument of z(t) - p for every
         parameter in ts and every tracked point, shape (len(ts), len(points))."""
         seg = self.path.segments[seg_index]
-        zt = seg.point(ts)
         out = np.empty((len(ts), len(self.points)))
         for j, p in enumerate(self.points):
-            nodes, zs, args = (np.array(col) for col in self.tables[seg_index][j])
-            k = _bracket(nodes, ts)
-            if _centered_on(seg, p):
-                out[:, j] = args[k] + (seg.angle(ts) - seg.angle(nodes[k]))
-            else:
-                out[:, j] = args[k] + np.angle((zt - p) / (zs[k] - p))
+            out[:, j] = self._starts[seg_index][j] + _turn(seg, p, ts)
         return out
 
     @property
     def end_state(self) -> BranchState:
-        return BranchState(tuple((p, args[-1]) for p, (_, _, args)
-                                 in zip(self.points, self.tables[-1])))
+        return BranchState(tuple(zip(self.points, self._starts[-1])))
 
 
 # --- JSON ------------------------------------------------------------------

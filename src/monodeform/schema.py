@@ -299,15 +299,46 @@ class Problem:
     centers: tuple[complex, ...]  # as given, else the system's singularities
     profile: Union[str, ComplexPoly]  # the name of a built-in eigenshift profile, or a poly
     samples: Optional[int]
+    tol: float
+    K: int  # the series truncation order
+    nodes: int
 
 
 def _square(grid, dim: int) -> bool:
     return len(grid) == dim and all(len(row) == dim for row in grid)
 
 
-def decode(spec: Any) -> Problem:
+def sweep_entries(doc: Any, tol: Optional[float] = None,
+                  order: Optional[int] = None) -> list[tuple[str, Any]]:
+    """(JSON path, spec) of each spec a document holds: the document itself, or each entry
+    of a sweep, an object whose one key "sweep" holds a list.  The command line's --tol and
+    --order go into each spec's numerics, so `decode` checks them with the rest."""
+    if isinstance(doc, dict) and "sweep" in doc:
+        if set(doc) != {"sweep"}:
+            extra = sorted(set(doc) - {"sweep"}, key=str)
+            _refuse(f"a sweep holds only 'sweep', not {', '.join(map(repr, extra))}", "$")
+        if not isinstance(doc["sweep"], list):
+            _refuse(f"{doc['sweep']!r} is not of type 'array'", "$.sweep")
+        entries = [(f"$.sweep[{i}]", spec) for i, spec in enumerate(doc["sweep"])]
+    else:
+        entries = [("$", doc)]
+    flags = {key: v for key, v in (("tol", tol), ("K", order)) if v is not None}
+    return [(at, {**spec, "numerics": {**spec.get("numerics", {}), **flags}})
+            if flags and isinstance(spec, dict) and isinstance(spec.get("numerics", {}), dict)
+            else (at, spec) for at, spec in entries]
+
+
+def decode(spec: Any, at: str = "$") -> Problem:
     """The spec as a Problem, or SchemaError at the JSON path of its first fault: the schema
-    first, then field by field each constructor, shape and rule across fields."""
+    first, then field by field each constructor, shape and rule across fields.  `at` is
+    where the spec sits in its document, the root or an entry of a sweep."""
+    try:
+        return _decode(spec)
+    except SchemaError as exc:
+        _refuse(str(exc).removesuffix(f" (at {exc.pointer})"), at + exc.pointer[1:])
+
+
+def _decode(spec: Any) -> Problem:
     validate_schema(spec)
     task, eq = spec["task"], spec["equation"]
     abc = params = None
@@ -364,17 +395,29 @@ def decode(spec: Any) -> Problem:
                     f"not {len(centers)}", "$.centers")
     if task == "dyson" and paths and abs(paths[0].start - basepoint) > BASEPOINT_TOL:
         _refuse(f"the dyson path must start at the basepoint {basepoint}", "$.paths[0]")
+    numerics = spec.get("numerics", {})
     return Problem(task, system, abc, params, pert, rho, b["type"], basepoint, matrix, paths,
                    centers or system.singularities, profile,
-                   int(spec["samples"]) if "samples" in spec else None)
+                   int(spec["samples"]) if "samples" in spec else None,
+                   float(numerics.get("tol", 1e-10)), int(numerics.get("K", 2)),
+                   int(numerics.get("nodes", 64)))
 
 
-def semantic_diagnostics(spec: Any) -> list[dict]:
-    """The first spec fault that `decode` refuses, else genericity, integrability and
-    path-clearance checks without numerics; paths keep clear of the equation's
-    singularities and the perturbation's poles."""
+def semantic_diagnostics(doc: Any) -> list[dict]:
+    """For a spec, or for each entry of a sweep: the first fault that `decode` refuses,
+    else genericity, integrability and path-clearance checks without numerics; paths keep
+    clear of the equation's singularities and the perturbation's poles.  Each diagnostic
+    names its JSON path in the document."""
     try:
-        problem = decode(spec)
+        entries = sweep_entries(doc)
+    except SchemaError as e:
+        return [{"level": "error", "where": e.pointer, "message": str(e)}]
+    return [d for at, spec in entries for d in _diagnostics(spec, at)]
+
+
+def _diagnostics(spec: Any, at: str) -> list[dict]:
+    try:
+        problem = decode(spec, at)
     except SchemaError as e:
         return [{"level": "error", "where": e.pointer, "message": str(e)}]
     found = []  # (level, where, message)
@@ -395,5 +438,5 @@ def semantic_diagnostics(spec: Any) -> list[dict]:
     for i, path in enumerate(problem.paths):
         found += [("error", f"$.paths[{i}]", message)
                   for message in validate_clearance(path, poles, skip=path.arc_centers())]
-    return [{"level": level, "where": where, "message": message}
+    return [{"level": level, "where": at + where[1:], "message": message}
             for level, where, message in found]

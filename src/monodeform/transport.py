@@ -7,7 +7,8 @@ segment parameters, so the control is arclength-equivalent).  The same integrato
 augmented blocks of the Dyson expansion for the ODE route in `dyson`: the
 corrections C_k' = G C_{k-1} with G = W^{-1} B W, and the log-free integral
 of W^{-1} H W.  Branch arguments of multivalued perturbation weights come
-from the exact per-segment argument tables, not from the integrator state.
+from the closed-form argument of each segment (`paths.ArgTracker`, no
+table), not from the integrator state.
 The monodromy of a closed loop is read off in the convention
 W(loop . x) = W(x) M.
 """
@@ -246,8 +247,8 @@ def _dop853(fun, y, rtol, atol):
 
 def _check_clearance(path: PathSpec, points: Sequence[complex]) -> None:
     """Raise SingularPoint when the path passes within the exclusion radius of one of the
-    points; no arc is exempt.  Both routes run it on each path once its ArgTracker has
-    checked where the segments start, before the tracker lays its tables."""
+    points; no arc is exempt.  Both routes run it on each path after its ArgTracker,
+    which keeps no per-node table and has refused a segment that starts on a tracked point."""
     clash = validate_clearance(path, points)
     if clash:
         raise SingularPoint(clash[0])

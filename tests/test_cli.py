@@ -331,6 +331,62 @@ def test_every_spec_fault_exits_2_at_its_json_path(tmp_path, capsys, name):
     sweep_file = _write(tmp_path, "sweep.json", {"sweep": [example_specs()["monodromy-basic"],
                                                            spec]})
     assert main(["run", "--spec", sweep_file, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().endswith(f"(at $.sweep[1]{where[1:]})"), err
+    assert main(["validate", "--spec", sweep_file]) == 0
+    diags = json.loads(capsys.readouterr().out)
+    assert [(d["level"], d["where"]) for d in diags] == [("error", f"$.sweep[1]{where[1:]}")]
+
+
+_SERIES, _MONODROMY = example_specs()["series-oracle"], example_specs()["monodromy-basic"]
+
+# faults of the document around the specs, and of the command-line numerics, each with
+# the flags, the document and the JSON path of its fault
+DOCUMENT_FAULTS = {
+    "sweep-of-a-number": ([], {"sweep": 5}, "$.sweep"),
+    "sweep-beside-a-task": ([], {"sweep": [], "task": "x"}, "$"),
+    "sweep-entry-not-an-object": ([], {"sweep": [_MONODROMY, 5]}, "$.sweep[1]"),
+    "order-0": (["--order", "0"], _SERIES, "$.numerics.K"),
+    "order-50": (["--order", "50"], _SERIES, "$.numerics.K"),
+    "tol-1": (["--tol", "1"], _MONODROMY, "$.numerics.tol"),
+    "tol-nan": (["--tol", "nan"], _MONODROMY, "$.numerics.tol"),
+    "order-9-in-a-sweep": (["--order", "9"], {"sweep": [_MONODROMY, _SERIES]},
+                           "$.sweep[0].numerics.K"),
+    "tol-1e-3-in-a-sweep": (["--tol", "1e-3"], {"sweep": [_SERIES]}, "$.sweep[0].numerics.tol"),
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENT_FAULTS)
+def test_every_document_and_flag_fault_exits_2_at_its_json_path(tmp_path, capsys, name):
+    flags, doc, where = DOCUMENT_FAULTS[name]
+    spec_file = _write(tmp_path, "doc.json", doc)
+    assert main(["run", "--spec", spec_file, "--out", os.devnull, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and err.strip().endswith(f"(at {where})"), err
+    if not flags:
+        assert main(["validate", "--spec", spec_file]) == 0
+        diags = json.loads(capsys.readouterr().out)
+        assert [(d["level"], d["where"]) for d in diags] == [("error", where)], diags
+
+
+def test_flags_reach_every_spec_and_its_report(tmp_path):
+    # --tol and --order go into each spec's numerics, so the report records them and
+    # its config hash follows; without flags the report is the spec's own
+    plain, tight = tmp_path / "plain.json", tmp_path / "tight.json"
+    spec_file = _write(tmp_path, "spec.json", _MONODROMY)
+    assert main(["run", "--spec", spec_file, "--out", str(plain)]) == 0
+    assert main(["run", "--spec", spec_file, "--out", str(tight), "--tol", "1e-12"]) == 0
+    plain, tight = json.loads(plain.read_text()), json.loads(tight.read_text())
+    assert plain["inputs"] == _MONODROMY and plain["config_hash"] == config_hash(_MONODROMY)
+    assert tight["inputs"]["numerics"] == {"tol": 1e-12}
+    assert tight["config_hash"] == config_hash(tight["inputs"]) != plain["config_hash"]
+    assert tight["diagnostics"]["tol"] == 1e-12
+    sweep_out = tmp_path / "sweep-out.json"
+    sweep_file = _write(tmp_path, "sweep.json", {"sweep": [_MONODROMY, _SERIES]})
+    assert main(["run", "--spec", sweep_file, "--out", str(sweep_out), "--order", "3"]) == 0
+    reports = json.loads(sweep_out.read_text())["sweep"]
+    assert [r["inputs"]["numerics"]["K"] for r in reports] == [3, 3]
+    assert len(reports[1]["results"]["samples"][0]["terms"]) == 4
 
 
 @pytest.mark.parametrize("spec", [

@@ -9,6 +9,7 @@ from monodeform.dyson import (
     PANEL_NODES,
     _panels_for_head,
     _panels_for_path,
+    _pieces,
     _series_sweep,
     closed_form_jump,
     cocycle_identity_residual,
@@ -420,6 +421,45 @@ def test_delta_routes_agree_around_one(hyp_system):
                                            tol=1e-12, route="ode")
     assert np.max(np.abs(d_ser - d_ode)) < 1e-9
     assert np.max(np.abs(m_ser - m_ode)) < 1e-9
+
+
+@pytest.mark.parametrize("pole", [1.375003, 1.37503, 1.3753, 0.56 + 3e-6j])
+def test_series_route_by_a_pole_of_h_matches_ode(hyp_system, frob0, pole):
+    # H21 = 1/(x - p) 3e-6 to 3e-4 off the circle of the default loop round 1 from 0.5
+    # (r = 0.375), and 3e-6 off its connector 0.5 -> 0.625: with panels floored at
+    # 0.05 rad and 1e-4 in length the series route was off by up to 12.2 of |delta| 2.35
+    pert = _pert("meromorphic", RationalFn.from_coeffs([1.0], [-pole, 1.0]))
+    loop = default_loop(1, hyp_system, 0.5)
+    d_ser, *_ = deformation_delta(hyp_system, pert, frob0, 0.5, [loop], route="series")
+    d_ode, *_ = deformation_delta(hyp_system, pert, frob0, 0.5, [loop], tol=1e-12,
+                                  route="ode")
+    assert np.max(np.abs(d_ser - d_ode)) <= 1e-9 * np.max(np.abs(d_ode))
+
+
+@pytest.mark.parametrize("seg", [Line(0.5, 0.625), Arc(1.0, 0.375, math.pi, 3 * math.pi)],
+                         ids=["line", "arc"])
+def test_pieces_are_graded_toward_a_close_point(seg):
+    # a piece is at most half its midpoint's distance to the nearest tracked point; the
+    # arc's own centre does not count
+    speed = abs(seg.velocity(0.0))
+    for p in (0.56 + 3e-6j, 1.375003, 0.6 - 0.3j):
+        points = [0j, 1 + 0j, p]
+        others = [q for q in points if not (isinstance(seg, Arc) and q == seg.center)]
+        cuts = _pieces(seg, [0.0, 0.5, 1.0], points)
+        assert cuts[0] == 0.0 and cuts[-1] == 1.0 and all(np.diff(cuts) > 0)
+        for a, b in zip(cuts, cuts[1:]):
+            mid = seg.point(0.5 * (a + b))
+            assert speed * (b - a) <= 0.5 * min(abs(mid - q) for q in others)
+        assert len(cuts) < 100
+
+
+def test_pieces_keep_cuts_that_already_hold():
+    # pieces that meet the rule are not split again: a layout where no floor bound
+    # is the layout of the uniform start
+    arc = Arc(1.0, 0.375, math.pi, 3 * math.pi)
+    cuts = [j / 13 for j in range(14)]
+    assert _pieces(arc, cuts, [0j, 1 + 0j]) == cuts
+    assert _pieces(Line(0.5, 0.625), [0.0, 1.0], [0j, 1 + 0j]) == [0.0, 1.0]
 
 
 def _routes(sys, basis, probe, loops):

@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from monodeform import paths as paths_module
 from monodeform.cli import config_hash
 from monodeform.errors import PathThroughSingularity
 from monodeform.paths import (
@@ -13,6 +15,7 @@ from monodeform.paths import (
     PathSpec,
     line_path,
     loop_around,
+    _turn,
     path_from_json,
     path_to_json,
     validate_clearance,
@@ -171,3 +174,88 @@ def test_path_hash_is_stable():
     assert path_hash(l1) == path_hash(l2)
     l3 = loop_around(0, 0.26, 0.5)
     assert path_hash(l1) != path_hash(l3)
+
+
+def _dense_turns(seg, p, ts, per_piece=20_000):
+    """The reference: the turn of arg(z - p) from t = 0 to each of ts (ascending), summed
+    from principal phase increments between dense nodes.  On an arc a chord of angle h
+    strays r h^2 / 8 from it, far below the distance to p here, so each increment is exact
+    up to rounding; the increments of each piece are summed pairwise by numpy."""
+    out, total, t_prev = [], 0.0, 0.0
+    for t in ts:
+        z = seg.point(np.linspace(t_prev, t, per_piece + 1)) - p
+        total += float(np.sum(np.angle(z[1:] / z[:-1])))
+        out.append(total)
+        t_prev = t
+    return np.array(out)
+
+
+def _seeded_arcs(n, seed=7):
+    """(arc, tracked points) with points inside, outside, 1e-5 to 1e-2 off the circle on
+    either side, and at the centre; sweeps up to 4 pi either way."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        center = complex(*rng.uniform(-1, 1, 2))
+        r = rng.uniform(0.1, 1.5)
+        th0 = rng.uniform(-4, 4)
+        arc = Arc(center, r, th0, th0 + rng.uniform(-4 * math.pi, 4 * math.pi))
+        scale = [rng.uniform(0, 0.95), rng.uniform(1.05, 3.0),
+                 1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-5, -2), 0.0]
+        yield arc, [center + s * r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                    for s in scale]
+
+
+def test_turn_matches_dense_phase_accumulation_on_arcs():
+    ts = np.array([0.1, 0.37, 0.5, 0.81, 1.0])
+    for arc, points in _seeded_arcs(40):
+        tracker = ArgTracker(PathSpec((arc,)), points)
+        start = BranchState.principal(arc.point(0.0), points)
+        for j, p in enumerate(points):
+            want = _dense_turns(arc, p, ts)
+            assert np.max(np.abs(_turn(arc, p, ts) - want)) <= 1e-11, (arc, p)
+            assert abs(_turn(arc, p, 1.0) - want[-1]) <= 1e-11, (arc, p)
+            got = tracker.args_at(0, ts)[:, j] - start.arg(p)
+            assert np.max(np.abs(got - want)) <= 1e-11, (arc, p)
+            assert abs(tracker.end_state.arg(p) - start.arg(p) - want[-1]) <= 1e-11
+
+
+def test_turn_matches_dense_phase_accumulation_on_lines():
+    rng = np.random.default_rng(11)
+    ts = np.array([0.2, 0.5, 0.9, 1.0])
+    for _ in range(40):
+        z0, z1, mid = (complex(*rng.uniform(-2, 2, 2)) for _ in range(3))
+        seg = Line(z0, z1)
+        # a point 1e-5 to 1 off the line's midpoint, and one anywhere
+        d = z1 - z0
+        near = 0.5 * (z0 + z1) + 1j * d / abs(d) * 10 ** rng.uniform(-5, 0)
+        for p in (near, mid):
+            want = _dense_turns(seg, p, ts)
+            assert np.max(np.abs(_turn(seg, p, ts) - want)) <= 1e-11, (seg, p)
+
+
+def test_centred_arc_turns_by_its_exact_sweep():
+    arc = Arc(0.3 + 0.2j, 0.4, 1.1, 1.1 - 6 * math.pi)
+    ts = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(_turn(arc, arc.center, ts), arc.angle(ts) - arc.theta0)
+    assert _turn(arc, arc.center, 1.0) == arc.angle(1.0) - arc.theta0
+
+
+def test_arc_through_a_tracked_point_raises():
+    arc = Arc(0j, 0.5, 0.0, math.pi)
+    with pytest.raises(PathThroughSingularity):
+        ArgTracker(PathSpec((arc,)), [0.5j * (1 + 1e-13)])
+
+
+def test_tracker_by_a_point_off_the_circle_costs_o1(monkeypatch):
+    # a point 3e-6 off the circle of the default loop round 1 from 0.5 (r = 0.375):
+    # per-node tables laid 500,002 nodes here; the closed form needs none
+    calls = []
+    point = Arc.point
+    monkeypatch.setattr(paths_module.Arc, "point",
+                        lambda self, t: calls.append(t) or point(self, t))
+    loop = loop_around(1, 0.375, 0.5)
+    tracker = ArgTracker(loop, [0j, 1 + 0j, 1.375003 + 0j])
+    state, start = tracker.end_state, BranchState.principal(0.5, [0j, 1 + 0j, 1.375003 + 0j])
+    assert len(calls) <= 4
+    for p, winding in ((0j, 0.0), (1 + 0j, 1.0), (1.375003 + 0j, 0.0)):
+        assert abs(state.winding(p, start) - winding) < 1e-15, p
