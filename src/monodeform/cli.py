@@ -80,11 +80,16 @@ def _basis(problem: Problem) -> FundamentalMatrix:
 
 
 def _dyson_and_direct(sys, pert, rho, K, path, basis, tol, direct_from):
-    """W (I + sum rho^k C_k) at the path end, C_1..C_K on the ODE route, and the direct
-    perturbed transport of direct_from along the path: the Dyson expansion and its oracle."""
-    exp = dyson_expand(sys, pert, K, path, basis, tol, route="ode")
-    w_end = transport(sys, None, 0, path, basis, tol).w.value
-    return exp, evaluate_dyson(w_end, exp, rho), transport(sys, pert, rho, path, direct_from, tol)
+    """C_1..C_K along the path on the `auto` route, W (I + sum rho^k C_k) at the path end
+    from the W that route carried there, and the direct perturbed transport of direct_from
+    along the path: the Dyson expansion and its oracle."""
+    exp = dyson_expand(sys, pert, K, path, basis, tol)
+    return exp, evaluate_dyson(None, exp, rho), transport(sys, pert, rho, path, direct_from, tol)
+
+
+def _turns(w: float):
+    """A winding number, the nearest integer when it lies within 1e-9 of one."""
+    return round(w) if abs(w - round(w)) <= 1e-9 else w
 
 
 # --- task runners: a decoded problem in, (results, diagnostics) of plain values out
@@ -122,7 +127,8 @@ def _task_dyson(problem: Problem, csv_dir):
         "tol": problem.tol,
         "path_hash": config_hash(path_to_json(path)),
         "transport_steps": direct.steps,
-        "windings": {p: direct.branch.winding(p, start) for p, _ in direct.branch.args},
+        "windings": {p: _turns(direct.branch.winding(p, start)) for p, _ in direct.branch.args},
+        **exp.provenance,
     }
 
 
@@ -206,24 +212,28 @@ def _task_series(problem: Problem, csv_dir):
     f = lambda x: b21(x) * x * (1 - x)
     series = hypergeometric_deformed_series(a, b, c, f, problem.K, basepoint=0.5,
                                             tol=max(problem.tol, 1e-12), basis=basis_for(a, b, c))
-    xs = list(np.linspace(*SERIES_RANGE, problem.samples or 13))
-    samples = [{"x": x, "terms": [series.term(k)(x)[0] for k in range(problem.K + 1)],
-                "value": series.evaluate(x, rho)} for x in xs]
+    xs = np.linspace(*SERIES_RANGE, problem.samples or 13)
+    corners = (0.3, 0.7)  # the oracle triangle's points
+    # each term once over the samples and the corners, summed as SeriesSolution.evaluate does
+    ys = [t(np.concatenate([xs, corners]))[0] for t in series.terms]
+    values = sum(y * rho ** k for k, y in enumerate(ys))
+    samples = [{"x": x, "terms": [y[i] for y in ys], "value": values[i]}
+               for i, x in enumerate(xs)]
     basis = frobenius_basis(a, b, c, 0, 0.5)
     column = FundamentalMatrix(0.5, np.column_stack([basis.value[:, 0], [0.0, 1.0]]), "column")
-    triangle = []
-    for x in (0.3, 0.7):
-        _, approx, direct = _dyson_and_direct(sys, pert, rho, problem.K, line_path(0.5, x), basis,
-                                              problem.tol, column)
+    triangle, legs = [], []
+    for x, vp in zip(corners, values[len(xs):]):
+        exp, approx, direct = _dyson_and_direct(sys, pert, rho, problem.K, line_path(0.5, x),
+                                                basis, problem.tol, column)
         dyson_val, direct_val = approx[0, 0], direct.w.value[0, 0]
-        vp = series.evaluate(x, rho)
         triangle.append({"x": x, "varpar_vs_dyson": abs(vp - dyson_val),
                          "varpar_vs_direct": abs(vp - direct_val),
                          "dyson_vs_direct": abs(dyson_val - direct_val)})
+        legs.append({"x": x, **exp.provenance})
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
         series_to_csv(series, xs, os.path.join(csv_dir, "series_terms.csv"))
-    return {"rho": rho, "samples": samples}, {"oracle_triangle": triangle}
+    return {"rho": rho, "samples": samples}, {"oracle_triangle": triangle, "dyson_legs": legs}
 
 
 def _task_sample(problem: Problem, csv_dir):

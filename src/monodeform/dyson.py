@@ -76,6 +76,10 @@ class DysonExpansion:
     endpoint: complex
     path: Optional[PathSpec]
     branch: Optional[BranchState]
+    # W at the endpoint on the tracked end branch, as the route carried it there
+    w_end: Optional[np.ndarray] = field(default=None, compare=False)
+    # {"route": "series" or "ode"}, with the "fallback_reason" of an unavailable series route
+    provenance: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -292,20 +296,21 @@ def _ode_route_markers(
 
 
 def _route_markers(sys, pert, basis, paths, K, want_plain, tol, from_zero, route):
-    if route == "auto":
-        if from_zero or basis.evaluator is not None:
-            try:
-                return _series_route_markers(sys, pert, basis, paths, K, want_plain,
-                                             from_zero)
-            except SeriesRouteUnavailable:
-                if from_zero:
-                    raise
-        return _ode_route_markers(sys, pert, basis, paths, K, want_plain, tol)
-    if route == "series":
-        return _series_route_markers(sys, pert, basis, paths, K, want_plain, from_zero)
+    """The markers of `route`, and their provenance: {"route": "series"} or {"route": "ode"},
+    the latter with the "fallback_reason" when `auto` found the series route unavailable."""
+    fallback = {}
+    if route == "series" or (route == "auto" and (from_zero or basis.evaluator is not None)):
+        try:
+            return (_series_route_markers(sys, pert, basis, paths, K, want_plain, from_zero),
+                    {"route": "series"})
+        except SeriesRouteUnavailable as exc:
+            if route == "series" or from_zero:
+                raise
+            fallback["fallback_reason"] = f"{type(exc).__name__}: {exc}"
     if from_zero:
         raise SeriesRouteUnavailable("from-zero contours require the series route")
-    return _ode_route_markers(sys, pert, basis, paths, K, want_plain, tol)
+    markers = _ode_route_markers(sys, pert, basis, paths, K, want_plain, tol)
+    return markers, {"route": "ode", **fallback}
 
 
 # --- public operations --------------------------------------------------------
@@ -321,7 +326,7 @@ def correction_C(
 ) -> CorrectionC:
     """C = int W^{-1} B W dt along the path, with W continued from the basis
     and B branch-tracked."""
-    markers = _route_markers(sys, pert, basis, [path], 1, False, tol, False, route)
+    markers, _ = _route_markers(sys, pert, basis, [path], 1, False, tol, False, route)
     _, c_list, _, branch = markers[-1]
     return CorrectionC(c_list[0], path, branch)
 
@@ -336,22 +341,27 @@ def dyson_expand(
     from_zero: bool = False,
     route: str = "auto",
 ) -> DysonExpansion:
-    """Nested path-ordered terms C_1..C_K of W_rho = W (I + sum C_k rho^k)."""
+    """Nested path-ordered terms C_1..C_K of W_rho = W (I + sum C_k rho^k), with W at the
+    endpoint and the provenance of the route that gave them."""
     if K < 1:
         raise ValueError("K must be at least 1")
     paths = [path] if path is not None else []
     if not paths and not from_zero:
         raise ValueError("need a path or a from-zero contour")
-    markers = _route_markers(sys, pert, basis, paths, K, False, tol, from_zero, route)
+    markers, provenance = _route_markers(sys, pert, basis, paths, K, False, tol, from_zero, route)
     w_end, c_list, _, branch = markers[-1]
     endpoint = paths[-1].end if paths else basis.basepoint
-    return DysonExpansion(K, tuple(c_list), basis.basepoint, endpoint, path, branch)
+    return DysonExpansion(K, tuple(c_list), basis.basepoint, endpoint, path, branch, w_end,
+                          provenance)
 
 
-def evaluate_dyson(basis_value: np.ndarray, expansion: DysonExpansion, rho: complex) -> np.ndarray:
-    """W_rho at the endpoint: needs W (continued basis value) at the same point."""
-    dim = basis_value.shape[0]
-    acc = np.eye(dim, dtype=complex)
+def evaluate_dyson(basis_value: Optional[np.ndarray], expansion: DysonExpansion,
+                   rho: complex) -> np.ndarray:
+    """W_rho at the endpoint from W (the continued basis value) there; None takes the W
+    that the expansion's route carried to the endpoint."""
+    if basis_value is None:
+        basis_value = expansion.w_end
+    acc = np.eye(basis_value.shape[0], dtype=complex)
     for k, c in enumerate(expansion.terms, start=1):
         acc = acc + c * rho**k
     return np.asarray(basis_value) @ acc
@@ -402,8 +412,8 @@ def deformation_delta(
         joined = lp if joined is None else joined + lp
     all_paths = pre_paths + [joined]
     want_plain = pert.kind == KIND_LOG
-    markers = _route_markers(sys, pert, basis, all_paths, 1, want_plain, tol,
-                             from_zero, route)
+    markers, _ = _route_markers(sys, pert, basis, all_paths, 1, want_plain, tol,
+                                from_zero, route)
     # marker layout: [head (series from-zero only)] + one per path, where a
     # from-zero contour has no pre-path: either way the first is at the probe
     if pre_paths or from_zero:

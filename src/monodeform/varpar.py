@@ -153,9 +153,6 @@ class SeriesSolution:
     order: int
     terms: tuple[Callable[..., tuple], ...]
 
-    def term(self, k: int) -> Callable[..., tuple]:
-        return self.terms[k]
-
     def evaluate(self, x, rho: complex):
         return sum(t(x)[0] * rho ** k for k, t in enumerate(self.terms))
 
@@ -194,10 +191,11 @@ def hypergeometric_deformed_series(
 
 
 def series_to_csv(series: SeriesSolution, xs: Sequence[float], path: str) -> None:
-    """Sampled terms as CSV columns (x, Re y_k, Im y_k for each k)."""
+    """Sampled terms as CSV columns (x, Re y_k, Im y_k for each k), each term from one call
+    over all of xs."""
+    ys = [t(np.asarray(xs, dtype=float))[0] for t in series.terms]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x"] + [f"{p}_y{k}" for k in range(series.order + 1) for p in ("re", "im")])
-        for x in xs:
-            vals = [t(x)[0] for t in series.terms]
+        for x, *vals in zip(xs, *ys):
             writer.writerow([f"{x:.16g}"] + [f"{p:.16g}" for v in vals for p in (v.real, v.imag)])

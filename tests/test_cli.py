@@ -238,6 +238,38 @@ def test_cocycle_specs_make_no_rk_call(monkeypatch):
     assert calls == []
 
 
+def _dyson_spec(basis, paths=None):
+    zero = {"num": [], "den": [[1.0, 0.0]]}
+    h21 = {"num": [[1.0, 0.0]], "den": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}
+    spec = {"equation": HYP, "task": "dyson", "basis": {"type": basis},
+            "perturbation": {"kind": "meromorphic", "H": [[zero, zero], [h21, zero]],
+                             "rho": 1e-3},
+            "numerics": {"K": 2, "tol": 1e-11}}
+    if paths is not None:
+        spec["paths"] = [path_to_json(p) for p in paths]
+    return spec
+
+
+def test_rk_calls_are_the_direct_legs(monkeypatch):
+    # a Frobenius basis on a contour in the two zones takes the Dyson terms
+    # and W at the end from one series sweep, so RK runs only the direct
+    # leg of the oracle (one DOP853 call per segment of each leg)
+    from monodeform import transport
+
+    calls = []
+    rk = transport._dop853
+    monkeypatch.setattr(transport, "_dop853", lambda *a: calls.append(1) or rk(*a))
+    line = [line_path(0.5, 0.75)]
+    for spec, count in [(example_specs()["series-oracle"], 2),
+                        (_dyson_spec("frobenius0", line), 1),
+                        (_dyson_spec("identity", line), 2)]:
+        calls.clear()
+        report = run_spec(spec)
+        assert len(calls) == count, spec["task"]
+    assert report["diagnostics"]["route"] == "ode"
+    assert "fallback_reason" not in report["diagnostics"]
+
+
 def _corner_pole(den):
     """Perturbation with H21 = 1/den(x) and zeros elsewhere."""
     zero = {"num": [], "den": [[1.0, 0.0]]}
@@ -530,6 +562,13 @@ def test_eigenshift_report_independent_of_history(tmp_path):
         run_spec(spec)
     assert emitted(shifts[4]) == cold
     assert emitted(shifts[4]) == cold
+    # the series samples read the same memo through one array call per term
+    basis_for.cache_clear()
+    cold = emitted(series)
+    for spec in shifts:
+        run_spec(spec)
+    assert emitted(series) == cold
+    assert emitted(series) == cold
 
 
 def test_sample_task_csv(tmp_path):
@@ -582,22 +621,41 @@ def test_sweep_runs_sequentially(tmp_path):
 
 
 def test_dyson_task_oracle_delta(tmp_path):
-    zero = {"num": [], "den": [[1.0, 0.0]]}
-    h21 = {"num": [[1.0, 0.0]], "den": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}
-    spec = {"equation": HYP, "task": "dyson",
-            "perturbation": {"kind": "meromorphic", "H": [[zero, zero], [h21, zero]],
-                             "rho": 1e-3},
-            "numerics": {"K": 2, "tol": 1e-11}}
+    spec = _dyson_spec("frobenius0")
     rep = run_spec(spec)
     assert rep["diagnostics"]["oracle_delta_vs_direct"] < 1e-8
     assert len(rep["results"]["terms"]) == 2
     assert len(rep["diagnostics"]["path_hash"]) == 16
-    # a loop around 0 from 0.5 winds once around 0; its oracle delta sits
-    # too close to 1e-8 to hold it to that bound
-    spec["paths"] = [path_to_json(loop_around(0, 0.25, 0.5, avoid=(0, 1)))]
-    diags = run_spec(spec)["diagnostics"]
-    assert diags["windings"]["0+0j"] == 1
-    assert isinstance(diags["path_hash"], str) and len(diags["path_hash"]) == 16
+    # a loop from 0.5 winds once round its center; within 1e-9 of a whole
+    # turn a winding is that integer (round 1 the argument about 0 comes
+    # back to within 1.3e-17 turns).  W at a loop's end is the series W on
+    # the tracked end branch, W M; its oracle delta sits too close to 1e-8
+    # to hold it to that bound
+    for center, windings in ((0, {"0+0j": 1, "1+0j": 0}), (1, {"0+0j": 0, "1+0j": 1})):
+        spec["paths"] = [path_to_json(loop_around(center, 0.25, 0.5, avoid=(0, 1)))]
+        diags = run_spec(spec)["diagnostics"]
+        assert diags["windings"] == windings
+        assert all(type(w) is int for w in diags["windings"].values())
+        assert diags["oracle_delta_vs_direct"] < 1e-7
+        assert isinstance(diags["path_hash"], str) and len(diags["path_hash"]) == 16
+
+
+def test_dyson_task_reports_its_route():
+    # the default frobenius0 basis on a line inside the zones takes the
+    # series route; a line out to |z| = |1 - z| = 1.118 leaves both zones,
+    # so `auto` falls back to the ODE route and says why; an open path
+    # keeps its fractional turns
+    diags = run_spec(_dyson_spec("frobenius0", [line_path(0.5, 0.75)]))["diagnostics"]
+    assert diags["route"] == "series" and "fallback_reason" not in diags
+    diags = run_spec(_dyson_spec("frobenius0", [line_path(0.5, 0.5 + 1j)]))["diagnostics"]
+    assert diags["route"] == "ode"
+    assert diags["fallback_reason"].startswith(
+        "SeriesRouteUnavailable: contour leaves the series convergence zone"), diags
+    assert diags["oracle_delta_vs_direct"] < 1e-8
+    turn = math.atan2(1.0, 0.5) / (2 * math.pi)
+    assert diags["windings"] == pytest.approx({"0+0j": turn, "1+0j": -turn}, rel=1e-12)
+    legs = run_spec(example_specs()["series-oracle"])["diagnostics"]["dyson_legs"]
+    assert legs == [{"x": 0.3, "route": "series"}, {"x": 0.7, "route": "series"}]
 
 
 def test_runtime_path_imports_neither_scipy_nor_jsonschema(tmp_path):

@@ -28,10 +28,10 @@ def test_hierarchy_structure(connected_basis):
                                             init_coeffs=(0.7, -0.2), basis=connected_basis)
     assert len(series.terms) == series.order + 1 == 4
     for x in (0.3, 0.8):
-        assert np.allclose(series.term(0)(x), connected_basis.matrix(x) @ [0.7, -0.2],
+        assert np.allclose(series.terms[0](x), connected_basis.matrix(x) @ [0.7, -0.2],
                            rtol=1e-14, atol=0)
     for k in (1, 2, 3):
-        v, d = series.term(k)(0.5)
+        v, d = series.terms[k](0.5)
         assert v == 0 and d == 0
     with pytest.raises(ValueError):
         hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 0, basis=connected_basis)
@@ -43,7 +43,7 @@ def test_hierarchy_rhs_for_unit_coupling(connected_basis):
     series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 2,
                                             basis=connected_basis)
     for x in (0.3, 0.6):
-        up = _uprime(series.term(1), x)
+        up = _uprime(series.terms[1], x)
         w = connected_basis.matrix(x)
         forcing = up[0] * w[1, 0] + up[1] * w[1, 1]
         expect = w[0, 0] / (x * (1 - x))
@@ -141,9 +141,9 @@ def test_forcing_reads_the_callers_w():
     cb = Counted(A, B, C)
     sol = particular_solution(cb, lambda x, w: w[..., 0, 0] / (x * (1 - x)))
     series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0 + x, 2, basis=cb)
-    for s in (sol, series.term(1), series.term(2)):
+    for s in (sol, series.terms[1], series.terms[2]):
         count_integrand(s)
-    for fn in (sol, series.term(2)):
+    for fn in (sol, series.terms[2]):
         counts.update(matrix=0, integrand=0)
         xs = (0.2, 0.35, 0.8, np.array([0.1, 0.6, 0.9]))
         for x in xs:
@@ -164,7 +164,7 @@ def test_u_depends_on_x_alone():
         cb = ConnectedBasis(A, B, C)
         sol = particular_solution(cb, lambda x, w: np.sin(3 * x) * w[..., 0, 0] / (x * (1 - x)))
         series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0 + x, 2, basis=cb)
-        return sol.u, series.term(2).u
+        return sol.u, series.terms[2].u
 
     together = [u(xs) for u in fresh()]
     apart = [np.array([u(x) for x in xs[::-1]])[::-1] for u in fresh()]
@@ -263,10 +263,10 @@ def test_wronskian_nonvanishing_on_interval(connected_basis):
 def test_deformed_series_zero_coupling(connected_basis):
     series = hypergeometric_deformed_series(A, B, C, lambda x: 0.0, 2,
                                             basis=connected_basis)
-    assert np.allclose(series.term(0)(0.65), connected_basis.matrix(0.65)[:, 0],
+    assert np.allclose(series.terms[0](0.65), connected_basis.matrix(0.65)[:, 0],
                        rtol=1e-14, atol=0)
     for k in (1, 2):
-        v, d = series.term(k)(0.65)
+        v, d = series.terms[k](0.65)
         assert abs(v) < 1e-12 and abs(d) < 1e-12
 
 
@@ -301,7 +301,7 @@ def test_series_evaluate_and_terms(connected_basis):
     series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 2,
                                             basis=connected_basis, tol=1e-12)
     x, rho = 0.45, 1e-2
-    total = sum(series.term(k)(x)[0] * rho**k for k in range(3))
+    total = sum(series.terms[k](x)[0] * rho**k for k in range(3))
     assert abs(series.evaluate(x, rho) - total) < 1e-14
 
 
@@ -322,7 +322,7 @@ def test_generic_deformed_series_matches_hypergeometric(connected_basis):
     for x in (0.35, 0.65):
         w = connected_basis.matrix(x)
         for k in (1, 2):
-            up = _uprime(series.term(k), x)
-            rhs = series.term(k - 1)(x)[0] / (x * (1 - x))
+            up = _uprime(series.terms[k], x)
+            rhs = series.terms[k - 1](x)[0] / (x * (1 - x))
             assert abs(w[0, 0] * up[0] + w[0, 1] * up[1]) < 1e-9
             assert abs(w[1, 0] * up[0] + w[1, 1] * up[1] - rhs) < 1e-9
