@@ -36,14 +36,17 @@ from .dyson import (
     deformation_delta,
     dyson_expand,
     evaluate_dyson,
+    series_monodromy,
 )
-from .errors import MonodeformError, NonIntegrableForcing, SchemaError, SingularPoint
+from .errors import (MonodeformError, NonIntegrableForcing, SchemaError, SeriesRouteUnavailable,
+                     SingularPoint)
 from .hypergeom import ConnectedBasis, weight_omega
 from .odecore import _c2j, exclusion_radius
 from .paths import BranchState, line_path, path_to_json
 from .schema import Problem, decode, schema_json, semantic_diagnostics, sweep_entries
 from .spectral import basis_for, builtin_profile, hierarchy_shift_residual
-from .transport import FundamentalMatrix, frobenius_basis, identity_basis, monodromy, transport
+from .transport import (FundamentalMatrix, frobenius_basis, identity_basis, monodromy,
+                        sorted_eigenvalues, transport)
 from .varpar import hypergeometric_deformed_series, series_to_csv
 
 
@@ -96,19 +99,31 @@ def _turns(w: float):
 
 
 def _task_monodromy(problem: Problem, csv_dir):
+    """Each loop on the series route (`series_monodromy`); where that is unavailable (no
+    evaluator, a loop out of the two zones, a Dyson sum unconverged by its largest order),
+    the RK `monodromy`, plain and perturbed, with the reason."""
     sys, pert, rho = problem.system, problem.pert, problem.rho
     basis = _basis(problem)
     loops = problem.paths or [default_loop(c, sys, basis.basepoint) for c in problem.centers]
     results, diags = [], []
     for ctr, loop in zip(problem.centers, loops):
-        datum = monodromy(sys, basis, loop, problem.tol)
-        entry = {"center": ctr, "matrix": datum.matrix, "eigenvalues": datum.eigenvalues}
-        diag = {"center": ctr, "basis_condition": basis.cond, "rk_steps": datum.steps}
+        diag = {"center": ctr, "basis_condition": basis.cond}
+        try:
+            m0, m_rho, K = series_monodromy(sys, pert, rho, basis, loop, problem.tol)
+            diag.update(route="series", K=K)
+        except SeriesRouteUnavailable as exc:
+            datum = monodromy(sys, basis, loop, problem.tol)
+            m0 = datum.matrix
+            diag.update(route="rk", fallback_reason=f"{type(exc).__name__}: {exc}",
+                        rk_steps=datum.steps)
+            if pert is not None:
+                pdatum = monodromy(sys, basis, loop, problem.tol, pert=pert, rho=rho)
+                m_rho = pdatum.matrix
+                diag["perturbed_rk_steps"] = pdatum.steps
+        entry = {"center": ctr, "matrix": m0, "eigenvalues": sorted_eigenvalues(m0)}
         if pert is not None:
-            pdatum = monodromy(sys, basis, loop, problem.tol, pert=pert, rho=rho)
-            entry["perturbed_matrix"] = pdatum.matrix
-            entry["perturbed_eigenvalues"] = pdatum.eigenvalues
-            diag["perturbed_rk_steps"] = pdatum.steps
+            entry["perturbed_matrix"] = m_rho
+            entry["perturbed_eigenvalues"] = sorted_eigenvalues(m_rho)
         results.append(entry)
         diags.append(diag)
     return {"monodromies": results}, {"per_loop": diags, "tol": problem.tol}
@@ -137,6 +152,7 @@ def _task_cocycle(problem: Problem, csv_dir):
     basis = _basis(problem)
     jumps, diags = [], {"tol": problem.tol}
     probe = basis.basepoint
+    at_probe = []  # (delta, monodromy) of each basepoint-anchored jump, else None
     for ctr in centers:
         # meromorphic jumps around 0 anchor at 0 itself when the integral
         # converges there (the canonical choice: a well-defined C(0) forces
@@ -155,6 +171,7 @@ def _task_cocycle(problem: Problem, csv_dir):
             anchor = "zero" if pert.multivalued else "basepoint"
         entry = {"center": ctr, "anchor": anchor, "delta": jump.delta,
                  "monodromy": jump.monodromy}
+        at_probe.append((jump.delta, jump.monodromy) if anchor == "basepoint" else None)
         if reason is not None:
             entry["anchor_reason"] = reason
         if not pert.multivalued:
@@ -169,9 +186,12 @@ def _task_cocycle(problem: Problem, csv_dir):
         jumps.append(entry)
     if not pert.multivalued and len(centers) >= 2:
         la, lb = (default_loop(c, sys, probe) for c in centers[:2])
-        da, ma, _, _ = deformation_delta(sys, pert, basis, probe, [la], problem.tol)
-        db, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb], problem.tol)
-        dab, _, _, _ = deformation_delta(sys, pert, basis, probe, [lb, la], problem.tol)
+
+        def delta(known, loops):  # a basepoint-anchored jump made this very call
+            return known or deformation_delta(sys, pert, basis, probe, loops, problem.tol)[:2]
+
+        (da, ma), (db, _) = delta(at_probe[0], [la]), delta(at_probe[1], [lb])
+        dab, _ = delta(None, [lb, la])
         diags["cocycle_identity_residual"] = cocycle_identity_residual(
             {"a": da, "b": db, ("a", "b"): dab}, {"a": ma}, ("a", "b"))
     return {"jumps": jumps}, diags
@@ -232,7 +252,7 @@ def _task_series(problem: Problem, csv_dir):
         legs.append({"x": x, **exp.provenance})
     if csv_dir:
         os.makedirs(csv_dir, exist_ok=True)
-        series_to_csv(series, xs, os.path.join(csv_dir, "series_terms.csv"))
+        series_to_csv(xs, [y[:len(xs)] for y in ys], os.path.join(csv_dir, "series_terms.csv"))
     return {"rho": rho, "samples": samples}, {"oracle_triangle": triangle, "dyson_legs": legs}
 
 

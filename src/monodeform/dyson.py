@@ -21,7 +21,9 @@ Two integration routes are implemented and cross-checked: an augmented
 adaptive ODE transport (any basis; the blocks are integrated by `transport`),
 and piecewise-Chebyshev quadrature with W evaluated from the Frobenius series
 of the zones at 0 and 1 (needed for integrals anchored at the singular point 0
-itself), which `auto` takes for any contour inside those two zones.
+itself), which `auto` takes for any contour inside those two zones.  On that route
+`series_monodromy` reads a loop's monodromy and its deformation off one sweep,
+M(rho) = M_0 (I + sum_k rho^k C_k(loop)), which the RK `transport.monodromy` checks.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .paths import (POINT_MATCH_TOL, ArgTracker, Arc, BranchState, PathSpec, Seg
 from .quadrature import (cheb_cumulative, cheb_nodes, geometric_levels, geometric_panels,
                          geometric_tail)
 from .transport import (FundamentalMatrix, _check_clearance, _gauge_matrix, _integrate,
-                        tracked_points)
+                        check_condition, tracked_points)
 
 PANEL_NODES = 32
 CONSTANCY_FRACTIONS = (0.3, 0.5, 0.7)
@@ -217,15 +219,10 @@ def _series_sweep(
             for g, end in enumerate(group_ends)]
 
 
-def _series_route_markers(
-    sys: MeromorphicSystem,
-    pert: PerturbationSpec,
-    basis: FundamentalMatrix,
-    paths: Sequence[PathSpec],
-    K: int,
-    want_plain: bool,
-    from_zero: bool,
-):
+def _series_groups(sys, pert, basis, paths, from_zero):
+    """The panel groups of the series route and their tracked points: with from_zero the
+    head piece (ending at the contour start itself) first, then one group per path.  pert
+    None tracks and clears the system singularities alone."""
     if basis.evaluator is None:
         raise SeriesRouteUnavailable("series route needs a basis with a series evaluator")
     pts = tracked_points(sys, pert, paths)
@@ -235,15 +232,26 @@ def _series_route_markers(
             raise SeriesRouteUnavailable("from-zero contours start on the positive real axis")
         levels = _head_levels(basis, pert, pts, start_z)
     state = BranchState.principal(start_z, pts)
-    # with from_zero the first marker is the end of the head piece (at the
-    # contour start itself), followed by one marker per path
     groups = [_panels_for_head(start_z, pts, levels)] if from_zero else []
-    poles = sys.singularities + pert.poles
+    poles = sys.singularities + (pert.poles if pert is not None else ())
     for p in paths:
         panels, state = _panels_for_path(p, pts, state, poles)
         groups.append(panels)
     if from_zero:  # the head's ray ends at 0 by design, and clears every other pole
         _check_clearance(line_path(0j, start_z), [p for p in poles if abs(p) > POINT_MATCH_TOL])
+    return groups, pts
+
+
+def _series_route_markers(
+    sys: MeromorphicSystem,
+    pert: PerturbationSpec,
+    basis: FundamentalMatrix,
+    paths: Sequence[PathSpec],
+    K: int,
+    want_plain: bool,
+    from_zero: bool,
+):
+    groups, pts = _series_groups(sys, pert, basis, paths, from_zero)
     return _series_sweep(basis.evaluator, pert, groups, pts, K, basis.dim, want_plain, from_zero)
 
 
@@ -379,6 +387,50 @@ def perturbed_monodromy_first_order(
         raise ShapeMismatch(f"incompatible shapes {m0.shape}, {c1.shape}, {c2.shape}")
     coeff = (m0 @ c2 @ np.linalg.inv(m0) - c1) @ m0
     return m0, coeff
+
+
+# the largest Dyson order a series-route monodromy sums: the schema's largest K
+MONODROMY_MAX_ORDER = 8
+
+
+def series_monodromy(
+    sys: MeromorphicSystem,
+    pert: Optional[PerturbationSpec],
+    rho: complex,
+    basis: FundamentalMatrix,
+    loop: PathSpec,
+    tol: float = 1e-10,
+) -> tuple[np.ndarray, Optional[np.ndarray], int]:
+    """(M_0, M(rho), K) round a closed loop on the series route, in the frame of
+    `transport.monodromy`: M_0 = W(x0)^-1 W_loop and M(rho) = M_0 (I + sum_{k<=K} rho^k C_k).
+
+    One sweep gives W_loop and C_1..C_MONODROMY_MAX_ORDER; K is then the least order with
+    |rho|^K ||C_K|| <= tol max(1, ||M_0||) in the max-entry norm.  Without a perturbation
+    W_loop is the basis evaluator over the loop's panel nodes in path order, since
+    `ConnectedBasis.along` re-anchors at each zone switch (at the end point alone it
+    would miss the turn round the loop); M(rho) is then None and K 0.  Raises
+    SeriesRouteUnavailable when the basis has no evaluator, the loop leaves the two
+    zones or no K up to MONODROMY_MAX_ORDER meets the bound: never a truncated sum."""
+    if not loop.is_closed:
+        raise ValueError("monodromy needs a closed loop")
+    check_condition(basis)
+    if pert is None:
+        [panels], pts = _series_groups(sys, None, basis, [loop], False)
+        args = np.concatenate([panel.args for panel in panels])
+        w_loop = basis.evaluator(np.concatenate([panel.zs for panel in panels]),
+                                 BranchState(tuple(zip(pts, args.T))))[-1]
+        return np.linalg.solve(basis.value, w_loop), None, 0
+    exp = dyson_expand(sys, pert, MONODROMY_MAX_ORDER, loop, basis, tol, route="series")
+    m0 = np.linalg.solve(basis.value, exp.w_end)
+    bound = tol * max(1.0, _maxabs(m0))
+    sizes = [abs(rho) ** k * _maxabs(c) for k, c in enumerate(exp.terms, start=1)]
+    K = next((k for k, size in enumerate(sizes, start=1) if size <= bound), None)
+    if K is None:
+        raise SeriesRouteUnavailable(
+            f"Dyson sum not converged by K = {MONODROMY_MAX_ORDER}: |rho|^K ||C_K|| = "
+            f"{sizes[-1]:.3e} > {bound:.3e}")
+    total = np.eye(basis.dim) + sum(c * rho**k for k, c in enumerate(exp.terms[:K], start=1))
+    return m0, m0 @ total, K
 
 
 def default_loop(center: complex, sys: MeromorphicSystem, basepoint: complex) -> PathSpec:

@@ -347,10 +347,19 @@ def monodromy(
     """M = W(basepoint)^-1 W(after loop), so that W(loop . x) = W(x) M."""
     if not loop.is_closed:
         raise ValueError("monodromy needs a closed loop")
-    if basis.cond > COND_LIMIT:
-        raise IllConditioned(f"basis condition number {basis.cond:.3e} exceeds {COND_LIMIT:.0e}")
+    check_condition(basis)
     res = transport(sys, pert, rho, loop, basis, tol)
     m = np.linalg.solve(np.asarray(basis.value), np.asarray(res.w.value))
-    eigs = tuple(sorted((complex(e) for e in np.linalg.eigvals(m)),
+    return MonodromyDatum(m, sorted_eigenvalues(m), res.steps)
+
+
+def check_condition(basis: FundamentalMatrix) -> None:
+    """IllConditioned when the basis is too ill-conditioned to read a monodromy off."""
+    if basis.cond > COND_LIMIT:
+        raise IllConditioned(f"basis condition number {basis.cond:.3e} exceeds {COND_LIMIT:.0e}")
+
+
+def sorted_eigenvalues(m: np.ndarray) -> tuple[complex, ...]:
+    """The eigenvalues of m, by real then imaginary part (each rounded to 12 places)."""
+    return tuple(sorted((complex(e) for e in np.linalg.eigvals(m)),
                         key=lambda z: (round(z.real, 12), round(z.imag, 12))))
-    return MonodromyDatum(m, eigs, res.steps)

@@ -190,12 +190,11 @@ def hypergeometric_deformed_series(
     return SeriesSolution(K, tuple(terms))
 
 
-def series_to_csv(series: SeriesSolution, xs: Sequence[float], path: str) -> None:
-    """Sampled terms as CSV columns (x, Re y_k, Im y_k for each k), each term from one call
-    over all of xs."""
-    ys = [t(np.asarray(xs, dtype=float))[0] for t in series.terms]
+def series_to_csv(xs: Sequence[float], ys: Sequence[np.ndarray], path: str) -> None:
+    """Sampled terms as CSV columns (x, Re y_k, Im y_k for each k), from the values ys[k]
+    of y_k at xs that the caller has already computed."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"{p}_y{k}" for k in range(series.order + 1) for p in ("re", "im")])
+        writer.writerow(["x"] + [f"{p}_y{k}" for k in range(len(ys)) for p in ("re", "im")])
         for x, *vals in zip(xs, *ys):
             writer.writerow([f"{x:.16g}"] + [f"{p:.16g}" for v in vals for p in (v.real, v.imag)])

@@ -98,16 +98,107 @@ def test_run_monodromy_eigenvalues(tmp_path):
     assert rep["version"] and rep["config_hash"]
 
 
+def _perturbed_monodromy(rho=1e-3):
+    """monodromy-basic with H21 = 1/x."""
+    return dict(example_specs()["monodromy-basic"], perturbation={
+        "kind": "meromorphic", "rho": rho, "H": _corner_pole([[0.0, 0.0], [1.0, 0.0]])["H"]})
+
+
 def test_monodromy_diagnostics_per_loop():
-    spec = dict(example_specs()["monodromy-basic"], perturbation={
-        "kind": "meromorphic", "rho": 1e-3, "H": _corner_pole([[0.0, 0.0], [1.0, 0.0]])["H"]})
-    for report in (run_spec(example_specs()["monodromy-basic"]), run_spec(spec)):
-        per_loop = report["diagnostics"]["per_loop"]
+    # loops inside the two zones take the series route: each records the
+    # route and the Dyson order K it summed (0 without a perturbation), and
+    # no RK step count, since RK did not run
+    for spec, orders in ((example_specs()["monodromy-basic"], [0, 0]),
+                         (_perturbed_monodromy(), [4, 3])):
+        per_loop = run_spec(spec)["diagnostics"]["per_loop"]
         assert [d["center"] for d in per_loop] == [[0.0, 0.0], [1.0, 0.0]]
-        for d in per_loop:
-            assert d["basis_condition"] > 1 and d["rk_steps"] > 0
-            assert ("perturbed_rk_steps" in d) == ("perturbation" in report["inputs"])
-            assert d.get("perturbed_rk_steps", 1) > 0
+        for d, K in zip(per_loop, orders):
+            assert d["basis_condition"] > 1
+            assert (d["route"], d["K"]) == ("series", K)
+            assert not {"rk_steps", "perturbed_rk_steps", "fallback_reason"} & d.keys()
+    # with rho = 1 the sum round 0 has not converged by K = 8, so RK runs
+    # both monodromies there and counts its steps; round 1 it has, at K = 8
+    zero, one = run_spec(_perturbed_monodromy(1.0))["diagnostics"]["per_loop"]
+    assert zero["route"] == "rk" and "K" not in zero
+    assert zero["fallback_reason"].startswith(
+        "SeriesRouteUnavailable: Dyson sum not converged by K = 8"), zero
+    assert zero["rk_steps"] > 0 and zero["perturbed_rk_steps"] > 0
+    assert (one["route"], one["K"]) == ("series", 8) and "rk_steps" not in one
+
+
+def _rk_entry(spec, loop):
+    """The monodromy entry that RK alone gives for the spec's basis round the loop."""
+    from monodeform.cli import _basis
+    from monodeform.schema import decode
+    from monodeform.transport import monodromy, sorted_eigenvalues
+
+    problem = decode(spec)
+    basis = _basis(problem)
+    plain = monodromy(problem.system, basis, loop, problem.tol).matrix
+    pert = monodromy(problem.system, basis, loop, problem.tol, pert=problem.pert,
+                     rho=problem.rho).matrix
+    return _jsonable({"matrix": plain, "eigenvalues": sorted_eigenvalues(plain),
+                      "perturbed_matrix": pert, "perturbed_eigenvalues": sorted_eigenvalues(pert)})
+
+
+def test_monodromy_fallback_is_the_rk_monodromy():
+    # rho = 1 round 0, and a user loop round 1 out to |z| = |1 - z| = 1.118,
+    # beyond |z| <= 0.88 and |1 - z| <= 0.88: each entry is the RK one, bit
+    # for bit, never a truncated sum, and its diagnostics say why
+    from monodeform.dyson import default_loop
+    from monodeform.paths import path_from_json
+
+    square = {"segments": [{"line": [p, q]} for p, q in zip(
+        [[0.5, 0.0], [0.5, 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0]],
+        [[0.5, 1.0], [1.5, 1.0], [1.5, -1.0], [0.5, -1.0], [0.5, 0.0]])]}
+    cases = [(dict(_perturbed_monodromy(1.0), centers=[0.0]), None,
+              "SeriesRouteUnavailable: Dyson sum not converged by K = 8"),
+             (dict(_perturbed_monodromy(), centers=[1.0], paths=[square]), square,
+              "SeriesRouteUnavailable: contour leaves the series convergence zone")]
+    for spec, path, reason in cases:
+        report = run_spec(spec)
+        [entry], [diag] = report["results"]["monodromies"], report["diagnostics"]["per_loop"]
+        loop = (path_from_json(path) if path else
+                default_loop(0j, hypergeometric_system(0.3, 0.7, 0.4), 0.5))
+        assert {k: v for k, v in entry.items() if k != "center"} == _rk_entry(spec, loop)
+        assert diag["route"] == "rk" and diag["fallback_reason"].startswith(reason), diag
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6])
+def test_monodromy_near_integer_c_keeps_its_eigenvalues(gap):
+    # near c = 1 the monodromy round 0 is close to a Jordan block, so its
+    # eigenvalues move like the square root of an error in M: RK at tol
+    # 1e-10 is off by 3.2e-8 and 4.2e-6 here.  On the series route M is
+    # diagonal in the basis at 0 up to rounding
+    c = 1 + gap
+    spec = {"equation": {"hypergeometric": {"a": 0.3, "b": 0.7, "c": c}},
+            "task": "monodromy", "centers": [0.0]}
+    report = run_spec(spec)
+    assert report["diagnostics"]["per_loop"][0]["route"] == "series"
+    got = [complex(*e) for e in report["results"]["monodromies"][0]["eigenvalues"]]
+    want = [1.0, cmath.exp(-2j * math.pi * c)]
+    assert min(max(abs(got[0] - want[i]), abs(got[1] - want[1 - i])) for i in (0, 1)) <= 1e-11
+
+
+def test_monodromy_specs_make_no_rk_call(monkeypatch):
+    # a Frobenius basis on loops inside the two zones takes M_0 and M(rho)
+    # from the series route, plain (monodromy-basic) or perturbed (the
+    # benchmark's cli-sweep shape): no DOP853 call
+    from monodeform import transport
+
+    calls = []
+    rk = transport._dop853
+    monkeypatch.setattr(transport, "_dop853", lambda *a: calls.append(1) or rk(*a))
+    zero = {"num": [], "den": [[1.0, 0.0]]}
+    perturbed = {"equation": {"hypergeometric": {"a": 0.62, "b": 0.28, "c": 1.37}},
+                 "task": "monodromy", "basis": {"type": "frobenius0"},
+                 "perturbation": {"kind": "meromorphic", "rho": 1e-3, "H": [
+                     [zero, zero], [{"num": [[0.9, 0.0]], "den": [[1.0, 0.0]]}, zero]]},
+                 "numerics": {"tol": 1e-10}}
+    for spec in (example_specs()["monodromy-basic"], perturbed):
+        per_loop = run_spec(spec)["diagnostics"]["per_loop"]
+        assert [d["route"] for d in per_loop] == ["series", "series"]
+    assert calls == []
 
 
 def test_cocycle_records_why_the_anchor_fell_back():
@@ -236,6 +327,22 @@ def test_cocycle_specs_make_no_rk_call(monkeypatch):
     assert report["diagnostics"]["cocycle_identity_residual"] <= 1e-9
     run_spec(_power_cocycle_spec({"type": "frobenius0"}))
     assert calls == []
+
+
+def test_cocycle_identity_reuses_the_jumps_sweeps(monkeypatch):
+    # each jump sweeps its probes 0.3, 0.5 and 0.7; the identity then needs
+    # delta and M round a and b at the basepoint, and delta round b then a.
+    # A basepoint-anchored jump has swept its own loop there already: the
+    # jump at 1 always, the jump at 0 when it falls back from the zero anchor
+    from monodeform import dyson
+
+    calls = []
+    sweep = dyson._series_sweep
+    monkeypatch.setattr(dyson, "_series_sweep", lambda *a: calls.append(1) or sweep(*a))
+    for name, count in (("trivial-deformation", 8), ("meromorphic-cocycle", 7)):
+        calls.clear()
+        run_spec(example_specs()[name])
+        assert len(calls) == count, name
 
 
 def _dyson_spec(basis, paths=None):
@@ -538,6 +645,25 @@ def test_series_task_csv_and_triangle(tmp_path):
     csv_text = (csv_dir / "series_terms.csv").read_text()
     assert csv_text.splitlines()[0].startswith("x,re_y0,im_y0")
     assert "\r" not in csv_text  # LF endings
+    # the CSV's rows are the report's samples, at 16 significant digits
+    rows = [[float(v) for v in line.split(",")] for line in csv_text.splitlines()[1:]]
+    want = [[s["x"]] + [p for y in s["terms"] for p in y] for s in rep["results"]["samples"]]
+    assert np.allclose(rows, want, rtol=1e-15, atol=0)
+
+
+def test_series_csv_evaluates_no_term_twice(tmp_path, monkeypatch):
+    # the CSV takes the term values the report sampled: one _Cumulative call
+    # per u_i integral either way
+    from monodeform import varpar
+
+    calls = []
+    call = varpar._Cumulative.__call__
+    monkeypatch.setattr(varpar._Cumulative, "__call__",
+                        lambda self, x: calls.append(1) or call(self, x))
+    for csv_dir in (None, str(tmp_path)):
+        calls.clear()
+        run_spec(example_specs()["series-oracle"], csv_dir)
+        assert len(calls) == 5, csv_dir
 
 
 def test_eigenshift_report_independent_of_history(tmp_path):

@@ -20,6 +20,7 @@ from monodeform.dyson import (
     dyson_expand,
     evaluate_dyson,
     perturbed_monodromy_first_order,
+    series_monodromy,
 )
 from monodeform.errors import (
     InconsistentBasepoint,
@@ -48,6 +49,7 @@ from monodeform.transport import (
     _gauge_matrix,
     frobenius_basis,
     identity_basis,
+    monodromy,
     tracked_points,
     transport,
 )
@@ -634,3 +636,46 @@ def test_batched_sweep_equals_nested_panel_sweep(hyp_system, frob0):
         assert all(np.array_equal(c, c_ref) for c, c_ref in zip(cs, cs_ref))
         assert np.array_equal([a for _, a in branch.args], args_ref)
     assert np.max(np.abs(got[-1][1][2])) > 1e-6 and np.max(np.abs(got[-1][2])) > 1e-3
+
+
+def _seeded_triples(rng, count):
+    """(a, b, c) with c and c - a - b at least 0.1 from the integers."""
+    out = []
+    while len(out) < count:
+        a, b, c = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), rng.uniform(0.15, 1.85)
+        if min(abs(v - round(v)) for v in (c, c - a - b)) >= 0.1:
+            out.append((a, b, c))
+    return out
+
+
+@pytest.mark.parametrize("kind, h21, lam", [
+    ("meromorphic", RationalFn.from_coeffs([0.8], [0.0, 1.0, -1.0]), None),
+    ("power", RationalFn.const(1.2), 0.35),
+    ("log", RationalFn.const(0.7), None),
+])
+def test_series_monodromy_matches_rk(kind, h21, lam):
+    # M_0 and M(rho) round 0 and round 1 from one series sweep against the
+    # plain and perturbed RK monodromies at tol 1e-12, in the same frame
+    pert = _pert(kind, h21, lam)
+    for a, b, c in _seeded_triples(np.random.default_rng(2701), 3):
+        sys_, basis = hypergeometric_system(a, b, c), frobenius_basis(a, b, c, 0, 0.5)
+        for center in (0, 1):
+            loop = default_loop(center, sys_, 0.5)
+            m0, m_rho, K = series_monodromy(sys_, pert, 1e-3, basis, loop, 1e-10)
+            assert 1 <= K <= 5
+            assert np.max(np.abs(m0 - monodromy(sys_, basis, loop, 1e-12).matrix)) <= 1e-9
+            rk = monodromy(sys_, basis, loop, 1e-12, pert=pert, rho=1e-3).matrix
+            assert np.max(np.abs(m_rho - rk)) <= 1e-9, (a, b, c, center)
+            assert np.max(np.abs(m_rho - m0)) > 1e-6  # the perturbation is seen
+
+
+def test_series_monodromy_never_truncates(hyp_system, frob0):
+    # rho = 1 round 0: |rho|^8 ||C_8|| is far above tol, so the series route
+    # refuses rather than sum eight terms; unperturbed, K is 0
+    pert = _pert("meromorphic", RationalFn.from_coeffs([1.0], [0.0, 1.0]))
+    loop = default_loop(0, hyp_system, 0.5)
+    with pytest.raises(SeriesRouteUnavailable, match="not converged by K = 8"):
+        series_monodromy(hyp_system, pert, 1.0, frob0, loop)
+    m0, m_rho, K = series_monodromy(hyp_system, None, 0, frob0, loop)
+    assert m_rho is None and K == 0
+    assert np.max(np.abs(m0 - monodromy(hyp_system, frob0, loop, 1e-12).matrix)) <= 1e-11

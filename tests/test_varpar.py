@@ -309,7 +309,8 @@ def test_series_csv_export(tmp_path, connected_basis):
     series = hypergeometric_deformed_series(A, B, C, lambda x: 1.0, 1,
                                             basis=connected_basis, tol=1e-11)
     out = tmp_path / "terms.csv"
-    series_to_csv(series, [0.4, 0.5, 0.6], str(out))
+    xs = np.array([0.4, 0.5, 0.6])
+    series_to_csv(xs, [t(xs)[0] for t in series.terms], str(out))
     lines = out.read_text().splitlines()
     assert lines[0] == "x,re_y0,im_y0,re_y1,im_y1"
     assert len(lines) == 4
