@@ -50,7 +50,10 @@ from .quadrature import (cheb_cumulative, cheb_nodes, geometric_levels, geometri
 from .transport import (FundamentalMatrix, _check_clearance, _gauge_matrix, _integrate,
                         check_condition, tracked_points)
 
-PANEL_NODES = 32
+# Chebyshev nodes per panel: a zero-head panel [x/4, x] converges at rho = 3, 3^-32 ~ 5e-16
+HEAD_NODES = 32
+# a `_pieces` path panel converges at rho = 4 + sqrt(15) ~ 7.9, 7.9^-16 ~ 4e-15
+PATH_NODES = 16
 CONSTANCY_FRACTIONS = (0.3, 0.5, 0.7)
 
 
@@ -111,13 +114,15 @@ class _Panel:
     zs: np.ndarray
     dzdtau: np.ndarray
     args: np.ndarray  # (len(zs), len(points)) tracked arguments of zs - p
+    n: int  # Chebyshev nodes in each panel
 
 
 def _pieces(seg: Segment, cuts: Sequence[float], points: Sequence[complex]) -> list[float]:
     """The parameter cuts of seg, each piece halved while its length exceeds half the
     distance from its midpoint to the nearest tracked point (an arc's own centre is
-    skipped), down to length 1e-9.  A Chebyshev panel on such a piece converges at about
-    rho = 8 per node (the Bernstein-ellipse bound, Trefethen, ATAP Thm 8.2)."""
+    skipped), down to length 1e-9.  A Chebyshev panel on such a piece converges at
+    rho = 4 + sqrt(15) ~ 7.9 per node (the Bernstein-ellipse bound, Trefethen, ATAP Thm 8.2),
+    so PATH_NODES = 16 nodes reach 7.9^-16 ~ 4e-15."""
     speed = abs(seg.velocity(0.0))
     others = [p for p in points if not _centered_on(seg, p)]
     out, stack = [cuts[0]], list(zip(cuts[:-1], cuts[1:]))[::-1]
@@ -138,8 +143,9 @@ def _panels_for_path(path: PathSpec, points: Sequence[complex], start: BranchSta
     returns them and the branch state at the path end.  The path must clear
     the poles, as on the ODE route.  A line starts from one piece and an arc from
     uniform pieces of at most pi/4, and of at most half its distance to the nearest
-    tracked point where that is above 0.05 rad; `_pieces` grades both."""
-    taus = cheb_nodes(PANEL_NODES)
+    tracked point where that is above 0.05 rad; `_pieces` grades both, and each piece
+    gets PATH_NODES Chebyshev nodes (7.9^-16 ~ 4e-15)."""
+    taus = cheb_nodes(PATH_NODES)
     tracker = ArgTracker(path, points, start)
     _check_clearance(path, poles)
     panels: list[_Panel] = []
@@ -154,31 +160,32 @@ def _panels_for_path(path: PathSpec, points: Sequence[complex], start: BranchSta
         cuts = _pieces(seg, cuts, points)
         t0, width = np.array(cuts[:-1])[:, None], np.diff(cuts)[:, None]
         ts = (t0 + 0.5 * (taus + 1.0) * width).ravel()
-        dz = seg.velocity(ts) * 0.5 * np.repeat(width.ravel(), PANEL_NODES)
-        panels.append(_Panel(seg.point(ts), dz, tracker.args_at(i, ts)))
+        dz = seg.velocity(ts) * 0.5 * np.repeat(width.ravel(), PATH_NODES)
+        panels.append(_Panel(seg.point(ts), dz, tracker.args_at(i, ts), PATH_NODES))
     return panels, tracker.end_state
 
 
 def _panels_for_head(end: complex, points: Sequence[complex], levels: int) -> list[_Panel]:
     """One `_Panel` of `levels` geometric panels along the ray from 0 to `end`
-    (innermost first), on the principal branch."""
-    taus = cheb_nodes(PANEL_NODES)
+    (innermost first), on the principal branch.  A panel [x/4, x] converges at only rho = 3
+    per node, so each gets HEAD_NODES = 32 Chebyshev nodes (3^-32 ~ 5e-16)."""
+    taus = cheb_nodes(HEAD_NODES)
     u = end / abs(end)
     lo, hi = (bound[::-1, None] for bound in geometric_panels(abs(end), levels))
     zs = ((lo + 0.5 * (taus + 1.0) * (hi - lo)) * u).ravel()
-    dz = np.repeat((u * 0.5 * (hi - lo)).ravel(), PANEL_NODES)
-    return [_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points)))]
+    dz = np.repeat((u * 0.5 * (hi - lo)).ravel(), HEAD_NODES)
+    return [_Panel(zs, dz, np.angle(zs[:, None] - np.asarray(points)), HEAD_NODES)]
 
 
-def _running_integral(values: np.ndarray, closed: bool):
-    """Node and panel-end values of the integral over a stack of P panels, each starting where
-    the one before ends; the first at 0, or with `closed` at the tail closed from the first two."""
+def _running_integral(values: np.ndarray, start):
+    """Node values of the integral over a stack of P panels, (P, n, m) values, each panel
+    starting where the one before ends; the first at `start`, or with None at the tail closed
+    from the first two."""
     local = cheb_cumulative(values, 1.0)
-    if closed:
-        local[0] += geometric_tail(local[1, -1], local[0, -1])
+    local[0] += geometric_tail(local[1, -1], local[0, -1]) if start is None else start
     ends = np.cumsum(local[:, -1], axis=0)
     starts = np.concatenate([np.zeros_like(ends[:1]), ends[:-1]])
-    return starts[:, None] + local, ends
+    return (starts[:, None] + local).reshape(-1, values.shape[-1])
 
 
 def _series_sweep(
@@ -190,32 +197,49 @@ def _series_sweep(
     dim: int,
     want_plain: bool,
     from_zero: bool,
+    stop: Optional[Callable] = None,
 ):
     """Run the nested cumulative sweeps; returns per-group markers
     (W, [C_1..C_K], plain, branch) at each group boundary.
 
     The integrand is built once over every node of every group: one
     evaluator call gives the stack of W, and H, the gauge product and the
-    weight follow as arrays.  Each order is then one cumulative integral over the stack of all
-    panels (from a zero head's closed tail with from_zero); C_k at the nodes feeds order k + 1."""
+    weight follow as arrays.  Each order is then one cumulative integral per stack of
+    consecutive panels with one node count (a zero head's, then the paths'), the first from
+    the head's closed tail with from_zero, each other from where the one before ends;
+    C_k at the nodes feeds order k + 1.  With `stop`, the orders end at the first k <= K
+    with stop(W, k, C_k) true, both at the last group's end."""
     panels = [panel for group in panel_groups for panel in group]
     zs = np.concatenate([panel.zs for panel in panels])
     args = np.concatenate([panel.args for panel in panels])
     dz = np.concatenate([panel.dzdtau for panel in panels])
     w, pv, gv = _correction_integrand(evaluator, pert, zs,
                                       BranchState(tuple(zip(points, args.T))), dz[:, None, None])
-    stack = (-1, PANEL_NODES, dim * dim)
-    ends = []  # panel-end values of C_1..C_K, then of the plain integral
-    for k in range(K):
-        integrand = gv if k == 0 else np.einsum("nij,njk->nik", gv, nodes.reshape(gv.shape))
-        nodes, ends_k = _running_integral(integrand.reshape(stack), from_zero)
-        ends.append(ends_k)
-    ends.append(_running_integral(pv.reshape(stack), from_zero)[1] if want_plain
-                else np.zeros_like(ends[0]))
-    group_ends = np.cumsum([sum(len(panel.zs) for panel in group) for group in panel_groups])
-    at = np.stack(ends)[:, group_ends // PANEL_NODES - 1].reshape(K + 1, -1, dim, dim)
-    return [(w[end - 1], list(at[:K, g]), at[K, g],
-             BranchState(tuple(zip(points, args[end - 1].tolist()))))
+    stacks = []  # [nodes per panel, nodes in all] of each stack
+    for panel in panels:
+        if stacks and stacks[-1][0] == panel.n:
+            stacks[-1][1] += len(panel.zs)
+        else:
+            stacks.append([panel.n, len(panel.zs)])
+
+    def integral(values):
+        out, start, first = [], None if from_zero else 0.0, 0
+        for n, size in stacks:
+            out.append(_running_integral(values[first:first + size].reshape(-1, n, dim * dim),
+                                         start))
+            start, first = out[-1][-1], first + size
+        return np.concatenate(out).reshape(-1, dim, dim)
+
+    group_ends = np.cumsum([sum(len(panel.zs) for panel in group) for group in panel_groups]) - 1
+    terms, nodes = [], None  # C_k at the group ends; C_k at every node
+    for k in range(1, K + 1):
+        nodes = integral(gv if nodes is None else np.einsum("nij,njk->nik", gv, nodes))
+        terms.append(nodes[group_ends])
+        if stop is not None and stop(w[-1], k, terms[-1][-1]):
+            break
+    plain = integral(pv)[group_ends] if want_plain else np.zeros_like(terms[0])
+    return [(w[end], [c[g] for c in terms], plain[g],
+             BranchState(tuple(zip(points, args[end].tolist()))))
             for g, end in enumerate(group_ends)]
 
 
@@ -250,9 +274,11 @@ def _series_route_markers(
     K: int,
     want_plain: bool,
     from_zero: bool,
+    stop: Optional[Callable] = None,
 ):
     groups, pts = _series_groups(sys, pert, basis, paths, from_zero)
-    return _series_sweep(basis.evaluator, pert, groups, pts, K, basis.dim, want_plain, from_zero)
+    return _series_sweep(basis.evaluator, pert, groups, pts, K, basis.dim, want_plain, from_zero,
+                         stop)
 
 
 def _correction_integrand(evaluator, pert, zs, branch, dz):
@@ -404,13 +430,14 @@ def series_monodromy(
     """(M_0, M(rho), K) round a closed loop on the series route, in the frame of
     `transport.monodromy`: M_0 = W(x0)^-1 W_loop and M(rho) = M_0 (I + sum_{k<=K} rho^k C_k).
 
-    One sweep gives W_loop and C_1..C_MONODROMY_MAX_ORDER; K is then the least order with
-    |rho|^K ||C_K|| <= tol max(1, ||M_0||) in the max-entry norm.  Without a perturbation
-    W_loop is the basis evaluator over the loop's panel nodes in path order, since
-    `ConnectedBasis.along` re-anchors at each zone switch (at the end point alone it
-    would miss the turn round the loop); M(rho) is then None and K 0.  Raises
-    SeriesRouteUnavailable when the basis has no evaluator, the loop leaves the two
-    zones or no K up to MONODROMY_MAX_ORDER meets the bound: never a truncated sum."""
+    One sweep gives W_loop and then C_1, C_2, ... up to the least order K with
+    |rho|^K ||C_K|| <= tol max(1, ||M_0||) in the max-entry norm, M_0 known before the
+    first order.  Without a perturbation W_loop is the basis evaluator over the loop's
+    panel nodes in path order, since `ConnectedBasis.along` re-anchors at each zone switch
+    (at the end point alone it would miss the turn round the loop); M(rho) is then None
+    and K 0.  Raises SeriesRouteUnavailable when the basis has no evaluator, the loop
+    leaves the two zones or no K up to MONODROMY_MAX_ORDER meets the bound: never a
+    truncated sum."""
     if not loop.is_closed:
         raise ValueError("monodromy needs a closed loop")
     check_condition(basis)
@@ -420,16 +447,22 @@ def series_monodromy(
         w_loop = basis.evaluator(np.concatenate([panel.zs for panel in panels]),
                                  BranchState(tuple(zip(pts, args.T))))[-1]
         return np.linalg.solve(basis.value, w_loop), None, 0
-    exp = dyson_expand(sys, pert, MONODROMY_MAX_ORDER, loop, basis, tol, route="series")
-    m0 = np.linalg.solve(basis.value, exp.w_end)
-    bound = tol * max(1.0, _maxabs(m0))
-    sizes = [abs(rho) ** k * _maxabs(c) for k, c in enumerate(exp.terms, start=1)]
-    K = next((k for k, size in enumerate(sizes, start=1) if size <= bound), None)
-    if K is None:
+
+    def size(k, c_k):
+        return abs(rho) ** k * _maxabs(c_k)
+
+    def bound(w_end):
+        return tol * max(1.0, _maxabs(np.linalg.solve(basis.value, w_end)))
+
+    [(w_loop, terms, _, _)] = _series_route_markers(
+        sys, pert, basis, [loop], MONODROMY_MAX_ORDER, False, False,
+        lambda w_end, k, c_k: size(k, c_k) <= bound(w_end))
+    m0, K = np.linalg.solve(basis.value, w_loop), len(terms)
+    if size(K, terms[-1]) > bound(w_loop):
         raise SeriesRouteUnavailable(
             f"Dyson sum not converged by K = {MONODROMY_MAX_ORDER}: |rho|^K ||C_K|| = "
-            f"{sizes[-1]:.3e} > {bound:.3e}")
-    total = np.eye(basis.dim) + sum(c * rho**k for k, c in enumerate(exp.terms[:K], start=1))
+            f"{size(K, terms[-1]):.3e} > {bound(w_loop):.3e}")
+    total = np.eye(basis.dim) + sum(c * rho**k for k, c in enumerate(terms, start=1))
     return m0, m0 @ total, K
 
 

@@ -345,6 +345,33 @@ def test_cocycle_identity_reuses_the_jumps_sweeps(monkeypatch):
         assert len(calls) == count, name
 
 
+def test_sweep_nodes_are_head_levels_and_path_pieces(monkeypatch):
+    # trivial-deformation: each sweep lays HEAD_NODES per zero-head panel and
+    # PATH_NODES per path piece.  The pieces do not depend on the node count, so
+    # 32-node path panels lay the same head and exactly twice the path nodes
+    from monodeform import dyson
+
+    sweep, nodes = dyson._series_sweep, []
+
+    def counted(evaluator, pert, groups, points, K, dim, want_plain, from_zero, *rest):
+        head = sum(len(panel.zs) for panel in groups[0]) if from_zero else 0
+        nodes.append((head, sum(len(panel.zs) for group in groups for panel in group) - head))
+        return sweep(evaluator, pert, groups, points, K, dim, want_plain, from_zero, *rest)
+
+    monkeypatch.setattr(dyson, "_series_sweep", counted)
+    assert (dyson.HEAD_NODES, dyson.PATH_NODES) == (32, 16)
+    counts = {}
+    for path_nodes in (16, 32):
+        nodes.clear()
+        monkeypatch.setattr(dyson, "PATH_NODES", path_nodes)
+        run_spec(example_specs()["trivial-deformation"])
+        counts[path_nodes] = list(nodes)
+    assert len(counts[16]) == len(counts[32]) == 8 and any(head for head, _ in counts[16])
+    for (head, path), (head_32, path_32) in zip(counts[16], counts[32]):
+        assert head % 32 == 0 and path % 16 == 0 and path > 0
+        assert head == head_32 and path_32 == 2 * path
+
+
 def _dyson_spec(basis, paths=None):
     zero = {"num": [], "den": [[1.0, 0.0]]}
     h21 = {"num": [[1.0, 0.0]], "den": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]}

@@ -6,7 +6,7 @@ import pytest
 
 from monodeform import dyson as dyson_module
 from monodeform.dyson import (
-    PANEL_NODES,
+    HEAD_NODES,
     _panels_for_head,
     _panels_for_path,
     _pieces,
@@ -279,7 +279,7 @@ def test_from_zero_correction_batches_evaluator_calls(hyp_system, frob0):
     assert counts["loop"][1] > counts[None][1] + 100
     assert counts["loop"][0] == counts[None][0] == 2
     # the head alone: the two nodes of the exponent probe, then at most 12 levels
-    assert counts[None][1] <= 2 + 12 * PANEL_NODES
+    assert counts[None][1] <= 2 + 12 * HEAD_NODES
 
 
 @pytest.mark.parametrize("c", [0.15, 0.3, 0.6, 1.3, 1.72, 1.85])
@@ -599,22 +599,26 @@ def _nested_reference_sweep(evaluator, pert, panel_groups, points, K, dim, want_
     w = evaluator(zs, branch)
     pv = _gauge_matrix(w, np.einsum("nij,njk->nik", pert.h_matrix(zs), w)) * dz[:, None, None]
     gv = np.reshape(pert.weight(zs, branch), (-1, 1, 1)) * pv
-    n = PANEL_NODES
+    # each panel's own node count: 32 on a zero head, 16 on a path
+    sizes = [panel.n for panel in panels for _ in range(len(panel.zs) // panel.n)]
+    starts = np.cumsum([0] + sizes[:-1])
     ends = []  # per order, then the plain integral: the value at each panel end
     for k in range(K + 1):
         integrand = pv if k == K else gv if k == 0 else np.einsum("nij,njk->nik", gv, nodes)
         local = [cheb_cumulative(integrand[j:j + n].reshape(n, dim * dim), 1.0)
-                 for j in range(0, len(zs), n)]
+                 for j, n in zip(starts, sizes)]
         value = geometric_tail(local[1][-1], local[0][-1]) if from_zero else 0.0
         nodes = []
         for panel in local:
             nodes.append(value + panel)
             value = nodes[-1][-1]
+        last = np.array([panel[-1] for panel in nodes]).reshape(-1, dim, dim)
         nodes = np.concatenate(nodes).reshape(-1, dim, dim)
-        ends.append(nodes[n - 1::n] if k < K or want_plain else np.zeros_like(nodes[n - 1::n]))
+        ends.append(last if k < K or want_plain else np.zeros_like(last))
+    panel_ends = list(np.cumsum(sizes))
     group_ends = np.cumsum([sum(len(panel.zs) for panel in group) for group in panel_groups])
-    return [(w[end - 1], [ends[k][end // n - 1] for k in range(K)], ends[K][end // n - 1],
-             args[end - 1]) for end in group_ends]
+    return [(w[end - 1], [ends[k][panel_ends.index(end)] for k in range(K)],
+             ends[K][panel_ends.index(end)], args[end - 1]) for end in group_ends]
 
 
 def test_batched_sweep_equals_nested_panel_sweep(hyp_system, frob0):
@@ -679,3 +683,44 @@ def test_series_monodromy_never_truncates(hyp_system, frob0):
     m0, m_rho, K = series_monodromy(hyp_system, None, 0, frob0, loop)
     assert m_rho is None and K == 0
     assert np.max(np.abs(m0 - monodromy(hyp_system, frob0, loop, 1e-12).matrix)) <= 1e-11
+
+
+def test_series_monodromy_stops_at_its_order(monkeypatch, hyp_system, frob0):
+    # H21 = 1/x, rho = 1e-3 round 1 converges at K = 3: the sweep integrates three
+    # orders, not eight, and M(rho) is bit for bit the sum of the 8-order sweep's terms
+    pert = _pert("meromorphic", RationalFn.from_coeffs([1.0], [0.0, 1.0]))
+    loop = default_loop(1, hyp_system, 0.5)
+    calls = []
+    running = dyson_module._running_integral
+    monkeypatch.setattr(dyson_module, "_running_integral",
+                        lambda *a: calls.append(1) or running(*a))
+    m0, m_rho, K = series_monodromy(hyp_system, pert, 1e-3, frob0, loop)
+    assert K == len(calls) == 3
+    full = dyson_expand(hyp_system, pert, 8, loop, frob0, route="series")
+    assert len(calls) == 3 + 8
+    assert np.array_equal(m0, np.linalg.solve(frob0.value, full.w_end))
+    bound = 1e-10 * max(1.0, np.max(np.abs(m0)))
+    sizes = [1e-3**k * np.max(np.abs(c)) for k, c in enumerate(full.terms, start=1)]
+    assert [size <= bound for size in sizes[:3]] == [False, False, True]
+    total = np.eye(2) + sum(c * 1e-3**k for k, c in enumerate(full.terms[:3], start=1))
+    assert np.array_equal(m_rho, m0 @ total)
+
+
+@pytest.mark.parametrize("kind, h21, lam", [
+    ("meromorphic", RationalFn.from_coeffs([0.8], [0.0, 1.0, -1.0]), None),
+    ("power", RationalFn.const(1.2), 0.35),
+    ("log", RationalFn.const(0.7), None),
+])
+def test_16_node_path_panels_hold_to_32(monkeypatch, kind, h21, lam):
+    # a from-zero expansion to K = 3 along the default loop round 1: C_1..C_3 and W at
+    # the end on 16-node path panels agree with 32-node ones to 1e-13 relative
+    pert = _pert(kind, h21, lam)
+    for a, b, c in _seeded_triples(np.random.default_rng(2801), 3):
+        sys_, basis = hypergeometric_system(a, b, c), frobenius_basis(a, b, c, 0, 0.5)
+        loop = default_loop(1, sys_, 0.5)
+        got = dyson_expand(sys_, pert, 3, loop, basis, from_zero=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(dyson_module, "PATH_NODES", 32)
+            want = dyson_expand(sys_, pert, 3, loop, basis, from_zero=True)
+        for x, y in zip(got.terms + (got.w_end,), want.terms + (want.w_end,)):
+            assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y)), (a, b, c)
