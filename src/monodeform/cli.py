@@ -41,7 +41,7 @@ from .dyson import (
 from .errors import (MonodeformError, NonIntegrableForcing, SchemaError, SeriesRouteUnavailable,
                      SingularPoint)
 from .hypergeom import ConnectedBasis, weight_omega
-from .odecore import _c2j, exclusion_radius
+from .odecore import _c2j, exclusion_radius, same_point
 from .paths import BranchState, line_path, path_to_json
 from .schema import Problem, decode, schema_json, semantic_diagnostics, sweep_entries
 from .spectral import basis_for, builtin_profile, hierarchy_shift_residual
@@ -159,7 +159,7 @@ def _task_cocycle(problem: Problem, csv_dir):
         # delta = 0); otherwise they are basepoint-relative, which shifts
         # delta only by a coboundary
         jump = reason = None
-        if not pert.multivalued and abs(ctr) < 1e-9 and basis.evaluator is not None:
+        if not pert.multivalued and same_point(ctr, 0j) and basis.evaluator is not None:
             try:
                 jump = cocycle_jump(sys, pert, basis, ctr, probe, problem.tol,
                                     from_zero=True)

@@ -35,20 +35,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InconsistentBasepoint,
-    SeriesRouteUnavailable,
-    ShapeMismatch,
-    UnsupportedKind,
-)
+from .errors import SeriesRouteUnavailable, ShapeMismatch, UnsupportedKind
 from .hypergeom import SERIES_TOL
-from .odecore import KIND_LOG, KIND_MEROMORPHIC, KIND_POWER, MeromorphicSystem, PerturbationSpec
-from .paths import (POINT_MATCH_TOL, ArgTracker, Arc, BranchState, PathSpec, Segment,
-                    _centered_on, line_path, loop_around)
+from .odecore import (KIND_LOG, KIND_MEROMORPHIC, KIND_POWER, MeromorphicSystem, PerturbationSpec,
+                      same_point)
+from .paths import (ArgTracker, Arc, BranchState, PathSpec, Segment, _centered_on, line_path,
+                    loop_around)
 from .quadrature import (cheb_cumulative, cheb_nodes, geometric_levels, geometric_panels,
                          geometric_tail)
 from .transport import (FundamentalMatrix, _check_clearance, _gauge_matrix, _integrate,
-                        check_condition, tracked_points)
+                        check_condition, singular_points, tracked_points)
 
 # Chebyshev nodes per panel: a zero-head panel [x/4, x] converges at rho = 3, 3^-32 ~ 5e-16
 HEAD_NODES = 32
@@ -90,7 +86,6 @@ class DysonExpansion:
 @dataclass(frozen=True)
 class CocycleJump:
     delta: np.ndarray
-    x_probe: complex
     constancy_residual: float
     monodromy: np.ndarray = field(default=None, compare=False)
     # (probe, delta, reference) for every probe evaluated, main probe first
@@ -138,16 +133,16 @@ def _pieces(seg: Segment, cuts: Sequence[float], points: Sequence[complex]) -> l
 
 
 def _panels_for_path(path: PathSpec, points: Sequence[complex], start: BranchState,
-                     poles: Sequence[complex]) -> tuple[list[_Panel], BranchState]:
+                     singular: Sequence[complex]) -> tuple[list[_Panel], BranchState]:
     """One `_Panel` per path segment, its arguments tracked from `start`;
     returns them and the branch state at the path end.  The path must clear
-    the poles, as on the ODE route.  A line starts from one piece and an arc from
+    the singular points, as on the ODE route.  A line starts from one piece and an arc from
     uniform pieces of at most pi/4, and of at most half its distance to the nearest
     tracked point where that is above 0.05 rad; `_pieces` grades both, and each piece
     gets PATH_NODES Chebyshev nodes (7.9^-16 ~ 4e-15)."""
     taus = cheb_nodes(PATH_NODES)
     tracker = ArgTracker(path, points, start)
-    _check_clearance(path, poles)
+    _check_clearance(path, singular)
     panels: list[_Panel] = []
     for i, seg in enumerate(path.segments):
         cuts = [0.0, 1.0]
@@ -257,12 +252,12 @@ def _series_groups(sys, pert, basis, paths, from_zero):
         levels = _head_levels(basis, pert, pts, start_z)
     state = BranchState.principal(start_z, pts)
     groups = [_panels_for_head(start_z, pts, levels)] if from_zero else []
-    poles = sys.singularities + (pert.poles if pert is not None else ())
+    singular = singular_points(sys, pert)
     for p in paths:
-        panels, state = _panels_for_path(p, pts, state, poles)
+        panels, state = _panels_for_path(p, pts, state, singular)
         groups.append(panels)
-    if from_zero:  # the head's ray ends at 0 by design, and clears every other pole
-        _check_clearance(line_path(0j, start_z), [p for p in poles if abs(p) > POINT_MATCH_TOL])
+    if from_zero:  # the head's ray ends at 0 by design, and clears every other singular point
+        _check_clearance(line_path(0j, start_z), [p for p in singular if not same_point(p, 0j)])
     return groups, pts
 
 
@@ -466,13 +461,17 @@ def series_monodromy(
     return m0, m0 @ total, K
 
 
+def _nearest_other(sys: MeromorphicSystem, center: complex, default: float) -> float:
+    """The distance from the center to the nearest other singularity of sys, else default."""
+    return min((abs(s - center) for s in sys.singularities if not same_point(s, center)),
+               default=default)
+
+
 def default_loop(center: complex, sys: MeromorphicSystem, basepoint: complex) -> PathSpec:
     """The loop from the basepoint round the center that cocycle jumps and the CLI take: its
     radius is half the distance to the nearest other singularity, at most 3/4 of the
     distance to the basepoint."""
-    others = [s for s in sys.singularities if abs(s - center) > 1e-9 * (1 + abs(s))]
-    d_other = min((abs(s - center) for s in others), default=math.inf)
-    radius = min(0.5 * d_other, 0.75 * abs(basepoint - center))
+    radius = min(0.5 * _nearest_other(sys, center, math.inf), 0.75 * abs(basepoint - center))
     return loop_around(center, radius, basepoint, avoid=sys.singularities)
 
 
@@ -535,8 +534,7 @@ def cocycle_jump(
     if from_zero is None:
         from_zero = pert.multivalued
     if constancy_probes is None:
-        others = [s for s in sys.singularities if abs(s - center) > 1e-9 * (1 + abs(s))]
-        d_other = min((abs(s - center) for s in others), default=1.0)
+        d_other = _nearest_other(sys, center, 1.0)
         direction = basis.basepoint - center
         direction = direction / abs(direction) if abs(direction) > 0 else 1.0
         constancy_probes = [center + f * d_other * direction for f in CONSTANCY_FRACTIONS]
@@ -558,7 +556,7 @@ def cocycle_jump(
     for i in range(len(probe_data)):
         for j in range(i + 1, len(probe_data)):
             residual = max(residual, _maxabs(probe_data[i][1] - probe_data[j][1]))
-    return CocycleJump(delta, probe, residual, m, tuple(probe_data))
+    return CocycleJump(delta, residual, m, tuple(probe_data))
 
 
 def closed_form_jump(kind: str, lam: Optional[complex], c_at_probe: np.ndarray) -> np.ndarray:
@@ -575,25 +573,13 @@ def closed_form_jump(kind: str, lam: Optional[complex], c_at_probe: np.ndarray) 
     raise UnsupportedKind(kind)
 
 
-def _extract_delta(v):
-    if isinstance(v, CocycleJump):
-        return v.delta, v.x_probe
-    return np.asarray(v, dtype=complex), None
-
-
 def cocycle_identity_residual(deltas: dict, monodromies: dict, pair) -> float:
     """max-entry norm of delta(a) - delta(ab) + M_a delta(b) M_a^{-1}.
 
-    `deltas` maps loop keys to matrices (or CocycleJump), and must contain
-    the composite under the key (a, b); the composite contour traverses b
-    first.  All entries must share one basepoint/branch convention."""
+    `deltas` maps loop keys to matrices, and must contain the composite under
+    the key (a, b); the composite contour traverses b first.  All entries must
+    share one basepoint/branch convention."""
     a, b = pair
-    da, pa = _extract_delta(deltas[a])
-    db, pb = _extract_delta(deltas[b])
-    dab, pab = _extract_delta(deltas[(a, b)])
-    probes = [p for p in (pa, pb, pab) if p is not None]
-    if probes and max(abs(p - probes[0]) for p in probes) > 1e-9:
-        raise InconsistentBasepoint("cocycle data computed at different probes")
+    da, db, dab = (np.asarray(deltas[key], dtype=complex) for key in (a, b, (a, b)))
     ma = np.asarray(monodromies[a], dtype=complex)
-    r = da - dab + ma @ db @ np.linalg.inv(ma)
-    return _maxabs(r)
+    return _maxabs(da - dab + ma @ db @ np.linalg.inv(ma))

@@ -6,23 +6,19 @@ class MonodeformError(Exception):
 
 
 class SingularPoint(MonodeformError):
-    """A path or a sample point lies inside the exclusion radius of a pole."""
+    """A contour or a sample point meets a point it must avoid: it passes within the
+    exclusion radius of a singular point (a singularity of A, a pole of H, or the branch
+    point 0 of a power or log weight), a path segment starts on a tracked point, an arc
+    runs through one, a loop crowds another singularity or encloses its basepoint, or a
+    particular solution is asked for outside (0, 1)."""
 
 
 class BranchRequired(MonodeformError):
     """A multivalued factor was evaluated without branch-tracking data."""
 
 
-class PathThroughSingularity(MonodeformError):
-    """A path or loop violates pole clearance constraints."""
-
-
 class NoConvergence(MonodeformError):
     """A series exceeded its term budget without converging."""
-
-
-class InvalidLower(MonodeformError):
-    """A lower hypergeometric parameter is a non-positive integer."""
 
 
 class DegenerateParams(MonodeformError):
@@ -58,10 +54,6 @@ class ShapeMismatch(MonodeformError):
 
 class UnsupportedKind(MonodeformError):
     """No closed-form jump law exists for the requested perturbation kind."""
-
-
-class InconsistentBasepoint(MonodeformError):
-    """Cocycle data were computed from different basepoints."""
 
 
 class WronskianVanishes(MonodeformError):

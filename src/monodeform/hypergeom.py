@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParams, InvalidLower, NoConvergence, SeriesRouteUnavailable
+from .errors import DegenerateParams, NoConvergence, SeriesRouteUnavailable
 from .odecore import MeromorphicSystem, ScalarODE, companion
 from .ratfun import ComplexPoly, RationalFn
 
@@ -44,7 +44,7 @@ class HypergeomParams:
     def __post_init__(self):
         for b in self.lower:
             if is_near_integer(b, 1e-12) and round(b.real) <= 0:
-                raise InvalidLower(f"lower parameter {b} is a non-positive integer")
+                raise DegenerateParams(f"lower parameter {b} is a non-positive integer")
 
     @staticmethod
     def f21(a: complex, b: complex, c: complex) -> "HypergeomParams":
@@ -180,15 +180,16 @@ def local_basis(a: complex, b: complex, c: complex, point: int) -> Callable[...,
     y2 = w^(c-a-b) 2F1(c-a,c-b;c-a-b+1;w).  c (at 0) or c-a-b (at 1) must not be
     (near-)integer.  An array of u (with an array of arguments) gives the stack of
     shape u.shape + (2, 2)."""
+    name, value = ("c", c) if point == 0 else ("c-a-b", c - a - b)
+    if is_near_integer(value):
+        raise DegenerateParams(f"{name}={value} is (near-)integer; the basis at {point} degenerates")
     if point == 0:
         p1, p2 = HypergeomParams.f21(a, b, c), HypergeomParams.f21(a - c + 1, b - c + 1, 2 - c)
-        name, value, mu = "c", c, 1 - c
+        mu = 1 - c
     else:
         p1 = HypergeomParams.f21(a, b, a + b - c + 1)
         p2 = HypergeomParams.f21(c - a, c - b, c - a - b + 1)
-        name, value, mu = "c-a-b", c - a - b, c - a - b
-    if is_near_integer(value):
-        raise DegenerateParams(f"{name}={value} is (near-)integer; the basis at {point} degenerates")
+        mu = c - a - b
 
     def matrix(u, arg=None) -> np.ndarray:
         (v1, d1), (g, dg) = _pfq_nodes((p1, p2), u, SERIES_TOL)

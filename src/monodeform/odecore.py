@@ -21,7 +21,8 @@ import numpy as np
 from .errors import BranchRequired, UnsupportedKind
 from .ratfun import ComplexPoly, RationalFn
 
-DEDUP_TOL = 1e-9
+# p and q are the same point when |p - q| <= POINT_MATCH_TOL (1 + |p|)
+POINT_MATCH_TOL = 1e-9
 
 KIND_MEROMORPHIC = "meromorphic"
 KIND_POWER = "power"
@@ -34,10 +35,15 @@ def exclusion_radius(x: complex) -> float:
     return 1e-6 * (1.0 + abs(x))
 
 
+def same_point(p: complex, q: complex) -> bool:
+    """Whether p and q are the same point: every match of points goes through this rule."""
+    return abs(p - q) <= POINT_MATCH_TOL * (1.0 + abs(p))
+
+
 def _dedup(points: Sequence[complex]) -> list[complex]:
     out: list[complex] = []
     for p in points:
-        if not any(abs(p - q) <= DEDUP_TOL * (1.0 + abs(p)) for q in out):
+        if not any(same_point(p, q) for q in out):
             out.append(p)
     return sorted(out, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 

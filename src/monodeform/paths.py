@@ -19,11 +19,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import PathThroughSingularity
-from .odecore import _c2j, _j2c, exclusion_radius
+from .errors import SingularPoint
+from .odecore import _c2j, _j2c, exclusion_radius, same_point
 
 ENDPOINT_TOL = 1e-12
-POINT_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ Segment = Union[Line, Arc]
 
 def _centered_on(seg: Segment, p: complex) -> bool:
     """Whether seg is an arc centred on the tracked point p."""
-    return isinstance(seg, Arc) and abs(seg.center - p) <= POINT_MATCH_TOL * (1 + abs(p))
+    return isinstance(seg, Arc) and same_point(p, seg.center)
 
 
 @dataclass(frozen=True)
@@ -136,14 +135,10 @@ def loop_around(
     """Positively oriented loop: line in from the basepoint, full circle, line back."""
     d = basepoint - center
     if abs(d) < radius - ENDPOINT_TOL:
-        raise PathThroughSingularity("basepoint lies inside the loop circle")
+        raise SingularPoint("basepoint lies inside the loop circle")
     for s in avoid:
-        if abs(s - center) <= POINT_MATCH_TOL * (1 + abs(s)):
-            continue
-        if abs(s - center) < 2 * radius * (1 - 1e-12):
-            raise PathThroughSingularity(
-                f"singularity {s} within 2x loop radius of center {center}"
-            )
+        if not same_point(s, center) and abs(s - center) < 2 * radius * (1 - 1e-12):
+            raise SingularPoint(f"singularity {s} within 2x loop radius of center {center}")
     theta0 = cmath.phase(d)
     entry = center + radius * cmath.exp(1j * theta0)
     arc = Arc(center, radius, theta0, theta0 + 2 * math.pi)
@@ -154,28 +149,18 @@ def loop_around(
     if abs(basepoint - entry) > ENDPOINT_TOL:
         segs.append(Line(entry, basepoint))
     path = PathSpec(tuple(segs))
-    clearance_violations = validate_clearance(path, [s for s in avoid], skip=(center,))
-    if clearance_violations:
-        raise PathThroughSingularity(str(clearance_violations[0]))
+    clash = validate_clearance(path, avoid)
+    if clash:
+        raise SingularPoint(clash[0])
     return path
 
 
-def validate_clearance(
-    path: PathSpec, points: Sequence[complex], skip: Sequence[complex] = ()
-) -> list[str]:
-    """Report tracked points the path approaches within the exclusion radius.
-
-    Points listed in `skip` are exempt from their own centered arcs (a loop
-    circles around its center by construction); connector segments are still
-    checked against them.
-    """
+def validate_clearance(path: PathSpec, points: Sequence[complex]) -> list[str]:
+    """Report the points the path approaches within their exclusion radius.  No arc is
+    exempt: an arc's distance to its own centre is its radius."""
     out = []
     for p in points:
-        skipped = any(abs(p - s) <= POINT_MATCH_TOL * (1 + abs(p)) for s in skip)
-        segs = [seg for seg in path.segments if not (skipped and _centered_on(seg, p))]
-        if not segs:
-            continue
-        dist = min(seg.distance_to(p) for seg in segs)
+        dist = min(seg.distance_to(p) for seg in path.segments)
         if dist < exclusion_radius(p):
             out.append(f"path passes within {dist:.3e} of singularity {p}")
     return out
@@ -194,7 +179,7 @@ class BranchState:
 
     def arg(self, point: complex) -> float:
         for p, a in self.args:
-            if abs(p - point) <= POINT_MATCH_TOL * (1 + abs(point)):
+            if same_point(point, p):
                 return a
         raise KeyError(f"no tracked branch point at {point}")
 
@@ -219,7 +204,7 @@ def _turn(seg: Segment, p: complex, t):
         return phase((seg.point(t) - p) / (seg.z0 - p))
     r, q = seg.radius, 0j if _centered_on(seg, p) else p - seg.center
     if abs(abs(q) - r) <= 1e-12 * (1 + abs(p)):
-        raise PathThroughSingularity(f"arc passes through tracked point {p}")
+        raise SingularPoint(f"arc passes through tracked point {p}")
     if abs(q) < r:
         b = lambda th: th + phase(r - q * exp(-1j * th))
     else:
@@ -232,7 +217,7 @@ class ArgTracker:
     where each segment starts, one row per segment computed here, plus the segment's
     closed-form `_turn`; there is no per-node table.  A segment that starts within the
     exclusion radius of a tracked point (other than its own arc centre) raises
-    PathThroughSingularity, and so does an arc through one."""
+    SingularPoint, and so does an arc through one."""
 
     def __init__(self, path: PathSpec, points: Sequence[complex],
                  start: Optional[BranchState] = None):
@@ -242,7 +227,7 @@ class ArgTracker:
             z0 = seg.point(0.0)
             for p in self.points:
                 if not _centered_on(seg, p) and abs(z0 - p) < exclusion_radius(p):
-                    raise PathThroughSingularity(
+                    raise SingularPoint(
                         f"segment {i} starts at {z0}, on the tracked point {p}")
         start = BranchState.principal(path.start, self.points) if start is None else start
         self._starts = [[start.arg(p) for p in self.points]]
@@ -251,10 +236,7 @@ class ArgTracker:
                                  for a, p in zip(self._starts[-1], self.points)])
 
     def arg(self, seg_index: int, t: float, point: complex) -> float:
-        j = next(
-            i for i, p in enumerate(self.points)
-            if abs(p - point) <= POINT_MATCH_TOL * (1 + abs(point))
-        )
+        j = next(i for i, p in enumerate(self.points) if same_point(point, p))
         return self._starts[seg_index][j] + _turn(self.path.segments[seg_index], point, t)
 
     def args_at(self, seg_index: int, ts: np.ndarray) -> np.ndarray:

@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import SchemaError
 from .hypergeom import hypergeometric_system, is_near_integer
-from .odecore import (MeromorphicSystem, PerturbationSpec, _dedup, _j2c, companion,
+from .odecore import (MeromorphicSystem, PerturbationSpec, _j2c, companion,
                       perturbation_from_json, poly_from_json, scalar_ode_from_json,
                       system_from_json)
 from .paths import PathSpec, path_from_json, validate_clearance
 from .ratfun import ComplexPoly
-from .transport import BASEPOINT_TOL
+from .transport import BASEPOINT_TOL, singular_points
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 _CNUM = {"oneOf": [{"type": "number"}, _PAIR]}
@@ -406,7 +406,7 @@ def _decode(spec: Any) -> Problem:
 def semantic_diagnostics(doc: Any) -> list[dict]:
     """For a spec, or for each entry of a sweep: the first fault that `decode` refuses,
     else genericity, integrability and path-clearance checks without numerics; paths keep
-    clear of the equation's singularities and the perturbation's poles.  Each diagnostic
+    clear of the singular points (`transport.singular_points`).  Each diagnostic
     names its JSON path in the document."""
     try:
         entries = sweep_entries(doc)
@@ -434,9 +434,9 @@ def _diagnostics(spec: Any, at: str) -> list[dict]:
         if problem.task == "eigenshift" and (c.real <= 0 or (a + b - c).real <= -1):
             found.append(("error", "$.equation.hypergeometric", "weight exponents (c-1, a+b-c) "
                           "violate endpoint integrability on [0,1]"))
-    poles = _dedup([*problem.system.singularities, *(problem.pert.poles if problem.pert else ())])
+    singular = singular_points(problem.system, problem.pert)
     for i, path in enumerate(problem.paths):
         found += [("error", f"$.paths[{i}]", message)
-                  for message in validate_clearance(path, poles, skip=path.arc_centers())]
+                  for message in validate_clearance(path, singular)]
     return [{"level": level, "where": at + where[1:], "message": message}
             for level, where, message in found]

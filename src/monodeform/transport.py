@@ -109,19 +109,22 @@ def frobenius_basis(a: complex, b: complex, c: complex, point: int,
     return FundamentalMatrix(complex(x0), evaluator(complex(x0)), tag, evaluator)
 
 
-def tracked_points(sys: MeromorphicSystem, pert: Optional[PerturbationSpec],
-                   paths: Sequence[PathSpec] = ()) -> list[complex]:
-    """Branch points whose arguments are tracked along the paths: the system
-    singularities, the perturbation poles (and 0 for multivalued weights),
-    and every arc centre."""
+def singular_points(sys: MeromorphicSystem, pert: Optional[PerturbationSpec]) -> list[complex]:
+    """The points a contour must avoid: the singularities of A, the poles of H and, for a
+    power or log weight, its branch point 0, deduplicated."""
     pts = list(sys.singularities)
     if pert is not None:
         pts.extend(pert.poles)
         if pert.multivalued:
             pts.append(0j)
-    for path in paths:
-        pts.extend(path.arc_centers())
     return _dedup(pts)
+
+
+def tracked_points(sys: MeromorphicSystem, pert: Optional[PerturbationSpec],
+                   paths: Sequence[PathSpec] = ()) -> list[complex]:
+    """The points whose arguments are tracked along the paths: the singular points and
+    every arc centre."""
+    return _dedup(singular_points(sys, pert) + [c for path in paths for c in path.arc_centers()])
 
 
 def _gauge_matrix(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -261,8 +264,9 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     G = W^{-1} B W) for k = 1..K, and with want_plain the log-free integral
     of W^{-1} H W.  Returns one marker (W, [C_1..C_K], plain, branch) per
     path, and the accepted step count.  A path that passes within the
-    exclusion radius of a singularity of sys, or of a pole of H when the
-    right-hand side evaluates H, raises SingularPoint before its first step."""
+    exclusion radius of a singularity of sys, or, when the right-hand side
+    evaluates B, of a pole of H or a weight's branch point 0, raises
+    SingularPoint before its first step."""
     pts = tracked_points(sys, pert, paths)
     dim = w0.shape[0]
     n2 = dim * dim
@@ -275,7 +279,7 @@ def _integrate(sys, pert, rho, paths, w0, K, want_plain, rtol, atol):
     markers, steps = [], 0
     for path in paths:
         tracker = ArgTracker(path, pts, state)
-        _check_clearance(path, sys.singularities + (pert.poles if weighted else ()))
+        _check_clearance(path, singular_points(sys, pert if weighted else None))
         for i, seg in enumerate(path.segments):
 
             def rhs(t, yy, seg=seg, i=i):

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonIntegrableForcing, PathThroughSingularity, WronskianVanishes
+from .errors import NonIntegrableForcing, SingularPoint, WronskianVanishes
 from .hypergeom import ConnectedBasis
 from .quadrature import cheb_leaf_maps
 
@@ -82,7 +82,7 @@ class _Cumulative:
         x's leaf plus the integral of its interpolant up to x."""
         flat = np.asarray(x, dtype=float).ravel()
         if not np.all((0 < flat) & (flat < 1)):
-            raise PathThroughSingularity("u_i is integrated on (0, 1) only")
+            raise SingularPoint("u_i is integrated on (0, 1) only")
         out = np.zeros(flat.shape + self._edge[0][1].shape, dtype=complex)
         for side, sgn in ((0, -1.0), (1, 1.0)):
             on = sgn * (flat - self._bp) > 0

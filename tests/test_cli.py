@@ -84,6 +84,36 @@ def test_validate_path_clearance_to_perturbation_poles(tmp_path, capsys):
         assert semantic_diagnostics(example) == [], name
 
 
+def _through_zero(kind, im):
+    """A dyson spec on psi' = [[0, 1], [0, 0]] psi, regular at 0, with a power or log
+    weight and the path -0.5 -> 0.5 at height im above the real axis."""
+    pert = {"kind": kind, "rho": 1e-3, "H": [[_Z, _Z], [_ONE, _Z]]}
+    if kind == "power":
+        pert["lambda"] = 0.5
+    return {"equation": {"system": {"dim": 2, "entries": [[_Z, _ONE], [_Z, _Z]]}},
+            "task": "dyson", "perturbation": pert,
+            "basis": {"type": "identity", "basepoint": [-0.5, im]},
+            "paths": [{"segments": [{"line": [[-0.5, im], [0.5, im]]}]}]}
+
+
+@pytest.mark.parametrize("kind", ["power", "log"])
+def test_weight_branch_point_is_refused(tmp_path, capsys, kind):
+    # the weight's branch point 0 is a singular point even where A is regular: a path
+    # through it has no branch to take, on run and on validate alike
+    spec_file = _write(tmp_path, "through.json", _through_zero(kind, 0.0))
+    assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: cli.run[dyson]: SingularPoint: path passes within 0.000e+00 of "
+        "singularity 0j")
+    assert main(["validate", "--spec", spec_file]) == 0
+    diags = json.loads(capsys.readouterr().out)
+    assert [(d["level"], d["where"]) for d in diags] == [("error", "$.paths[0]")]
+    beside = _through_zero(kind, 1e-3)
+    assert semantic_diagnostics(beside) == []
+    assert main(["run", "--spec", _write(tmp_path, "beside.json", beside),
+                 "--out", os.devnull]) == 0
+
+
 def test_run_monodromy_eigenvalues(tmp_path):
     out = tmp_path / "report.json"
     spec_file = _write(tmp_path, "spec.json", {"equation": HYP, "task": "monodromy"})
@@ -420,7 +450,7 @@ def test_exit_code_3_on_pole_at_basepoint(tmp_path, capsys):
                            {"equation": HYP, "task": task, "perturbation": pert})
         assert main(["run", "--spec", spec_file, "--out", os.devnull]) == 3, task
         err = capsys.readouterr().err
-        assert err.startswith(f"numeric failure: cli.run[{task}]: PathThroughSingularity: "), err
+        assert err.startswith(f"numeric failure: cli.run[{task}]: SingularPoint: "), err
 
 
 _Z = {"num": [], "den": [[1.0, 0.0]]}

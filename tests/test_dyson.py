@@ -23,7 +23,6 @@ from monodeform.dyson import (
     series_monodromy,
 )
 from monodeform.errors import (
-    InconsistentBasepoint,
     MonodeformError,
     NonIntegrableEndpoint,
     SeriesRouteUnavailable,
@@ -31,8 +30,8 @@ from monodeform.errors import (
     SingularPoint,
     UnsupportedKind,
 )
-from monodeform.hypergeom import hypergeometric_system
-from monodeform.odecore import MeromorphicSystem, PerturbationSpec
+from monodeform.hypergeom import ghe_operator, hypergeometric_system
+from monodeform.odecore import MeromorphicSystem, PerturbationSpec, companion
 from monodeform import transport as transport_module
 from monodeform.paths import (
     Arc,
@@ -357,17 +356,6 @@ def test_cocycle_identity_zero_deltas():
     assert cocycle_identity_residual(deltas, {"a": np.eye(2), "b": np.eye(2)}, ("a", "b")) == 0.0
 
 
-def test_cocycle_identity_basepoint_check(hyp_system, frob0):
-    from monodeform.dyson import CocycleJump
-
-    z = np.zeros((2, 2))
-    j1 = CocycleJump(z, 0.5, 0.0)
-    j2 = CocycleJump(z, 0.7, 0.0)
-    with pytest.raises(InconsistentBasepoint):
-        cocycle_identity_residual({"a": j1, "b": j2, ("a", "b"): j1},
-                                  {"a": np.eye(2)}, ("a", "b"))
-
-
 def test_dyson_truncation_order_scaling(hyp_system, frob0):
     kappa = 8.0
     h21 = RationalFn.from_coeffs([kappa], [0.0, 1.0, -1.0])
@@ -381,6 +369,34 @@ def test_dyson_truncation_order_scaling(hyp_system, frob0):
         approx = evaluate_dyson(wx, exp, rho)
         errs.append(np.max(np.abs(direct - approx)))
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
+
+
+@pytest.mark.parametrize("kind,lam", [("meromorphic", None), ("power", 0.5), ("log", None)])
+def test_ode_route_truncation_order_on_3x3_system(kind, lam):
+    # a 3x3 system takes the general W^{-1} R solve of the gauge product, not the 2x2
+    # adjugate: the Dyson sum truncated at K is off the direct transport by O(rho^(K+1))
+    sys3 = companion(ghe_operator([0.3, 0.7, 1.1], [0.9, 1.3]))
+    h = RationalFn.from_coeffs([8.0], [0.0, 1.0, -1.0])
+    pert = PerturbationSpec(kind, tuple(tuple(h if (i, j) == (2, 0) else ZERO for j in range(3))
+                                        for i in range(3)), lam)
+    w0, path = identity_basis(0.5, 3), line_path(0.5, 0.8)
+    wx = transport(sys3, None, 0, path, w0, tol=1e-13).w.value
+    for K in (1, 2):
+        exp = dyson_expand(sys3, pert, K, path, w0, tol=1e-13, route="ode")
+        errs = [np.max(np.abs(transport(sys3, pert, rho, path, w0, tol=1e-13).w.value
+                              - evaluate_dyson(wx, exp, rho))) for rho in (1e-2, 5e-3)]
+        assert errs[0] / errs[1] == pytest.approx(2.0 ** (K + 1), rel=0.15), K
+
+
+@pytest.mark.parametrize("center", [0, 1])
+def test_log_free_integral_routes_agree(hyp_system, frob0, center):
+    # the ODE route carries the log-free integral int W^{-1} H W as its own block
+    pert = _pert("log", ONE)
+    loop = default_loop(center, hyp_system, 0.45)
+    ode, series = (deformation_delta(hyp_system, pert, frob0, 0.45, [loop], tol=1e-12,
+                                     route=route) for route in ("ode", "series"))
+    assert np.max(np.abs(ode[3] - series[3])) <= 1e-12
+    assert np.max(np.abs(ode[0] - series[0])) <= 1e-10
 
 
 def test_correction_vanishes_on_short_path(hyp_system, frob0):

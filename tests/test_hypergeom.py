@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monodeform.errors import DegenerateParams, InvalidLower, NoConvergence
+from monodeform.errors import DegenerateParams, NoConvergence
 from monodeform.hypergeom import (
     MEMO_BYTES,
     ConnectedBasis,
@@ -148,9 +148,9 @@ def test_term_ratio_identity():
 
 
 def test_invalid_lower_parameter():
-    with pytest.raises(InvalidLower):
+    with pytest.raises(DegenerateParams):
         HypergeomParams((1.0 + 0j,), (-2.0 + 0j,))
-    with pytest.raises(InvalidLower):
+    with pytest.raises(DegenerateParams):
         HypergeomParams((1.0 + 0j,), (0j,))
 
 

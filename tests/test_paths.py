@@ -6,7 +6,7 @@ import pytest
 
 from monodeform import paths as paths_module
 from monodeform.cli import config_hash
-from monodeform.errors import PathThroughSingularity
+from monodeform.errors import SingularPoint
 from monodeform.paths import (
     Arc,
     ArgTracker,
@@ -45,7 +45,7 @@ def test_loop_composition_concatenates():
 
 
 def test_loop_annulus_guard():
-    with pytest.raises(PathThroughSingularity):
+    with pytest.raises(SingularPoint):
         loop_around(0, 0.3, 0.9, avoid=[0.45 + 0j])
 
 
@@ -99,7 +99,7 @@ def test_line_winding_less_than_half_turn():
 
 
 def test_segment_starting_on_tracked_point_raises():
-    with pytest.raises(PathThroughSingularity):
+    with pytest.raises(SingularPoint):
         ArgTracker(line_path(0.5, 0.7), [0j, 0.5 + 1e-7j])
     # an arc centred on the point is the one segment that may track it
     tracker = ArgTracker(loop_around(0.5, 0.1, 0.6), [0.5 + 0j])
@@ -155,6 +155,15 @@ def test_validate_clearance_reports_violation():
     path = line_path(0.0 + 1e-9j, 1.0 + 1e-9j)  # grazes both 0 and 1
     msgs = validate_clearance(path, [0j, 1 + 0j])
     assert len(msgs) == 2
+
+
+def test_validate_clearance_exempts_no_arc():
+    # an arc's distance to its own centre is its radius: a loop inside the exclusion
+    # radius of its centre is reported, and loop_around refuses it
+    assert validate_clearance(loop_around(0, 0.25, 0.5), [0j]) == []
+    assert len(validate_clearance(loop_around(0, 5e-7, 1e-6), [0j])) == 1
+    with pytest.raises(SingularPoint):
+        loop_around(0, 5e-7, 1e-6, avoid=[0j])
 
 
 def test_arc_distance():
@@ -242,7 +251,7 @@ def test_centred_arc_turns_by_its_exact_sweep():
 
 def test_arc_through_a_tracked_point_raises():
     arc = Arc(0j, 0.5, 0.0, math.pi)
-    with pytest.raises(PathThroughSingularity):
+    with pytest.raises(SingularPoint):
         ArgTracker(PathSpec((arc,)), [0.5j * (1 + 1e-13)])
 
 

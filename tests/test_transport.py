@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 import monodeform.transport as transport_module
 from monodeform.dyson import dyson_expand
 from monodeform.errors import IllConditioned, MonodeformError, SingularPoint, StepSizeUnderflow
+from monodeform.hypergeom import hypergeometric_system
 from monodeform.odecore import MeromorphicSystem, PerturbationSpec
 from monodeform.paths import Arc, BranchState, PathSpec, line_path, loop_around
 from monodeform.ratfun import RationalFn
@@ -17,6 +18,8 @@ from monodeform.transport import (
     frobenius_basis,
     identity_basis,
     monodromy,
+    singular_points,
+    tracked_points,
     transport,
 )
 
@@ -335,3 +338,28 @@ def test_stacked_gauge_matrix_equals_solve_per_matrix():
     one = _gauge_matrix(w[0], rhs[0])
     assert one.shape == (2, 2)
     assert np.max(np.abs(one - _gauge_matrix(w[:1], rhs[:1])[0])) <= 1e-15 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("kind,lam", [("meromorphic", None), ("power", 0.5), ("log", None)])
+def test_singular_points_add_a_weights_branch_point(kind, lam):
+    # A is regular at 0 and H has a pole at 2 (twice over); a power or log weight adds
+    # its branch point 0, and the tracked points add each arc centre once
+    zero = RationalFn.zero()
+    sys = MeromorphicSystem(2, ((zero, RationalFn.const(1.0)), (zero, zero)))
+    pole = RationalFn.from_coeffs([1.0], [-2.0, 1.0])
+    pert = PerturbationSpec(kind, ((pole, zero), (pole, zero)), lam)
+    expect = [0j, 2 + 0j] if pert.multivalued else [2 + 0j]
+    assert singular_points(sys, pert) == expect
+    assert singular_points(sys, None) == []
+    loops = [loop_around(0.5, 0.1, 0.7), loop_around(0.5 + 1e-12, 0.1, 0.7)]
+    assert tracked_points(sys, pert, loops) == sorted(expect + [0.5 + 0j], key=lambda z: z.real)
+
+
+@pytest.mark.parametrize("c", [0.0, 2.0])
+def test_basis_at_one_builds_for_integer_c(c):
+    # integer c degenerates the basis at 0 (DegenerateParams, as for near-integer c), so
+    # the basis at 1 keeps to its own zone and its monodromy round 1 is exact
+    a, b = 0.3, 0.6
+    sys = hypergeometric_system(a, b, c)
+    datum = monodromy(sys, frobenius_basis(a, b, c, 1, 0.5), loop_around(1, 0.25, 0.5))
+    _eig_match(datum.eigenvalues, [1.0, cmath.exp(2j * math.pi * (c - a - b))], 1e-8)

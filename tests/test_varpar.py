@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from monodeform.errors import NonIntegrableForcing, PathThroughSingularity, WronskianVanishes
+from monodeform.errors import NonIntegrableForcing, SingularPoint, WronskianVanishes
 from monodeform.hypergeom import ConnectedBasis
 from monodeform.quadrature import cheb_leaf_maps
 from monodeform.varpar import (
@@ -241,7 +241,7 @@ def test_u_outside_the_unit_interval_raises(connected_basis):
     """The path from the basepoint to x <= 0 or x >= 1 crosses a singular point."""
     sol = particular_solution(connected_basis, lambda x, w: 1.0 + x)
     for x in (0.0, -0.1, 1.0, np.array([0.4, 1.2])):
-        with pytest.raises(PathThroughSingularity):
+        with pytest.raises(SingularPoint):
             sol(x)
 
 
